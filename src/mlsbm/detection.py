@@ -32,9 +32,6 @@ from .seeding import substream
 # 0.1*rho of rho, leaving a 0.3*rho gap on the planted side; under the null
 # the cross-block mean also concentrates within 0.1*rho of rho.
 MARGIN_FACTOR = 0.3
-PLANTED_CROSS_MEAN_CEILING = 0.55
-PLANTED_CROSS_HIGH_PROB_CEILING = 0.6
-CONCENTRATION_BAND = 0.1
 
 RecoverFn = Callable[[MultiLayerGraph], RecoveryResult]
 

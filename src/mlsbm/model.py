@@ -164,6 +164,18 @@ class MultiLayerGraph:
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "layers", checked)
 
+    @classmethod
+    def _from_checked(cls, n: int, layers: tuple[np.ndarray, ...]) -> "MultiLayerGraph":
+        """Wrap layers taken from a validated graph without checking them again.
+
+        Validated layers are read-only, so the new graph can share them.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "T", len(layers))
+        object.__setattr__(graph, "layers", layers)
+        return graph
+
     def __eq__(self, other):
         if not isinstance(other, MultiLayerGraph):
             return NotImplemented
@@ -178,17 +190,17 @@ class MultiLayerGraph:
         return sum(len(layer) for layer in self.layers)
 
     def layer_slice(self, start: int, stop: int) -> "MultiLayerGraph":
-        """Sub-graph keeping layers [start, stop) (0-based layer positions)."""
-        if not (0 <= start <= stop <= self.T):
+        """Sub-graph keeping layers [start, stop) (0-based layer positions, start < stop)."""
+        if not (0 <= start < stop <= self.T):
             raise ValidationError(f"layer slice [{start}, {stop}) out of range for T={self.T}")
-        return MultiLayerGraph(self.n, stop - start, self.layers[start:stop])
+        return MultiLayerGraph._from_checked(self.n, self.layers[start:stop])
 
     def permute_layers(self, order: Sequence[int]) -> "MultiLayerGraph":
         """Reorder layers; `order[k]` is the old position placed at new position k."""
         order = [int(o) for o in order]
         if sorted(order) != list(range(self.T)):
             raise ValidationError("order must be a permutation of 0..T-1")
-        return MultiLayerGraph(self.n, self.T, tuple(self.layers[o] for o in order))
+        return MultiLayerGraph._from_checked(self.n, tuple(self.layers[o] for o in order))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .model import Assignment, MultiLayerGraph, enumerate_assignments
+from .model import _ENUM_MAX_ITEMS, Assignment, MultiLayerGraph, enumerate_assignments
 
 # Dense n x n matrices are materialized only below this size.
 _DENSE_MAX_NODES = 4096
 _EXHAUSTIVE_GUARD = 10**7
-_ENUM_MAX_ITEMS = 20
 _DEGENERATE_EIGEN_TOL = 1e-10
 _POWER_TOL = 1e-8
 _POWER_MAX_ITER = 1000
@@ -82,18 +81,10 @@ def _check_dense_size(n: int) -> None:
 
 
 def _edge_arrays(graph: MultiLayerGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All edges flattened to 0-based (i, j, t) arrays."""
-    rows_i, rows_j, rows_t = [], [], []
-    for t, layer in enumerate(graph.layers):
-        if len(layer) == 0:
-            continue
-        rows_i.append(layer[:, 0] - 1)
-        rows_j.append(layer[:, 1] - 1)
-        rows_t.append(np.full(len(layer), t, dtype=np.int64))
-    if not rows_i:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    return np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_t)
+    """All edges flattened to 0-based (i, j, t) arrays, in layer order."""
+    edges = np.concatenate(graph.layers)
+    counts = np.fromiter(map(len, graph.layers), dtype=np.int64, count=graph.T)
+    return edges[:, 0] - 1, edges[:, 1] - 1, np.repeat(np.arange(graph.T), counts)
 
 
 def aggregate_bias_adjusted(graph: MultiLayerGraph) -> AggregateMatrix:
@@ -102,40 +93,51 @@ def aggregate_bias_adjusted(graph: MultiLayerGraph) -> AggregateMatrix:
     For i != j the (i, j) entry of A_t @ A_t is the number of common neighbors
     of i and j in layer t, so accumulating common-neighbor pairs and leaving
     the diagonal at zero realizes the debiased square without dense products.
+
+    The 2E half-edges (middle, other) of all layers are sorted by layer and
+    middle node, so the neighbors of one node in one layer form a run. Pass d
+    adds every pair of run members d positions apart, in both orders, and
+    keeps only the positions whose run reaches d + 1 further on; the passes
+    stop once no run is longer than d. There are at most (max layer degree)
+    passes of at most 2E pairs each, so time is O(E * max degree) and memory
+    O(E + n^2): the full wedge list is never built.
     """
     _check_dense_size(graph.n)
     n = graph.n
-    m = np.zeros((n, n), dtype=np.float64)
-    for layer in graph.layers:
-        if len(layer) < 2:
-            continue
-        neighbors: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, j in layer:
-            neighbors[int(i)].append(int(j))
-            neighbors[int(j)].append(int(i))
-        for mid in range(1, n + 1):
-            ns = neighbors[mid]
-            if len(ns) < 2:
-                continue
-            arr = np.array(ns, dtype=np.int64) - 1
-            a_idx, b_idx = np.triu_indices(len(arr), k=1)
-            np.add.at(m, (arr[a_idx], arr[b_idx]), 1.0)
-            np.add.at(m, (arr[b_idx], arr[a_idx]), 1.0)
-    return AggregateMatrix(m, "bias-adjusted")
+    e_i, e_j, e_t = _edge_arrays(graph)
+    # Half-edge (middle, other) in layer t as (t * n + middle) * n + other.
+    codes = np.concatenate([(e_t * n + e_i) * n + e_j, (e_t * n + e_j) * n + e_i])
+    codes.sort()
+    del e_i, e_j, e_t  # freed before the n x n matrix is allocated
+    pos = np.flatnonzero(codes[1:] // n == codes[:-1] // n)
+    flat = np.zeros(n * n, dtype=np.float64)
+    d = 1
+    while len(pos):
+        a = codes[pos] % n
+        b = codes[pos + d] % n
+        np.add.at(flat, np.concatenate([a * n + b, b * n + a]), 1.0)
+        d += 1
+        pos = pos[pos + d < len(codes)]
+        pos = pos[codes[pos + d] // n == codes[pos] // n]
+    return AggregateMatrix(flat.reshape(n, n), "bias-adjusted")
+
+
+def _weighted_layer_sum(graph: MultiLayerGraph, weights: np.ndarray) -> np.ndarray:
+    """Sum over layers of weights[t] * A_t as a dense n x n matrix.
+
+    One bincount over both orientations, so only one n x n array is allocated.
+    """
+    n = graph.n
+    e_i, e_j, e_t = _edge_arrays(graph)
+    cells = np.concatenate([e_i * n + e_j, e_j * n + e_i])
+    w = weights[e_t]
+    return np.bincount(cells, weights=np.concatenate([w, w]), minlength=n * n).reshape(n, n)
 
 
 def aggregate_layer_sum(graph: MultiLayerGraph) -> AggregateMatrix:
     """Plain sum of adjacency matrices."""
     _check_dense_size(graph.n)
-    m = np.zeros((graph.n, graph.n), dtype=np.float64)
-    for layer in graph.layers:
-        if len(layer) == 0:
-            continue
-        i = layer[:, 0] - 1
-        j = layer[:, 1] - 1
-        np.add.at(m, (i, j), 1.0)
-        np.add.at(m, (j, i), 1.0)
-    return AggregateMatrix(m, "layer-sum")
+    return AggregateMatrix(_weighted_layer_sum(graph, np.ones(graph.T)), "layer-sum")
 
 
 def aggregate_signed(graph: MultiLayerGraph, tau: Assignment) -> AggregateMatrix:
@@ -143,16 +145,8 @@ def aggregate_signed(graph: MultiLayerGraph, tau: Assignment) -> AggregateMatrix
     _check_dense_size(graph.n)
     if tau.size != graph.T:
         raise ValidationError(f"tau has {tau.size} labels but the graph has {graph.T} layers")
-    m = np.zeros((graph.n, graph.n), dtype=np.float64)
-    for t, layer in enumerate(graph.layers):
-        if len(layer) == 0:
-            continue
-        w = -1.0 if tau.labels[t] == 1 else 1.0
-        i = layer[:, 0] - 1
-        j = layer[:, 1] - 1
-        np.add.at(m, (i, j), w)
-        np.add.at(m, (j, i), w)
-    return AggregateMatrix(m, "signed")
+    weights = 1.0 - 2.0 * tau.as_array()
+    return AggregateMatrix(_weighted_layer_sum(graph, weights), "signed")
 
 
 def _power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:

@@ -30,31 +30,13 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import BoundInapplicableError, SizeGuardError, ValidationError
-from .model import Assignment, enumerate_assignments
-
-MAX_DENSITY = 2.0 / 3.0
+from .model import MAX_DENSITY, Assignment, _check_even, _check_rho, enumerate_assignments
 
 # Hard enumeration caps (errors, never silent truncation).
 TENSOR_GUARD_SLOTS = 24
 SUBSET_GUARD = 10**7
 
 Slot = tuple[int, int, int]
-
-
-def _check_even(value, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < 2 or value % 2 != 0:
-        raise ValidationError(f"{name} must be an even integer >= 2, got {value}")
-    return value
-
-
-def _check_rho(rho) -> float:
-    rho = float(rho)
-    if not (0.0 < rho < MAX_DENSITY):
-        raise ValidationError(f"rho must lie strictly inside (0, {MAX_DENSITY:.6g}), got {rho}")
-    return rho
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -116,8 +98,8 @@ def chi_square_closed_form(n: int, T: int, rho: float) -> ChiSquareReport:
     the `mixed` base, with multiplicities C(n-2c,2)+C(2c,2) and 2c(n-2c) per
     layer. The result does not depend on the layer types at all.
     """
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     rho = _check_rho(rho)
     log_same, log_mixed = (math.log(b) for b in _chi_square_bases(rho))
     log_total = _log_comb(n, n // 2)
@@ -147,8 +129,8 @@ def chi_square_relaxed_bound(n: int, T: int, rho: float) -> float:
     vanishing-density regime (extreme overlaps negligible) but can dip
     below it at moderate density. Exposed for comparison only; the closed
     form above is exact."""
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     rho = _check_rho(rho)
     log_same, log_mixed = (math.log(b) for b in _chi_square_bases(rho))
     log_total = _log_comb(n, n // 2)
@@ -194,7 +176,7 @@ def chi_square_bruteforce(n: int, T: int, rho: float, tau) -> float:
     the layer types); only the node labelling is averaged. Guarded at
     binom(n,2)*T <= 24 slots.
     """
-    n = _check_even(n, "n")
+    n = _check_even(n, "n", 2)
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValidationError(f"T must be an integer >= 1, got {T!r}")
     T = int(T)
@@ -277,8 +259,8 @@ def chi_alpha_expectation(alpha, n: int, T: int, rho: float) -> float:
     odd-appearance set sizes. The odd-appearance node set is always even
     because each slot contributes two node appearances.
     """
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     rho = _check_rho(rho)
     alpha = _validate_alpha(alpha, n, T)
     u_size, v_size = _parity_sets(alpha)
@@ -301,8 +283,8 @@ def chi_alpha_expectation_bruteforce(alpha, n: int, T: int, rho: float) -> float
     Computes the raw parity sum per slot (no parity-set shortcut), so this is
     an independent route for cross-checking the closed form.
     """
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     rho = _check_rho(rho)
     alpha = _validate_alpha(alpha, n, T)
     sign_total = 0
@@ -398,8 +380,8 @@ class LambdaCount:
 
 def lambda_count_enumerate(n: int, T: int, a: int, r: int, k: int) -> LambdaCount:
     """Exact size of the (a, r, k) parity class by subset enumeration."""
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     for name, v in (("a", a), ("r", r), ("k", k)):
         if not isinstance(v, (int, np.integer)) or v < 0:
             raise ValidationError(f"{name} must be a non-negative integer, got {v!r}")
@@ -417,8 +399,8 @@ def lambda_count_enumerate(n: int, T: int, a: int, r: int, k: int) -> LambdaCoun
 def lambda_count_partition(n: int, T: int, a: int) -> dict:
     """Full classification for one subset size: class sizes plus the excluded
     odd-layer-parity count and the grand total (partition identity check)."""
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     table, odd_v, total = _lambda_table(n, T, int(a))
     return {"counts": dict(table), "odd_layer_parity": odd_v, "total_subsets": total}
 
@@ -475,8 +457,8 @@ def ldlr_norm_exact(n: int, T: int, rho: float, D: int) -> LdlrReport:
     count * [C(n/2,r) C(T/2,k) / (C(n,2r) C(T,2k))]^2; the squared
     denominators come from squaring the per-subset signed expectation.
     """
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     rho = _check_rho(rho)
     if not isinstance(D, (int, np.integer)) or D < 1:
         raise ValidationError(f"D must be an integer >= 1, got {D!r}")
@@ -508,8 +490,8 @@ def ldlr_norm_bruteforce(n: int, T: int, rho: float, D: int) -> float:
     (sigma, tau) average (never the closed form), making this a fully
     independent route.
     """
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     rho = _check_rho(rho)
     if D < 1:
         raise ValidationError(f"D must be an integer >= 1, got {D!r}")
@@ -546,8 +528,8 @@ def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
     standardized edge product, and sums the squares. Validates that the
     standardized products really behave as an orthonormal basis.
     """
-    n = _check_even(n, "n")
-    T = _check_even(T, "T")
+    n = _check_even(n, "n", 2)
+    T = _check_even(T, "T", 2)
     rho = _check_rho(rho)
     if D < 1:
         raise ValidationError(f"D must be an integer >= 1, got {D!r}")

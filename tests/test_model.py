@@ -207,6 +207,25 @@ def test_layer_slice_and_permute():
     assert permuted.total_edges == g.total_edges == 4
     with pytest.raises(ValidationError):
         g.permute_layers([0, 0, 1])
+    with pytest.raises(ValidationError):
+        g.layer_slice(2, 2)
+
+
+@given(seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_layer_views_equal_validated_graphs_and_stay_read_only(seed, data):
+    g = sample_planted(MlsbmParams(n=10, T=6, rho=0.4), seed=seed).graph
+    order = data.draw(st.permutations(range(g.T)))
+    start = data.draw(st.integers(0, g.T - 1))
+    stop = data.draw(st.integers(start + 1, g.T))
+    views = [
+        (g.permute_layers(order), [g.layers[o].tolist() for o in order]),
+        (g.layer_slice(start, stop), [layer.tolist() for layer in g.layers[start:stop]]),
+    ]
+    for view, layers in views:
+        assert view == MultiLayerGraph(n=g.n, T=len(layers), layers=layers)
+        assert view.T == len(view.layers)
+        assert all(not layer.flags.writeable for layer in view.layers)
 
 
 @given(seed=st.integers(0, 10_000))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,87 @@ def test_bias_adjusted_matrix_matches_dense_reference():
 def test_dense_materialization_cap():
     with pytest.raises(SizeGuardError):
         aggregate_bias_adjusted(empty_graph(4098, 2))
+
+
+@pytest.mark.parametrize(
+    "aggregate",
+    [
+        aggregate_bias_adjusted,
+        aggregate_layer_sum,
+        lambda graph: aggregate_signed(graph, Assignment((0, 1))),
+    ],
+    ids=["bias-adjusted", "layer-sum", "signed"],
+)
+def test_dense_cap_refuses_before_allocating(aggregate):
+    graph = empty_graph(4098, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            aggregate(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 4098 x 4098 float64 matrix would take 134 MB
+    assert peak < 2**20
+
+
+@st.composite
+def layered_graphs(draw):
+    """Small graphs mixing empty, single-edge, star and random layers."""
+    n = draw(st.integers(2, 9))
+    T = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    layers = []
+    for _ in range(T):
+        kind = draw(st.sampled_from(["empty", "single", "star", "random"]))
+        if kind == "empty":
+            layers.append([])
+        elif kind == "single":
+            layers.append([draw(st.sampled_from(pairs))])
+        elif kind == "star":
+            center = draw(st.integers(1, n))
+            layers.append([(min(center, v), max(center, v)) for v in range(1, n + 1) if v != center])
+        else:
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            layers.append([pair for pair, k in zip(pairs, keep) if k])
+    return MultiLayerGraph(n=n, T=T, layers=layers)
+
+
+def dense_adjacency(layer, n):
+    A = np.zeros((n, n))
+    for i, j in layer:
+        A[i - 1, j - 1] = A[j - 1, i - 1] = 1.0
+    return A
+
+
+@given(graph=layered_graphs(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_aggregators_match_dense_oracle(graph, data):
+    view = data.draw(st.sampled_from(["whole", "permuted", "sliced"]))
+    if view == "permuted":
+        graph = graph.permute_layers(data.draw(st.permutations(range(graph.T))))
+    elif view == "sliced":
+        start = data.draw(st.integers(0, graph.T - 1))
+        graph = graph.layer_slice(start, data.draw(st.integers(start + 1, graph.T)))
+    n = graph.n
+    adjacency = [dense_adjacency(layer, n) for layer in graph.layers]
+    squared = sum(A @ A - np.diag(A.sum(axis=1)) for A in adjacency)
+    assert np.array_equal(aggregate_bias_adjusted(graph).matrix, squared)
+    assert np.array_equal(aggregate_layer_sum(graph).matrix, sum(adjacency))
+    if graph.T % 2 == 0:
+        half = graph.T // 2
+        tau = Assignment(tuple(data.draw(st.permutations([0] * half + [1] * half))))
+        signed = sum((1 - 2 * b) * A for b, A in zip(tau.labels, adjacency))
+        assert np.array_equal(aggregate_signed(graph, tau).matrix, signed)
+
+
+def test_bias_adjusted_star_layer_links_every_leaf_pair():
+    n = 40
+    star = [(1, v) for v in range(2, n + 1)]
+    matrix = aggregate_bias_adjusted(MultiLayerGraph(n=n, T=2, layers=[star, []])).matrix
+    expected = np.ones((n, n)) - np.eye(n)
+    expected[0, :] = expected[:, 0] = 0.0
+    assert np.array_equal(matrix, expected)
 
 
 def test_sum_spectral_single_layer_classical_regime():
