@@ -242,12 +242,15 @@ def mle_objective(graph: MultiLayerGraph, sigma: Assignment, tau: Assignment) ->
         raise ValidationError(f"sigma has {sigma.size} labels but the graph has {graph.n} nodes")
     if tau.size != graph.T:
         raise ValidationError(f"tau has {tau.size} labels but the graph has {graph.T} layers")
-    e_i, e_j, e_t = _edge_arrays(graph)
+    sig = sigma.as_array().astype(np.int64)
+    return _even_count(sig, tau.as_array().astype(np.int64), *_edge_arrays(graph))
+
+
+def _even_count(sig: np.ndarray, tau: np.ndarray, e_i, e_j, e_t) -> int:
+    """Number of edges whose parity sigma_i + sigma_j + tau_t is even."""
     if len(e_i) == 0:
         return 0
-    sig = sigma.as_array().astype(np.int64)
-    ta = tau.as_array().astype(np.int64)
-    parity = (sig[e_i] + sig[e_j] + ta[e_t]) % 2
+    parity = (sig[e_i] + sig[e_j] + tau[e_t]) % 2
     return int(len(e_i) - parity.sum())
 
 
@@ -392,6 +395,14 @@ def mle_local_search(
     best-improvement swaps (one 0-node for one 1-node) while any swap raises
     the objective. The objective never decreases; the result is locally
     optimal under single swaps and layer relabelings.
+
+    With x = 1 - 2 sigma in {+1, -1}^n and the signed aggregate
+    W = sum_t (1 - 2 tau_t) A_t, swapping a 0-node a with a 1-node b changes
+    the objective by g[b] - g[a] - 2 W[a, b], where g = W x. W and g are
+    rebuilt only when tau changes (O(E + n^2), at most once per round); an
+    accepted swap (u: 0 -> 1, v: 1 -> 0) updates g += 2 (W[:, v] - W[:, u])
+    in O(n), so each swap step costs O(n^2 / 4) for its gain table. All
+    values are integers held exactly in float64.
     """
     n, T = graph.n, graph.T
     if init.size != n:
@@ -400,48 +411,33 @@ def mle_local_search(
         raise ValidationError("mle_local_search needs even T for balanced tau")
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be >= 1, got {max_rounds}")
-    e_i, e_j, e_t = _edge_arrays(graph)
-    layer_totals = np.bincount(e_t, minlength=T).astype(np.float64)
-
-    def objective_of(sig, tau) -> int:
-        if len(e_i) == 0:
-            return 0
-        parity = (sig[e_i] + sig[e_j] + tau[e_t]) % 2
-        return int(len(e_i) - parity.sum())
+    _check_dense_size(n)
+    edges = _edge_arrays(graph)
+    layer_totals = np.bincount(edges[2], minlength=T).astype(np.float64)
 
     sig = init.as_array().astype(np.int64)
-    tau = _tau_for_sigma(sig, e_i, e_j, e_t, layer_totals)
-    obj = objective_of(sig, tau)
+    tau = _tau_for_sigma(sig, *edges, layer_totals)
+    obj = _even_count(sig, tau, *edges)
     trace = [obj]
+    W = None
 
     for _ in range(max_rounds):
         changed = False
-        new_tau = _tau_for_sigma(sig, e_i, e_j, e_t, layer_totals)
+        new_tau = _tau_for_sigma(sig, *edges, layer_totals)
         if not np.array_equal(new_tau, tau):
             tau = new_tau
-            obj = objective_of(sig, tau)
+            obj = _even_count(sig, tau, *edges)
             trace.append(obj)
             changed = True
-        # Best-improvement swaps at fixed tau. For a swap (u, v) only edges
-        # touching exactly one endpoint flip parity; s_e = +1 if edge e gains
-        # by flipping one endpoint, -1 if it loses.
+            W = None
+        if W is None:
+            W = _weighted_layer_sum(graph, 1.0 - 2.0 * tau)
+            g = W @ (1.0 - 2.0 * sig)
+        # Best-improvement swaps at fixed tau.
         while True:
-            if len(e_i) == 0:
-                break
-            s_e = (2 * ((sig[e_i] + sig[e_j] + tau[e_t]) % 2) - 1).astype(np.float64)
-            d = np.zeros(n)
-            np.add.at(d, e_i, s_e)
-            np.add.at(d, e_j, s_e)
-            c = np.zeros((n, n))
-            np.add.at(c, (e_i, e_j), s_e)
-            c_sym = c + c.T
             zeros_idx = np.flatnonzero(sig == 0)
             ones_idx = np.flatnonzero(sig == 1)
-            delta = (
-                d[zeros_idx][:, None]
-                + d[ones_idx][None, :]
-                - 2.0 * c_sym[np.ix_(zeros_idx, ones_idx)]
-            )
+            delta = g[ones_idx] - g[zeros_idx][:, None] - 2.0 * W[zeros_idx][:, ones_idx]
             flat = int(np.argmax(delta))
             gain = delta.flat[flat]
             if gain <= 0:
@@ -449,6 +445,7 @@ def mle_local_search(
             u = int(zeros_idx[flat // len(ones_idx)])
             v = int(ones_idx[flat % len(ones_idx)])
             sig[u], sig[v] = 1, 0
+            g += 2.0 * (W[v] - W[u])  # rows: W is symmetric
             obj += int(round(gain))
             trace.append(obj)
             changed = True

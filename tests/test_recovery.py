@@ -31,7 +31,8 @@ from mlsbm import (
     sample_planted,
     top_two_eigenpairs,
 )
-from mlsbm.recovery import to_json_record
+from mlsbm import recovery
+from mlsbm.recovery import _edge_arrays, _tau_for_sigma, to_json_record
 
 from conftest import CALIBRATION_BASE_SEED, parity_even_graph
 
@@ -145,6 +146,130 @@ def test_local_search_trace_is_monotone(seed, init_idx):
     assert all(b >= a for a, b in zip(trace, trace[1:]))
     assert trace[-1] == result.objective
     assert result.objective >= mle_objective(inst.graph, init, result.tau_hat)
+    assert result.objective == mle_objective(inst.graph, result.sigma_hat, result.tau_hat)
+
+
+def test_multistart_objective_matches_recount():
+    # The incremental objective and gain bookkeeping must agree with a fresh
+    # count at the benchmark's local-search cell, after hundreds of swaps.
+    graph = sample_planted(MlsbmParams(n=256, T=8, rho=0.01), seed=0).graph
+    result = mle_local_search_multistart(graph)
+    assert len(result.objective_trace) > 10
+    assert result.objective == mle_objective(graph, result.sigma_hat, result.tau_hat)
+
+
+def reference_local_search(graph, init, max_rounds=50):
+    """The ascent with its swap gains recomputed from every edge after each swap.
+
+    Oracle for mle_local_search, which keeps the gains up to date
+    incrementally: both must take the same swaps and report the same result.
+    """
+    n, T = graph.n, graph.T
+    e_i, e_j, e_t = _edge_arrays(graph)
+    layer_totals = np.bincount(e_t, minlength=T).astype(np.float64)
+
+    def objective_of(sig, tau) -> int:
+        if len(e_i) == 0:
+            return 0
+        parity = (sig[e_i] + sig[e_j] + tau[e_t]) % 2
+        return int(len(e_i) - parity.sum())
+
+    sig = init.as_array().astype(np.int64)
+    tau = _tau_for_sigma(sig, e_i, e_j, e_t, layer_totals)
+    obj = objective_of(sig, tau)
+    trace = [obj]
+
+    for _ in range(max_rounds):
+        changed = False
+        new_tau = _tau_for_sigma(sig, e_i, e_j, e_t, layer_totals)
+        if not np.array_equal(new_tau, tau):
+            tau = new_tau
+            obj = objective_of(sig, tau)
+            trace.append(obj)
+            changed = True
+        # s_e = +1 if edge e gains by flipping one endpoint, -1 if it loses.
+        while True:
+            if len(e_i) == 0:
+                break
+            s_e = (2 * ((sig[e_i] + sig[e_j] + tau[e_t]) % 2) - 1).astype(np.float64)
+            d = np.zeros(n)
+            np.add.at(d, e_i, s_e)
+            np.add.at(d, e_j, s_e)
+            c = np.zeros((n, n))
+            np.add.at(c, (e_i, e_j), s_e)
+            c_sym = c + c.T
+            zeros_idx = np.flatnonzero(sig == 0)
+            ones_idx = np.flatnonzero(sig == 1)
+            delta = (
+                d[zeros_idx][:, None]
+                + d[ones_idx][None, :]
+                - 2.0 * c_sym[np.ix_(zeros_idx, ones_idx)]
+            )
+            flat = int(np.argmax(delta))
+            gain = delta.flat[flat]
+            if gain <= 0:
+                break
+            u = int(zeros_idx[flat // len(ones_idx)])
+            v = int(ones_idx[flat % len(ones_idx)])
+            sig[u], sig[v] = 1, 0
+            obj += int(round(gain))
+            trace.append(obj)
+            changed = True
+        if not changed:
+            break
+    return Assignment(tuple(int(x) for x in sig)), Assignment(tuple(int(x) for x in tau)), obj, tuple(trace)
+
+
+def assert_matches_reference(graph, init):
+    result = mle_local_search(graph, init)
+    got = (result.sigma_hat, result.tau_hat, result.objective, result.objective_trace)
+    assert got == reference_local_search(graph, init)
+
+
+@st.composite
+def ascent_cases(draw):
+    """Even n in 4..40, T in {2, 4, 6}, some layers empty, density up to 0.6."""
+    n = 2 * draw(st.integers(2, 20))
+    T = draw(st.sampled_from([2, 4, 6]))
+    rho = draw(st.floats(0.0, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    layers = []
+    for _ in range(T):
+        if draw(st.booleans()) and draw(st.booleans()):
+            layers.append([])
+        else:
+            layers.append([p for p, keep in zip(pairs, rng.random(len(pairs)) < rho) if keep])
+    graph = MultiLayerGraph(n=n, T=T, layers=layers)
+    randoms = [Assignment(tuple(int(b) for b in rng.permutation([0] * (n // 2) + [1] * (n // 2))))
+               for _ in range(draw(st.integers(1, 3)))]
+    return graph, randoms
+
+
+@given(case=ascent_cases())
+@settings(max_examples=60, deadline=None)
+def test_local_search_matches_rebuild_every_swap_reference(case):
+    graph, randoms = case
+    for init in default_start_battery(graph) + randoms:
+        assert_matches_reference(graph, init)
+
+
+def test_local_search_rebuilds_gains_when_tau_changes(monkeypatch):
+    # Pinned ascent: one swap, then tau changes, then another swap, so the
+    # gains are rebuilt mid-ascent and the rebuilt ones are used.
+    graph = sample_planted(MlsbmParams(n=8, T=4, rho=0.4), seed=6).graph
+    init = Assignment((1, 1, 1, 1, 0, 0, 0, 0))
+    weights_seen = []
+    aggregate = recovery._weighted_layer_sum
+
+    def recording(graph, weights):
+        weights_seen.append(tuple(weights))
+        return aggregate(graph, weights)
+
+    monkeypatch.setattr(recovery, "_weighted_layer_sum", recording)
+    assert_matches_reference(graph, init)
+    assert len(set(weights_seen)) == len(weights_seen) == 2
+    assert mle_local_search(graph, init).objective_trace == (19, 21, 24, 31)
 
 
 @given(seed=st.integers(0, 200))
@@ -309,20 +434,22 @@ def test_dense_materialization_cap():
 
 
 @pytest.mark.parametrize(
-    "aggregate",
+    "call",
     [
         aggregate_bias_adjusted,
         aggregate_layer_sum,
         lambda graph: aggregate_signed(graph, Assignment((0, 1))),
+        lambda graph: mle_local_search(graph, Assignment((0, 1) * (graph.n // 2))),
+        mle_local_search_multistart,
     ],
-    ids=["bias-adjusted", "layer-sum", "signed"],
+    ids=["bias-adjusted", "layer-sum", "signed", "local-search", "local-multistart"],
 )
-def test_dense_cap_refuses_before_allocating(aggregate):
+def test_dense_cap_refuses_before_allocating(call):
     graph = empty_graph(4098, 2)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError):
-            aggregate(graph)
+            call(graph)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
