@@ -19,6 +19,7 @@ from pathlib import Path
 from mlsbm import (
     ExperimentConfig,
     MlsbmParams,
+    aggregate_sum_spectral,
     bias_adjusted_spectral,
     detection_risk_by_cell,
     hamming_loss,
@@ -66,8 +67,6 @@ def spectral_pilot() -> dict:
     bias_losses, sum_losses = [], []
     for trial in range(20):
         inst = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed=BASE_SEED + 2000 + trial)
-        from mlsbm import aggregate_sum_spectral
-
         bias = bias_adjusted_spectral(inst.graph)
         plain = aggregate_sum_spectral(inst.graph)
         bias_losses.append(hamming_loss(bias.sigma_hat, inst.sigma).value)

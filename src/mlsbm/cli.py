@@ -75,21 +75,8 @@ def _load_graph_argument(args, *, allow_null_inline: bool = False):
 
 def _cmd_recover(args) -> int:
     graph, instance = _load_graph_argument(args)
-    method = args.method
-    if method == "oracle-tau-spectral":
-        if instance is None:
-            raise ValidationError(
-                "oracle-tau-spectral needs a planted input carrying layer types"
-            )
-        result = recovery.oracle_tau_spectral(graph, instance.tau)
-    elif method == "bias-adjusted-spectral":
-        result = recovery.bias_adjusted_spectral(graph)
-    elif method == "sum-spectral":
-        result = recovery.aggregate_sum_spectral(graph)
-    elif method == "mle-exhaustive":
-        result = recovery.mle_exhaustive(graph)
-    else:  # mle-local-search
-        result = recovery.mle_local_search_multistart(graph)
+    tau = None if instance is None else instance.tau
+    result = experiments.RECOVERY_RUNNERS[args.method](graph, tau)
     loss = None
     if instance is not None:
         loss = metrics.hamming_loss(result.sigma_hat, instance.sigma).value
@@ -100,15 +87,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_detect(args) -> int:
     graph, _ = _load_graph_argument(args, allow_null_inline=True)
-    if args.method == "split-test":
-        outcome = detection.split_layer_test(graph, recovery.bias_adjusted_spectral)
-    else:
-        outcome = detection.shuffled_test(
-            graph,
-            recovery.bias_adjusted_spectral,
-            rounds=args.rounds,
-            seed=args.shuffle_seed,
-        )
+    outcome = experiments.DETECTION_RUNNERS[args.method](graph, args.rounds, args.shuffle_seed)
     record = detection.to_json_record(outcome, method=args.method, n=graph.n, T=graph.T)
     _write_or_print(json.dumps(record, indent=2, sort_keys=True), args.out)
     return 0
@@ -346,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the planted-vs-null test on a graph")
     _add_inline_sampling(p, with_null=True)
     p.add_argument("--method", default="split-test",
-                   choices=list(experiments.DETECTION_METHODS))
+                   choices=list(experiments.DETECTION_RUNNERS))
     p.add_argument("--rounds", type=int, help="shuffle rounds (default: heuristic)")
     p.add_argument("--shuffle-seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")

@@ -70,15 +70,33 @@ _SEED_NULL = 2
 _SEED_SHUFFLE_NULL = 3
 
 
-RECOVERY_RUNNERS: dict[str, Callable[[PlantedInstance], RecoveryResult]] = {
-    "bias-adjusted-spectral": lambda inst: bias_adjusted_spectral(inst.graph),
-    "sum-spectral": lambda inst: aggregate_sum_spectral(inst.graph),
-    "oracle-tau-spectral": lambda inst: oracle_tau_spectral(inst.graph, inst.tau),
-    "mle-exhaustive": lambda inst: mle_exhaustive(inst.graph),
-    "mle-local-search": lambda inst: mle_local_search_multistart(inst.graph),
+def _oracle_tau_runner(graph: MultiLayerGraph, tau: Optional[Assignment]) -> RecoveryResult:
+    if tau is None:
+        raise ValidationError("oracle-tau-spectral needs a planted input carrying layer types")
+    return oracle_tau_spectral(graph, tau)
+
+
+# The one map from method names to code, used by the CLI, the sweeps and the
+# gap demo. Recovery runners take (graph, planted tau or None); detection
+# runners take (graph, shuffle rounds or None, shuffle seed).
+RECOVERY_RUNNERS: dict[
+    str, Callable[[MultiLayerGraph, Optional[Assignment]], RecoveryResult]
+] = {
+    "bias-adjusted-spectral": lambda graph, tau: bias_adjusted_spectral(graph),
+    "sum-spectral": lambda graph, tau: aggregate_sum_spectral(graph),
+    "oracle-tau-spectral": _oracle_tau_runner,
+    "mle-exhaustive": lambda graph, tau: mle_exhaustive(graph),
+    "mle-local-search": lambda graph, tau: mle_local_search_multistart(graph),
 }
 
-DETECTION_METHODS = ("split-test", "shuffled-test")
+DETECTION_RUNNERS: dict[
+    str, Callable[[MultiLayerGraph, Optional[int], int], DetectionDecision]
+] = {
+    "split-test": lambda graph, rounds, seed: split_layer_test(graph, bias_adjusted_spectral),
+    "shuffled-test": lambda graph, rounds, seed: shuffled_test(
+        graph, bias_adjusted_spectral, rounds=rounds, seed=seed
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -121,7 +139,7 @@ class ExperimentConfig:
         methods = tuple(self.methods)
         if not methods:
             raise ValidationError("config needs at least one method")
-        valid = RECOVERY_RUNNERS.keys() if self.kind == "recovery" else DETECTION_METHODS
+        valid = RECOVERY_RUNNERS if self.kind == "recovery" else DETECTION_RUNNERS
         for method in methods:
             if method not in valid:
                 raise ValidationError(
@@ -245,6 +263,47 @@ def _run_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]]) -> lis
     return records
 
 
+def _recovery_record(
+    method: str,
+    instance: PlantedInstance,
+    cell: str,
+    rho: float,
+    trial: int,
+    seed: int,
+    *,
+    size_guard_is_degenerate: bool = False,
+) -> TrialRecord:
+    """Time one recovery method on a planted instance and score it as a row.
+
+    With size_guard_is_degenerate, a method refusing the instance's size is
+    recorded as degenerate with an empty loss; otherwise the refusal propagates.
+    """
+    start = time.perf_counter()
+    try:
+        result = RECOVERY_RUNNERS[method](instance.graph, instance.tau)
+        loss = hamming_loss(result.sigma_hat, instance.sigma).value
+        objective, degenerate = result.objective, result.degenerate
+    except SizeGuardError:
+        if not size_guard_is_degenerate:
+            raise
+        loss, objective, degenerate = None, None, True
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    return TrialRecord(
+        cell=cell,
+        n=instance.graph.n,
+        T=instance.graph.T,
+        rho=rho,
+        method=method,
+        trial=trial,
+        seed=seed,
+        loss=loss,
+        decision=None,
+        objective=objective,
+        wall_time_ms=elapsed_ms,
+        degenerate=degenerate,
+    )
+
+
 def run_phase_diagram(config: ExperimentConfig) -> list[TrialRecord]:
     """Run every recovery method on planted instances over the cell grid.
 
@@ -261,34 +320,13 @@ def run_phase_diagram(config: ExperimentConfig) -> list[TrialRecord]:
         n, T, rho = config.cells[ci]
         seed = derive_seed(config.base_seed, ci, ti, _SEED_INSTANCE)
         instance = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed)
-        out = []
-        for method in config.methods:
-            start = time.perf_counter()
-            try:
-                result = RECOVERY_RUNNERS[method](instance)
-                loss = hamming_loss(result.sigma_hat, instance.sigma).value
-                objective = result.objective
-                degenerate = result.degenerate
-            except SizeGuardError:
-                loss, objective, degenerate = None, None, True
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            out.append(
-                TrialRecord(
-                    cell=_cell_id(n, T, rho),
-                    n=n,
-                    T=T,
-                    rho=rho,
-                    method=method,
-                    trial=ti,
-                    seed=seed,
-                    loss=loss,
-                    decision=None,
-                    objective=objective,
-                    wall_time_ms=elapsed_ms,
-                    degenerate=degenerate,
-                )
+        return [
+            _recovery_record(
+                method, instance, _cell_id(n, T, rho), rho, ti, seed,
+                size_guard_is_degenerate=True,
             )
-        return out
+            for method in config.methods
+        ]
 
     return _run_units(n_cells * config.trials, unit)
 
@@ -305,13 +343,6 @@ def run_detection_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     for n, T, rho in config.cells:
         if T < 4:
             raise ValidationError(f"detection cells need T >= 4 for the layer split, got T={T}")
-
-    def run_method(method, graph, shuffle_seed) -> DetectionDecision:
-        if method == "split-test":
-            return split_layer_test(graph, bias_adjusted_spectral)
-        return shuffled_test(
-            graph, bias_adjusted_spectral, rounds=config.rounds, seed=shuffle_seed
-        )
 
     def unit(u: int) -> list[TrialRecord]:
         ci, ti = divmod(u, config.trials)
@@ -331,7 +362,7 @@ def run_detection_sweep(config: ExperimentConfig) -> list[TrialRecord]:
             shuffle_seed = derive_seed(config.base_seed, ci, ti, shuffle_tag)
             for method in config.methods:
                 start = time.perf_counter()
-                outcome = run_method(method, graph, shuffle_seed)
+                outcome = DETECTION_RUNNERS[method](graph, config.rounds, shuffle_seed)
                 elapsed_ms = (time.perf_counter() - start) * 1e3
                 out.append(
                     TrialRecord(
@@ -411,29 +442,10 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
             instance = PlantedInstance(graph=_empty_layers(n, T), sigma=sigma, tau=tau)
         else:
             instance = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed)
-        out = []
-        for method in ("oracle-tau-spectral", "bias-adjusted-spectral"):
-            start = time.perf_counter()
-            result = RECOVERY_RUNNERS[method](instance)
-            loss = hamming_loss(result.sigma_hat, instance.sigma).value
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            out.append(
-                TrialRecord(
-                    cell=f"gap-{_cell_id(n, T, rho)}",
-                    n=n,
-                    T=T,
-                    rho=rho,
-                    method=method,
-                    trial=ti,
-                    seed=seed,
-                    loss=loss,
-                    decision=None,
-                    objective=result.objective,
-                    wall_time_ms=elapsed_ms,
-                    degenerate=result.degenerate,
-                )
-            )
-        return out
+        return [
+            _recovery_record(method, instance, f"gap-{_cell_id(n, T, rho)}", rho, ti, seed)
+            for method in ("oracle-tau-spectral", "bias-adjusted-spectral")
+        ]
 
     records = _run_units(trials, unit)
     oracle = [r for r in records if r.method == "oracle-tau-spectral"]

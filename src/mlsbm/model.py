@@ -258,11 +258,10 @@ def _unrank_within(ranks: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 def _sorted_edges(rows: list[np.ndarray]) -> np.ndarray:
+    rows = [r for r in rows if len(r)]
     if not rows:
         return np.empty((0, 2), dtype=np.int64)
-    edges = np.concatenate([r for r in rows if len(r)], axis=0) if any(len(r) for r in rows) else np.empty((0, 2), dtype=np.int64)
-    if len(edges) == 0:
-        return np.empty((0, 2), dtype=np.int64)
+    edges = np.concatenate(rows, axis=0)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     return edges[order]
 

@@ -420,6 +420,9 @@ def mle_local_search(
     obj = _even_count(sig, tau, *edges)
     trace = [obj]
     W = None
+    # Each accepted swap raises obj, an integer in [0, E], by at least 1, so a
+    # correct ascent makes at most E swaps; more means the gains are corrupt.
+    swaps_left = len(edges[0])
 
     for _ in range(max_rounds):
         changed = False
@@ -442,6 +445,9 @@ def mle_local_search(
             gain = delta.flat[flat]
             if gain <= 0:
                 break
+            if swaps_left == 0:
+                raise AssertionError("local search exceeded E swaps: swap gains are inconsistent")
+            swaps_left -= 1
             u = int(zeros_idx[flat // len(ones_idx)])
             v = int(ones_idx[flat % len(ones_idx)])
             sig[u], sig[v] = 1, 0

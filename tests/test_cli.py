@@ -5,9 +5,18 @@ import json
 import pytest
 
 from conftest import parity_even_graph
-from mlsbm import Assignment
+from mlsbm import Assignment, MlsbmParams, hamming_loss, sample_planted
 from mlsbm.cli import main
-from mlsbm.model import MultiLayerGraph, PlantedInstance, write_graph
+from mlsbm.detection import to_json_record as detection_record
+from mlsbm.experiments import (
+    DETECTION_RUNNERS,
+    RECOVERY_RUNNERS,
+    ExperimentConfig,
+    run_phase_diagram,
+    write_results,
+)
+from mlsbm.model import MultiLayerGraph, PlantedInstance, read_graph, write_graph
+from mlsbm.recovery import to_json_record as recovery_record
 
 
 def run(capsys, *argv):
@@ -131,6 +140,34 @@ def test_detect_inline_null_sampling(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["decision"] in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# every method in the dispatch tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, method",
+    [("recover", m) for m in RECOVERY_RUNNERS] + [("detect", m) for m in DETECTION_RUNNERS],
+)
+def test_cli_prints_the_dispatch_table_record(tmp_path, capsys, command, method):
+    # n = 10 keeps mle-exhaustive's enumeration small
+    path = tmp_path / "planted.edges"
+    write_graph(path, sample_planted(MlsbmParams(n=10, T=6, rho=0.4), seed=3))
+    instance = read_graph(path)
+    if command == "recover":
+        code, out, _ = run(capsys, "recover", "--in", str(path), "--method", method)
+        result = RECOVERY_RUNNERS[method](instance.graph, instance.tau)
+        loss = hamming_loss(result.sigma_hat, instance.sigma).value
+        expected = recovery_record(result, loss_vs_truth=loss)
+    else:
+        code, out, _ = run(capsys, "detect", "--in", str(path), "--method", method,
+                           "--rounds", "2", "--shuffle-seed", "5")
+        outcome = DETECTION_RUNNERS[method](instance.graph, 2, 5)
+        expected = detection_record(outcome, method=method, n=10, T=6)
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +311,29 @@ def test_sweep_detection_kind_reports_risk(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 1 + 2 * 2  # arms x trials
 
 
+def test_sweep_on_an_exponent_grid_matches_the_library_phase_diagram(tmp_path, capsys):
+    config = tmp_path / "ray.cfg"
+    config.write_text(
+        "n_values = 8, 12\n"
+        "a = 1.0\n"
+        "b = 0.5\n"
+        "methods = bias-adjusted-spectral, sum-spectral\n"
+        "trials = 2\n"
+        "base_seed = 3\n"
+    )
+    out_csv = tmp_path / "ray.csv"
+    assert run(capsys, "sweep", "--config", str(config), "--out", str(out_csv))[0] == 0
+    expected = ExperimentConfig.from_exponents(
+        [8, 12], 1.0, 0.5, methods=("bias-adjusted-spectral", "sum-spectral"),
+        trials=2, base_seed=3,
+    )
+    library_csv = tmp_path / "library.csv"
+    write_results(run_phase_diagram(expected), library_csv)
+    assert out_csv.read_bytes() == library_csv.read_bytes()
+    sidecar = json.loads((tmp_path / "ray.csv.config.json").read_text())
+    assert sidecar == expected.to_json_dict()
+
+
 def test_gap_demo_prints_summary_and_writes_records(tmp_path, capsys):
     out_csv = tmp_path / "gap.csv"
     code, out, _ = run(capsys, "gap-demo", "--n", "16", "--T", "64",
@@ -285,6 +345,13 @@ def test_gap_demo_prints_summary_and_writes_records(tmp_path, capsys):
     assert summary["trials"] == 2
     assert summary["records_path"] == str(out_csv)
     assert len(out_csv.read_text().splitlines()) == 1 + 2 * 2  # methods x trials
+
+
+def test_gap_demo_past_the_dense_cap_is_a_size_guard_refusal(capsys):
+    with pytest.warns(RuntimeWarning, match="not between the thresholds"):
+        code, _, err = run(capsys, "gap-demo", "--n", "4098", "--T", "2",
+                           "--rho", "1e-6", "--trials", "1")
+    assert code == 3 and "size guard" in err
 
 
 # ---------------------------------------------------------------------------

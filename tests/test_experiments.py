@@ -10,7 +10,7 @@ import pytest
 from mlsbm.errors import ValidationError
 from mlsbm.experiments import (
     CSV_COLUMNS,
-    DETECTION_METHODS,
+    DETECTION_RUNNERS,
     RECOVERY_RUNNERS,
     ExperimentConfig,
     TrialRecord,
@@ -83,8 +83,8 @@ def test_config_method_names_gated_by_kind():
         small_recovery_config(methods=("split-test",))
     with pytest.raises(ValidationError):
         small_recovery_config(kind="detection", methods=("mle-exhaustive",))
-    cfg = small_recovery_config(kind="detection", methods=DETECTION_METHODS)
-    assert cfg.methods == DETECTION_METHODS
+    cfg = small_recovery_config(kind="detection", methods=tuple(DETECTION_RUNNERS))
+    assert cfg.methods == tuple(DETECTION_RUNNERS)
     assert set(RECOVERY_RUNNERS) >= {"bias-adjusted-spectral", "mle-exhaustive"}
 
 
