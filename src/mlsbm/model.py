@@ -20,7 +20,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .seeding import substream
+from .seeding import _bulk_substreams, _check_substream_count, substream
 
 MAX_DENSITY = 2.0 / 3.0
 FORMAT_HEADER = "mlsbm-edges v1"
@@ -35,6 +35,12 @@ _TAU_STREAM = 1
 _LAYER_STREAM = 2
 
 _ENUM_MAX_ITEMS = 20
+
+# Shared read-only empties: most layers of a sparse cell draw no edge.
+_NO_RANKS = np.empty(0, dtype=np.int64)
+_NO_RANKS.setflags(write=False)
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
+_NO_EDGES.setflags(write=False)
 
 
 def _check_even(value, name: str, minimum: int) -> int:
@@ -118,7 +124,10 @@ class Assignment:
 
 
 def _validate_layer_edges(edges: np.ndarray, n: int, where: str) -> np.ndarray:
-    edges = np.asarray(edges, dtype=np.int64)
+    try:
+        edges = np.asarray(edges, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValidationError(f"{where}: node index outside the int64 range") from exc
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -129,8 +138,9 @@ def _validate_layer_edges(edges: np.ndarray, n: int, where: str) -> np.ndarray:
     if (i >= j).any():
         raise ValidationError(f"{where}: edges must satisfy i < j (no self-loops)")
     if len(edges) > 1:
-        keys = i * (n + 1) + j
-        if (np.diff(keys) <= 0).any():
+        # Row-to-row lexicographic comparison: no key arithmetic to overflow int64.
+        ascending = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+        if not ascending.all():
             raise ValidationError(f"{where}: edges must be sorted by (i, j) without duplicates")
     edges = edges.copy()
     edges.setflags(write=False)
@@ -257,66 +267,94 @@ def _unrank_within(ranks: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.column_stack([members[a], members[b]])
 
 
-def _sorted_edges(rows: list[np.ndarray]) -> np.ndarray:
-    rows = [r for r in rows if len(r)]
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    edges = np.concatenate(rows, axis=0)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[order]
-
-
 def _sample_pairs_block(count: int, prob: float, gen: np.random.Generator) -> np.ndarray:
     """Ranks of present pairs in a block of `count` slots with common probability."""
     if count == 0:
-        return np.empty(0, dtype=np.int64)
+        return _NO_RANKS
     k = int(gen.binomial(count, prob))
     if k == 0:
-        return np.empty(0, dtype=np.int64)
+        return _NO_RANKS
     return np.sort(gen.choice(count, size=k, replace=False)).astype(np.int64)
 
 
-def _sample_layer_planted(
-    n: int, rho: float, sigma: np.ndarray, tau_bit: int, gen: np.random.Generator
-) -> np.ndarray:
-    p_within = 1.5 * rho if tau_bit == 0 else 0.5 * rho
-    p_cross = 1.5 * rho if tau_bit == 1 else 0.5 * rho
+def _read_only(edges: np.ndarray) -> np.ndarray:
+    if not len(edges):
+        return _NO_EDGES
+    edges.setflags(write=False)
+    return edges
+
+
+def _planted_layer_sampler(n: int, rho: float, sigma: np.ndarray, tau: Sequence[int]):
+    """Return draw(t, gen) -> the edges of layer t, with per-instance work hoisted."""
+    # (p_within, p_cross) for tau bit 0 (assortative) and 1 (disassortative).
+    probs = ((1.5 * rho, 0.5 * rho), (0.5 * rho, 1.5 * rho))
     if n < _SPARSE_MIN_NODES:
         pairs = _all_pairs(n)
-        parity = (sigma[pairs[:, 0] - 1] + sigma[pairs[:, 1] - 1]) % 2
-        probs = np.where(parity == 0, p_within, p_cross)
-        return pairs[gen.random(len(pairs)) < probs]
+        even = (sigma[pairs[:, 0] - 1] + sigma[pairs[:, 1] - 1]) % 2 == 0
+        slot_probs = tuple(np.where(even, p_within, p_cross) for p_within, p_cross in probs)
+
+        def draw(t: int, gen: np.random.Generator) -> np.ndarray:
+            return _read_only(pairs[gen.random(len(pairs)) < slot_probs[tau[t]]])
+
+        return draw
     zeros = np.flatnonzero(sigma == 0).astype(np.int64) + 1
     ones = np.flatnonzero(sigma == 1).astype(np.int64) + 1
     n0, n1 = len(zeros), len(ones)
     pairs0 = n0 * (n0 - 1) // 2
     count_within = pairs0 + n1 * (n1 - 1) // 2
     count_cross = n0 * n1
-    rows = []
-    ranks_within = _sample_pairs_block(count_within, p_within, gen)
-    ranks_cross = _sample_pairs_block(count_cross, p_cross, gen)
-    if len(ranks_within):
-        in0 = ranks_within < pairs0
-        if in0.any():
-            rows.append(_unrank_within(ranks_within[in0], zeros))
-        if (~in0).any():
-            rows.append(_unrank_within(ranks_within[~in0] - pairs0, ones))
-    if len(ranks_cross):
-        i = zeros[ranks_cross // n1]
-        j = ones[ranks_cross % n1]
-        rows.append(np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
-    return _sorted_edges(rows)
+
+    def draw(t: int, gen: np.random.Generator) -> np.ndarray:
+        p_within, p_cross = probs[tau[t]]
+        ranks_within = _sample_pairs_block(count_within, p_within, gen)
+        ranks_cross = _sample_pairs_block(count_cross, p_cross, gen)
+        if not len(ranks_within) and not len(ranks_cross):
+            return _NO_EDGES
+        rows = []
+        if len(ranks_within):
+            in0 = ranks_within < pairs0
+            if in0.any():
+                rows.append(_unrank_within(ranks_within[in0], zeros))
+            if (~in0).any():
+                rows.append(_unrank_within(ranks_within[~in0] - pairs0, ones))
+        if len(ranks_cross):
+            i = zeros[ranks_cross // n1]
+            j = ones[ranks_cross % n1]
+            rows.append(np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
+        edges = np.concatenate(rows)
+        return _read_only(edges[np.lexsort((edges[:, 1], edges[:, 0]))])
+
+    return draw
 
 
-def _sample_layer_null(n: int, rho: float, gen: np.random.Generator) -> np.ndarray:
+def _null_layer_sampler(n: int, rho: float):
+    """Return draw(t, gen) -> the edges of one null layer, with per-instance work hoisted."""
     if n < _SPARSE_MIN_NODES:
         pairs = _all_pairs(n)
-        return pairs[gen.random(len(pairs)) < rho]
+
+        def draw(t: int, gen: np.random.Generator) -> np.ndarray:
+            return _read_only(pairs[gen.random(len(pairs)) < rho])
+
+        return draw
     members = np.arange(1, n + 1, dtype=np.int64)
-    ranks = _sample_pairs_block(n * (n - 1) // 2, rho, gen)
-    if len(ranks) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return _unrank_within(ranks, members)
+    count = n * (n - 1) // 2
+
+    def draw(t: int, gen: np.random.Generator) -> np.ndarray:
+        ranks = _sample_pairs_block(count, rho, gen)
+        return _read_only(_unrank_within(ranks, members)) if len(ranks) else _NO_EDGES
+
+    return draw
+
+
+def _sample_layers(n: int, T: int, seed: int, draw) -> MultiLayerGraph:
+    """Draw layer t with substream (seed, layer-tag, t) for every t.
+
+    The layers are sorted, in range and read-only by construction, so the
+    graph skips re-validation.
+    """
+    gens = _bulk_substreams(seed, _LAYER_STREAM, T)
+    layers = tuple(draw(t, gen) for t, gen in enumerate(gens))
+    return MultiLayerGraph._from_checked(n, layers)
 
 
 def sample_conditional(
@@ -332,6 +370,10 @@ def sample_conditional(
     This is the low-level conditional sampler: sigma_bits and tau_bits may be
     any bit sequences of lengths n and T (e.g. a single layer with tau = (0,)).
     """
+    for name, size in (("n", n), ("T", T)):
+        if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
+            raise ValidationError(f"{name} must be an integer, got {size!r}")
+    n, T = int(n), int(T)
     sigma = _as_bits(sigma_bits, "sigma_bits")
     tau = _as_bits(tau_bits, "tau_bits")
     if len(sigma) != n or n < 2:
@@ -340,11 +382,7 @@ def sample_conditional(
         raise ValidationError(f"tau_bits must have length T >= 1, got T={T}, len={len(tau)}")
     rho = _check_rho(rho)
     sigma_arr = np.array(sigma, dtype=np.int8)
-    layers = tuple(
-        _sample_layer_planted(n, rho, sigma_arr, tau[t], substream(seed, _LAYER_STREAM, t))
-        for t in range(T)
-    )
-    return MultiLayerGraph(n, T, layers)
+    return _sample_layers(n, T, seed, _planted_layer_sampler(n, rho, sigma_arr, tau))
 
 
 def _sample_balanced(m: int, gen: np.random.Generator) -> Assignment:
@@ -361,6 +399,7 @@ def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
     (seed, layer-tag, t), so the output is reproducible and layers could be
     sampled in parallel.
     """
+    _check_substream_count(params.T)  # before tau's permutation of T items
     sigma = _sample_balanced(params.n, substream(seed, _SIGMA_STREAM))
     tau = _sample_balanced(params.T, substream(seed, _TAU_STREAM))
     graph = sample_conditional(params.n, params.T, params.rho, sigma.labels, tau.labels, seed)
@@ -369,11 +408,7 @@ def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
 
 def sample_null(params: MlsbmParams, seed: int) -> MultiLayerGraph:
     """Sample the null model: every slot independently Bernoulli(rho)."""
-    layers = tuple(
-        _sample_layer_null(params.n, params.rho, substream(seed, _LAYER_STREAM, t))
-        for t in range(params.T)
-    )
-    return MultiLayerGraph(params.n, params.T, layers)
+    return _sample_layers(params.n, params.T, seed, _null_layer_sampler(params.n, params.rho))
 
 
 def enumerate_assignments(m: int) -> list[Assignment]:
@@ -430,7 +465,10 @@ def write_graph(
 
 def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance]:
     """Parse the text edge format; returns a PlantedInstance when footers exist."""
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not an ASCII file ({exc.reason} at byte {exc.start})") from exc
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty file")
@@ -477,11 +515,7 @@ def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance
             raise ValidationError(f"{path}: edges must be sorted by layer")
         last_t = t
         per_layer[t - 1].append((i, j))
-    layers = tuple(
-        np.array(rows, dtype=np.int64) if rows else np.empty((0, 2), dtype=np.int64)
-        for rows in per_layer
-    )
-    graph = MultiLayerGraph(n, T, layers)
+    graph = MultiLayerGraph(n, T, per_layer)
     if (sigma_bits is None) != (tau_bits is None):
         raise ValidationError(f"{path}: sigma and tau footers must appear together")
     if sigma_bits is not None:

@@ -108,6 +108,15 @@ def test_recover_oracle_method_requires_planted_input(tmp_path, capsys):
     assert code == 2 and "planted" in err
 
 
+@pytest.mark.parametrize("edge_line", [b"1 1 2\xe9", b"1 1 99999999999999999999"],
+                         ids=["non-ascii", "int64-overflow"])
+def test_recover_on_an_unparseable_file_is_a_validation_error(tmp_path, capsys, edge_line):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"mlsbm-edges v1 n=4 T=2\n" + edge_line + b"\n")
+    code, _, err = run(capsys, "recover", "--in", str(path), "--method", "sum-spectral")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_recover_unknown_method_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["recover", "--n", "8", "--T", "4", "--rho", "0.3",

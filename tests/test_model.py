@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mlsbm import (
     Assignment,
     MlsbmParams,
     MultiLayerGraph,
+    PlantedInstance,
     SizeGuardError,
     ValidationError,
     edge_probability,
@@ -17,8 +20,10 @@ from mlsbm import (
     sample_conditional,
     sample_null,
     sample_planted,
+    substream,
     write_graph,
 )
+from mlsbm.seeding import MAX_SUBSTREAMS
 
 
 # ---------------------------------------------------------------- parameters
@@ -228,14 +233,165 @@ def test_layer_views_equal_validated_graphs_and_stay_read_only(seed, data):
         assert all(not layer.flags.writeable for layer in view.layers)
 
 
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_sampled_graphs_satisfy_container_invariants(seed):
-    inst = sample_planted(MlsbmParams(n=10, T=4, rho=0.4), seed=seed)
-    for layer in inst.graph.layers:
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.sampled_from([10, 80]),  # the dense and the sparse path
+    planted=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_sampled_graphs_satisfy_container_invariants(seed, n, planted):
+    params = MlsbmParams(n=n, T=4, rho=0.4 if n < 64 else 0.05)
+    graph = sample_planted(params, seed=seed).graph if planted else sample_null(params, seed)
+    for layer in graph.layers:
         pairs = [tuple(edge) for edge in layer]
         assert len(pairs) == len(set(pairs))
-        assert all(1 <= i < j <= 10 for i, j in pairs)
+        assert all(1 <= i < j <= n for i, j in pairs)
+        assert not layer.flags.writeable
+    # The sampler skips re-validation; the public validator must agree.
+    assert graph == MultiLayerGraph(n, 4, [layer.tolist() for layer in graph.layers])
+
+
+# ------------------------------------------------- per-layer reference sampler
+#
+# The sampler as it was before layer substreams were derived in bulk: one
+# substream(seed, 2, t) constructed per layer, every per-instance quantity
+# recomputed per layer, and the graph built through the validating
+# constructor. The bulk sampler must reproduce it draw for draw.
+
+
+def _reference_block(count, prob, gen):
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    k = int(gen.binomial(count, prob))
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(gen.choice(count, size=k, replace=False)).astype(np.int64)
+
+
+def _reference_unrank(ranks, members):
+    m = len(members)
+    firsts = np.arange(m, dtype=np.int64)
+    cum = firsts * (m - 1) - firsts * (firsts - 1) // 2
+    a = np.searchsorted(cum, ranks, side="right") - 1
+    b = ranks - cum[a] + a + 1
+    return np.column_stack([members[a], members[b]])
+
+
+def _reference_pairs(n):
+    return np.array(list(itertools.combinations(range(1, n + 1), 2)), dtype=np.int64)
+
+
+def _reference_planted_layer(n, rho, sigma, tau_bit, gen):
+    p_within = 1.5 * rho if tau_bit == 0 else 0.5 * rho
+    p_cross = 1.5 * rho if tau_bit == 1 else 0.5 * rho
+    if n < 64:
+        pairs = _reference_pairs(n)
+        parity = (sigma[pairs[:, 0] - 1] + sigma[pairs[:, 1] - 1]) % 2
+        return pairs[gen.random(len(pairs)) < np.where(parity == 0, p_within, p_cross)]
+    zeros = np.flatnonzero(sigma == 0).astype(np.int64) + 1
+    ones = np.flatnonzero(sigma == 1).astype(np.int64) + 1
+    n0, n1 = len(zeros), len(ones)
+    pairs0 = n0 * (n0 - 1) // 2
+    ranks_within = _reference_block(pairs0 + n1 * (n1 - 1) // 2, p_within, gen)
+    ranks_cross = _reference_block(n0 * n1, p_cross, gen)
+    rows = [np.empty((0, 2), dtype=np.int64)]
+    in0 = ranks_within < pairs0
+    if in0.any():
+        rows.append(_reference_unrank(ranks_within[in0], zeros))
+    if (~in0).any():
+        rows.append(_reference_unrank(ranks_within[~in0] - pairs0, ones))
+    if len(ranks_cross):
+        i, j = zeros[ranks_cross // n1], ones[ranks_cross % n1]
+        rows.append(np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
+    edges = np.concatenate(rows)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def _reference_null_layer(n, rho, gen):
+    if n < 64:
+        pairs = _reference_pairs(n)
+        return pairs[gen.random(len(pairs)) < rho]
+    ranks = _reference_block(n * (n - 1) // 2, rho, gen)
+    return _reference_unrank(ranks, np.arange(1, n + 1, dtype=np.int64))
+
+
+def reference_sample_conditional(n, T, rho, sigma_bits, tau_bits, seed):
+    sigma = np.array(sigma_bits, dtype=np.int8)
+    layers = [
+        _reference_planted_layer(n, rho, sigma, tau_bits[t], substream(seed, 2, t))
+        for t in range(T)
+    ]
+    return MultiLayerGraph(n, T, layers)
+
+
+def _reference_balanced(m, gen):
+    labels = np.zeros(m, dtype=np.int8)
+    labels[gen.permutation(m)[: m // 2]] = 1
+    return Assignment(tuple(int(x) for x in labels))
+
+
+def reference_sample_planted(params, seed):
+    sigma = _reference_balanced(params.n, substream(seed, 0))
+    tau = _reference_balanced(params.T, substream(seed, 1))
+    graph = reference_sample_conditional(
+        params.n, params.T, params.rho, sigma.labels, tau.labels, seed
+    )
+    return graph, sigma, tau
+
+
+def reference_sample_null(params, seed):
+    layers = [
+        _reference_null_layer(params.n, params.rho, substream(seed, 2, t))
+        for t in range(params.T)
+    ]
+    return MultiLayerGraph(params.n, params.T, layers)
+
+
+SAMPLER_SEEDS = st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**130))
+
+
+@pytest.mark.parametrize("sizes", [(2, 63), (64, 140)], ids=["dense", "sparse"])
+@given(seed=SAMPLER_SEEDS, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_conditional_sampler_matches_per_layer_reference(sizes, seed, data):
+    n = data.draw(st.integers(*sizes))
+    T = data.draw(st.integers(1, 6))  # T = 1 and odd T are legal here
+    rho = data.draw(st.floats(1e-4, 0.6))
+    # Unbalanced labels too, down to a single community.
+    sigma_bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    tau_bits = data.draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+    got = sample_conditional(n, T, rho, sigma_bits, tau_bits, seed)
+    assert got == reference_sample_conditional(n, T, rho, sigma_bits, tau_bits, seed)
+    assert all(not layer.flags.writeable for layer in got.layers)
+
+
+@pytest.mark.parametrize("sizes", [(1, 31), (32, 70)], ids=["dense", "sparse"])
+@given(seed=SAMPLER_SEEDS, data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_planted_and_null_samplers_match_per_layer_reference(sizes, seed, data):
+    params = MlsbmParams(
+        n=2 * data.draw(st.integers(*sizes)),
+        T=2 * data.draw(st.integers(1, 4)),
+        rho=data.draw(st.floats(1e-4, 0.6)),
+    )
+    inst = sample_planted(params, seed)
+    assert (inst.graph, inst.sigma, inst.tau) == reference_sample_planted(params, seed)
+    assert sample_null(params, seed) == reference_sample_null(params, seed)
+
+
+def test_more_than_two_to_the_32_layers_are_refused_before_allocating():
+    params = MlsbmParams(n=100, T=MAX_SUBSTREAMS + 2, rho=0.01)
+    tracemalloc.start()
+    try:
+        # tau alone would be a permutation of 2**32 items (34 GB)
+        with pytest.raises(SizeGuardError):
+            sample_planted(params, seed=1)
+        with pytest.raises(SizeGuardError):
+            sample_null(params, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 # ----------------------------------------------------------------- file I/O
@@ -279,3 +435,49 @@ def test_read_graph_rejects_bad_header(tmp_path):
     path.write_text("not-a-graph v9 n=4 T=2\n")
     with pytest.raises(ValidationError):
         read_graph(path)
+
+
+def test_read_graph_refuses_non_ascii_bytes_and_int64_overflow(tmp_path):
+    path = tmp_path / "bad.txt"
+    for body in (b"1 1 2\xe9\n", b"1 1 99999999999999999999\n", b"1 -99999999999999999999 2\n"):
+        path.write_bytes(b"mlsbm-edges v1 n=4 T=2\n" + body)
+        with pytest.raises(ValidationError):
+            read_graph(path)
+
+
+# A header whose T stays small: read_graph allocates one list per declared layer.
+HEADERS = st.builds(
+    "mlsbm-edges v1 n={} T={}".format,
+    st.sampled_from(["6", "1", "0", "-6", "2", "99999999999999999999", "6x", ""]),
+    st.sampled_from(["4", "1", "0", "-1", "3", "x", ""]),
+).map(str.encode)
+TOKENS = st.sampled_from(
+    [b" ", b"\n", b"0", b"1", b"7", b"-1", b"99999999999999999999", b"sigma", b"tau",
+     b"1_0", b"0x1", b"\xff", b"\xc3\xa9", b"\x00", b"\t", b"\x0c", b"\x1c", b"\r"]
+)
+
+
+@given(header=HEADERS, seed=st.integers(0, 50), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_graph_on_mutated_files_raises_only_validation_errors(
+    tmp_path_factory, header, seed, data
+):
+    path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
+    write_graph(path, sample_planted(MlsbmParams(n=6, T=4, rho=0.3), seed=seed))
+    body = bytearray(path.read_bytes().split(b"\n", 1)[1])
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(body)))
+        kind = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        if kind == "delete":
+            del body[at:at + data.draw(st.integers(1, 8))]
+        elif kind == "replace" and at < len(body):
+            body[at] = data.draw(st.integers(0, 255))
+        else:
+            body[at:at] = data.draw(TOKENS)
+    path.write_bytes(header + b"\n" + bytes(body))
+    try:
+        got = read_graph(path)
+    except ValidationError:
+        return
+    graph = got.graph if isinstance(got, PlantedInstance) else got
+    assert graph == MultiLayerGraph(graph.n, graph.T, [layer.tolist() for layer in graph.layers])

@@ -1,0 +1,77 @@
+"""Bulk substream states against numpy's own SeedSequence and PCG64."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlsbm import SizeGuardError, substream
+from mlsbm.seeding import (
+    MAX_SUBSTREAMS,
+    _STATE_BLOCK,
+    _bulk_substreams,
+    _mixing_point,
+    _pcg64_states,
+)
+
+# Seeds of one, two (derive_seed's 63-bit seeds) and several uint32 words,
+# and tags of one and two words.
+SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1), st.integers(2**63, 2**200)
+)
+TAGS = st.one_of(st.integers(0, 4), st.integers(2**32, 2**70))
+
+
+@given(seed=SEEDS, tag=TAGS, count=st.integers(1, 2 * _STATE_BLOCK + 3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bulk_states_equal_per_substream_states(seed, tag, count, data):
+    states = [gen.bit_generator.state for gen in _bulk_substreams(seed, tag, count)]
+    assert len(states) == count
+    # Every t near the ends and the block edges, plus a few at random.
+    edges = {0, 1, count - 1, _STATE_BLOCK - 1, _STATE_BLOCK, 2 * _STATE_BLOCK}
+    picks = data.draw(st.lists(st.integers(0, count - 1), max_size=5))
+    for t in sorted(t for t in edges | set(picks) if t < count):
+        assert states[t] == substream(seed, tag, t).bit_generator.state, t
+
+
+@given(seed=SEEDS, tag=TAGS, back=st.lists(st.integers(1, 2**32), min_size=1, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_bulk_states_at_the_largest_layer_indices(seed, tag, back):
+    t = [MAX_SUBSTREAMS - b for b in back]
+    states, incs = _pcg64_states(*_mixing_point(seed, tag), np.array(t, dtype=np.uint64))
+    for layer, state, inc in zip(t, states, incs):
+        assert substream(seed, tag, layer).bit_generator.state["state"] == {
+            "state": state, "inc": inc}
+
+
+def test_reseeded_generator_draws_like_a_fresh_substream():
+    for t, gen in enumerate(_bulk_substreams(2**63 - 5, 2, 40)):
+        fresh = substream(2**63 - 5, 2, t)
+        assert gen.binomial(4950, 0.3) == fresh.binomial(4950, 0.3)
+        assert np.array_equal(gen.choice(4950, size=7, replace=False),
+                              fresh.choice(4950, size=7, replace=False))
+        assert np.array_equal(gen.random(5), fresh.random(5))
+        assert gen.bit_generator.state == fresh.bit_generator.state
+
+
+def test_more_than_two_to_the_32_substreams_are_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            _bulk_substreams(1, 2, MAX_SUBSTREAMS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    first = next(_bulk_substreams(1, 2, MAX_SUBSTREAMS))
+    assert first.bit_generator.state == substream(1, 2, 0).bit_generator.state
+
+
+def test_invalid_seeds_are_refused_like_substream():
+    for seed in (-1, -(2**70)):
+        with pytest.raises(ValueError):
+            substream(seed, 2, 0)
+        with pytest.raises(ValueError):
+            _bulk_substreams(seed, 2, 4)
