@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from .detection import DetectionDecision, shuffled_test, split_layer_test
 from .errors import SizeGuardError, ValidationError
 from .metrics import detection_risk, hamming_loss
@@ -34,6 +32,7 @@ from .model import (
     MlsbmParams,
     MultiLayerGraph,
     PlantedInstance,
+    _NO_EDGES,
     _sample_balanced,
     sample_null,
     sample_planted,
@@ -400,11 +399,6 @@ def detection_risk_by_cell(records: Sequence[TrialRecord]) -> dict[tuple[str, st
     }
 
 
-def _empty_layers(n: int, T: int) -> MultiLayerGraph:
-    empty = np.empty((0, 2), dtype=np.int64)
-    return MultiLayerGraph(n=n, T=T, layers=tuple(empty.copy() for _ in range(T)))
-
-
 def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) -> dict:
     """Paired oracle-tau vs type-blind spectral losses on identical instances.
 
@@ -439,7 +433,8 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
         if rho == 0.0:
             sigma = _sample_balanced(n, substream(seed, 0))
             tau = _sample_balanced(T, substream(seed, 1))
-            instance = PlantedInstance(graph=_empty_layers(n, T), sigma=sigma, tau=tau)
+            graph = MultiLayerGraph._from_checked(n, (_NO_EDGES,) * T)
+            instance = PlantedInstance(graph=graph, sigma=sigma, tau=tau)
         else:
             instance = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed)
         return [

@@ -13,14 +13,21 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .seeding import _bulk_substreams, _check_substream_count, substream
+from .seeding import (
+    _bulk_substreams,
+    _check_substream_count,
+    _pcg64_doubles,
+    _reseed_each,
+    substream,
+)
 
 MAX_DENSITY = 2.0 / 3.0
 FORMAT_HEADER = "mlsbm-edges v1"
@@ -36,9 +43,11 @@ _LAYER_STREAM = 2
 
 _ENUM_MAX_ITEMS = 20
 
-# Shared read-only empties: most layers of a sparse cell draw no edge.
-_NO_RANKS = np.empty(0, dtype=np.int64)
-_NO_RANKS.setflags(write=False)
+# A first draw within this relative distance below numpy's empty-layer bound
+# still goes to numpy (see _empty_bound).
+_SCREEN_MARGIN = 1e-9
+
+# Shared read-only empty layer: most layers of a sparse cell draw no edge.
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
 _NO_EDGES.setflags(write=False)
 
@@ -61,10 +70,10 @@ def _check_rho(rho) -> float:
 
 def _as_bits(values, name: str) -> tuple[int, ...]:
     try:
-        bits = tuple(int(v) for v in values)
+        bits = tuple(map(int, values))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a sequence of bits") from exc
-    if any(b not in (0, 1) for b in bits):
+    if not set(bits) <= {0, 1}:
         raise ValidationError(f"{name} entries must all be 0 or 1")
     return bits
 
@@ -174,8 +183,14 @@ class MultiLayerGraph:
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "layers", checked)
 
+    # The sampler's sorted (E, 2) edge table and its layer ids, of which
+    # `layers` are views; None for graphs built any other way.
+    _edge_table = None
+
     @classmethod
-    def _from_checked(cls, n: int, layers: tuple[np.ndarray, ...]) -> "MultiLayerGraph":
+    def _from_checked(
+        cls, n: int, layers: tuple[np.ndarray, ...], edge_table=None
+    ) -> "MultiLayerGraph":
         """Wrap layers taken from a validated graph without checking them again.
 
         Validated layers are read-only, so the new graph can share them.
@@ -184,6 +199,8 @@ class MultiLayerGraph:
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "T", len(layers))
         object.__setattr__(graph, "layers", layers)
+        if edge_table is not None:
+            object.__setattr__(graph, "_edge_table", edge_table)
         return graph
 
     def __eq__(self, other):
@@ -267,94 +284,152 @@ def _unrank_within(ranks: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.column_stack([members[a], members[b]])
 
 
-def _sample_pairs_block(count: int, prob: float, gen: np.random.Generator) -> np.ndarray:
-    """Ranks of present pairs in a block of `count` slots with common probability."""
-    if count == 0:
-        return _NO_RANKS
-    k = int(gen.binomial(count, prob))
-    if k == 0:
-        return _NO_RANKS
-    return np.sort(gen.choice(count, size=k, replace=False)).astype(np.int64)
+def _empty_bound(count: int, prob: float) -> float:
+    """Largest first double for which binomial(count, prob) surely draws 0, or -1.
+
+    numpy's inversion branch (0 < p <= 0.5 and p * count <= 30) draws one
+    double U and returns 0 iff U <= (1 - p) ** count, computed as
+    exp(count * log(1 - p)). The margin leaves ulp-level doubt to numpy. A
+    zero-slot block draws nothing, BTPE (p * count > 30) draws a varying
+    number of doubles and p > 0.5 inverts 1 - p, so none of them is screened.
+    """
+    if count == 0 or not 0.0 < prob <= 0.5 or prob * count > 30.0:
+        return -1.0
+    return math.exp(count * math.log(1.0 - prob)) * (1.0 - _SCREEN_MARGIN)
 
 
-def _read_only(edges: np.ndarray) -> np.ndarray:
-    if not len(edges):
-        return _NO_EDGES
-    edges.setflags(write=False)
-    return edges
+class _LayerSampler(NamedTuple):
+    """One instance's layer draws, recorded as slot codes.
+
+    A slot code ranks a node pair among the layer's slots, with the blocks
+    laid end to end in draw order. `draw(t, gen, codes)` makes layer t's
+    numpy calls and appends its codes, and `decode(codes)` maps any codes
+    to (i, j) rows in one pass. `bounds[b][types[t]]` is block b's
+    _empty_bound for layer t; None means no layer is screened.
+    """
+
+    types: np.ndarray
+    draw: Callable[[int, np.random.Generator, array], None]
+    decode: Callable[[np.ndarray], np.ndarray]
+    bounds: np.ndarray | None = None
 
 
-def _planted_layer_sampler(n: int, rho: float, sigma: np.ndarray, tau: Sequence[int]):
-    """Return draw(t, gen) -> the edges of layer t, with per-instance work hoisted."""
+def _dense_sampler(n: int, types: np.ndarray, slot_probs: Sequence) -> _LayerSampler:
+    """Per-slot uniforms against slot_probs[type]; a code is the index into _all_pairs(n)."""
+    pairs = _all_pairs(n)
+
+    def draw(t: int, gen: np.random.Generator, codes: array) -> None:
+        codes.extend(np.flatnonzero(gen.random(len(pairs)) < slot_probs[types[t]]).tolist())
+
+    return _LayerSampler(types, draw, lambda codes: pairs[codes])
+
+
+def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, decode):
+    """Per block of counts[b] slots, a binomial number k of them, then k distinct slot ranks.
+
+    probs[type][b] is block b's slot probability in a layer of that type.
+    """
+    offsets = np.cumsum([0, *counts[:-1]]).tolist()
+
+    def draw(t: int, gen: np.random.Generator, codes: array) -> None:
+        for count, offset, prob in zip(counts, offsets, probs[types[t]]):
+            if count:
+                k = int(gen.binomial(count, prob))
+                if k:
+                    codes.extend((gen.choice(count, size=k, replace=False) + offset).tolist())
+
+    bounds = np.array([[_empty_bound(c, p[b]) for p in probs] for b, c in enumerate(counts)])
+    return _LayerSampler(types, draw, decode, bounds)
+
+
+def _planted_sampler(n: int, rho: float, sigma: np.ndarray, tau: np.ndarray) -> _LayerSampler:
     # (p_within, p_cross) for tau bit 0 (assortative) and 1 (disassortative).
     probs = ((1.5 * rho, 0.5 * rho), (0.5 * rho, 1.5 * rho))
     if n < _SPARSE_MIN_NODES:
         pairs = _all_pairs(n)
         even = (sigma[pairs[:, 0] - 1] + sigma[pairs[:, 1] - 1]) % 2 == 0
         slot_probs = tuple(np.where(even, p_within, p_cross) for p_within, p_cross in probs)
-
-        def draw(t: int, gen: np.random.Generator) -> np.ndarray:
-            return _read_only(pairs[gen.random(len(pairs)) < slot_probs[tau[t]]])
-
-        return draw
+        return _dense_sampler(n, tau, slot_probs)
     zeros = np.flatnonzero(sigma == 0).astype(np.int64) + 1
     ones = np.flatnonzero(sigma == 1).astype(np.int64) + 1
     n0, n1 = len(zeros), len(ones)
     pairs0 = n0 * (n0 - 1) // 2
     count_within = pairs0 + n1 * (n1 - 1) // 2
-    count_cross = n0 * n1
 
-    def draw(t: int, gen: np.random.Generator) -> np.ndarray:
-        p_within, p_cross = probs[tau[t]]
-        ranks_within = _sample_pairs_block(count_within, p_within, gen)
-        ranks_cross = _sample_pairs_block(count_cross, p_cross, gen)
-        if not len(ranks_within) and not len(ranks_cross):
-            return _NO_EDGES
-        rows = []
-        if len(ranks_within):
-            in0 = ranks_within < pairs0
-            if in0.any():
-                rows.append(_unrank_within(ranks_within[in0], zeros))
-            if (~in0).any():
-                rows.append(_unrank_within(ranks_within[~in0] - pairs0, ones))
-        if len(ranks_cross):
-            i = zeros[ranks_cross // n1]
-            j = ones[ranks_cross % n1]
-            rows.append(np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
-        edges = np.concatenate(rows)
-        return _read_only(edges[np.lexsort((edges[:, 1], edges[:, 0]))])
+    def decode(codes: np.ndarray) -> np.ndarray:
+        edges = np.empty((len(codes), 2), dtype=np.int64)
+        for members, low, high in ((zeros, 0, pairs0), (ones, pairs0, count_within)):
+            sel = (codes >= low) & (codes < high)
+            edges[sel] = _unrank_within(codes[sel] - low, members)
+        sel = codes >= count_within
+        if sel.any():
+            first, second = np.divmod(codes[sel] - count_within, n1)
+            a, b = zeros[first], ones[second]
+            edges[sel, 0], edges[sel, 1] = np.minimum(a, b), np.maximum(a, b)
+        return edges
 
-    return draw
+    return _block_sampler(tau, (count_within, n0 * n1), probs, decode)
 
 
-def _null_layer_sampler(n: int, rho: float):
-    """Return draw(t, gen) -> the edges of one null layer, with per-instance work hoisted."""
+def _null_sampler(n: int, T: int, rho: float) -> _LayerSampler:
+    types = np.broadcast_to(np.int8(0), (T,))  # one layer type, no T-sized allocation
     if n < _SPARSE_MIN_NODES:
-        pairs = _all_pairs(n)
-
-        def draw(t: int, gen: np.random.Generator) -> np.ndarray:
-            return _read_only(pairs[gen.random(len(pairs)) < rho])
-
-        return draw
+        return _dense_sampler(n, types, (rho,))
     members = np.arange(1, n + 1, dtype=np.int64)
-    count = n * (n - 1) // 2
-
-    def draw(t: int, gen: np.random.Generator) -> np.ndarray:
-        ranks = _sample_pairs_block(count, rho, gen)
-        return _read_only(_unrank_within(ranks, members)) if len(ranks) else _NO_EDGES
-
-    return draw
+    return _block_sampler(
+        types, (n * (n - 1) // 2,), ((rho,),), lambda codes: _unrank_within(codes, members)
+    )
 
 
-def _sample_layers(n: int, T: int, seed: int, draw) -> MultiLayerGraph:
+def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLayerGraph:
     """Draw layer t with substream (seed, layer-tag, t) for every t.
 
-    The layers are sorted, in range and read-only by construction, so the
-    graph skips re-validation.
+    A layer whose first PCG64 doubles fall under every block's empty bound
+    draws nothing, so it skips numpy; the first such layer of each call is
+    drawn through numpy anyway and must come out empty. Every other layer
+    re-seeds one generator and appends its slot codes. One pass then decodes
+    and sorts all codes, and the layers are read-only views of that table,
+    so the graph skips re-validation.
     """
-    gens = _bulk_substreams(seed, _LAYER_STREAM, T)
-    layers = tuple(draw(t, gen) for t, gen in enumerate(gens))
-    return MultiLayerGraph._from_checked(n, layers)
+    gen, blocks = _bulk_substreams(seed, _LAYER_STREAM, T)
+    codes = array("q")
+    sizes = np.zeros(T, dtype=np.int64)
+    unchecked = True
+    for start, states in blocks:
+        drawn = np.arange(len(states[0]))
+        if sampler.bounds is not None:
+            types = sampler.types[start : start + len(drawn)]
+            doubles = _pcg64_doubles(states, len(sampler.bounds))
+            empty = np.logical_and.reduce([d <= b[types] for d, b in zip(doubles, sampler.bounds)])
+            if unchecked and empty.any():
+                probe = array("q")
+                for k in _reseed_each(gen, states, np.flatnonzero(empty)[:1]):
+                    sampler.draw(start + k, gen, probe)
+                if probe:
+                    raise RuntimeError("a layer screened as empty drew edges through numpy")
+                unchecked = False
+            drawn = drawn[~empty]
+        for k in _reseed_each(gen, states, drawn):
+            before = len(codes)
+            sampler.draw(start + k, gen, codes)
+            sizes[start + k] = len(codes) - before
+    edges = sampler.decode(np.frombuffer(codes, dtype=np.int64))
+    del codes  # freed before the sort allocates
+    return _graph_from_edges(n, edges, sizes)
+
+
+def _graph_from_edges(n: int, edges: np.ndarray, sizes: np.ndarray) -> MultiLayerGraph:
+    """Sort decoded (i, j) rows, grouped by layer, into one read-only (t, i, j) table."""
+    layer_ids = np.repeat(np.arange(len(sizes)), sizes)
+    table = edges[np.lexsort((edges[:, 1], edges[:, 0], layer_ids))]
+    table.setflags(write=False)
+    layer_ids.setflags(write=False)
+    layers = [_NO_EDGES] * len(sizes)
+    nonempty = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes)[nonempty]
+    for t, start, end in zip(nonempty.tolist(), (ends - sizes[nonempty]).tolist(), ends.tolist()):
+        layers[t] = table[start:end]
+    return MultiLayerGraph._from_checked(n, tuple(layers), (table, layer_ids))
 
 
 def sample_conditional(
@@ -381,15 +456,15 @@ def sample_conditional(
     if len(tau) != T or T < 1:
         raise ValidationError(f"tau_bits must have length T >= 1, got T={T}, len={len(tau)}")
     rho = _check_rho(rho)
-    sigma_arr = np.array(sigma, dtype=np.int8)
-    return _sample_layers(n, T, seed, _planted_layer_sampler(n, rho, sigma_arr, tau))
+    sampler = _planted_sampler(n, rho, np.array(sigma, dtype=np.int8), np.array(tau, dtype=np.int8))
+    return _sample_layers(n, T, seed, sampler)
 
 
 def _sample_balanced(m: int, gen: np.random.Generator) -> Assignment:
     order = gen.permutation(m)
     labels = np.zeros(m, dtype=np.int8)
     labels[order[: m // 2]] = 1
-    return Assignment(tuple(int(x) for x in labels))
+    return Assignment(tuple(labels.tolist()))
 
 
 def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
@@ -402,13 +477,14 @@ def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
     _check_substream_count(params.T)  # before tau's permutation of T items
     sigma = _sample_balanced(params.n, substream(seed, _SIGMA_STREAM))
     tau = _sample_balanced(params.T, substream(seed, _TAU_STREAM))
-    graph = sample_conditional(params.n, params.T, params.rho, sigma.labels, tau.labels, seed)
+    sampler = _planted_sampler(params.n, params.rho, sigma.as_array(), tau.as_array())
+    graph = _sample_layers(params.n, params.T, seed, sampler)
     return PlantedInstance(graph=graph, sigma=sigma, tau=tau)
 
 
 def sample_null(params: MlsbmParams, seed: int) -> MultiLayerGraph:
     """Sample the null model: every slot independently Bernoulli(rho)."""
-    return _sample_layers(params.n, params.T, seed, _null_layer_sampler(params.n, params.rho))
+    return _sample_layers(params.n, params.T, seed, _null_sampler(params.n, params.T, params.rho))
 
 
 def enumerate_assignments(m: int) -> list[Assignment]:

@@ -82,9 +82,13 @@ def _check_dense_size(n: int) -> None:
 
 def _edge_arrays(graph: MultiLayerGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All edges flattened to 0-based (i, j, t) arrays, in layer order."""
-    edges = np.concatenate(graph.layers)
-    counts = np.fromiter(map(len, graph.layers), dtype=np.int64, count=graph.T)
-    return edges[:, 0] - 1, edges[:, 1] - 1, np.repeat(np.arange(graph.T), counts)
+    if graph._edge_table is not None:
+        edges, layer_ids = graph._edge_table
+    else:
+        edges = np.concatenate(graph.layers)
+        counts = np.fromiter(map(len, graph.layers), dtype=np.int64, count=graph.T)
+        layer_ids = np.repeat(np.arange(graph.T), counts)
+    return edges[:, 0] - 1, edges[:, 1] - 1, layer_ids
 
 
 def aggregate_bias_adjusted(graph: MultiLayerGraph) -> AggregateMatrix:
@@ -158,15 +162,17 @@ def _power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     n = matrix.shape[0]
     v = np.cos(np.arange(1, n + 1, dtype=np.float64))
     v /= np.linalg.norm(v)
+    w = matrix @ v
     rayleigh = 0.0
     for _ in range(_POWER_MAX_ITER):
-        w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             # v lies in the null space; treat as eigenvalue 0
             return 0.0, v
         v_new = w / norm
-        r_new = float(v_new @ (matrix @ v_new))
+        # The Rayleigh quotient's mat-vec is the next iteration's w.
+        w = matrix @ v_new
+        r_new = float(v_new @ w)
         if abs(r_new - rayleigh) <= _POWER_TOL * max(1.0, abs(r_new)):
             return r_new, v_new
         v, rayleigh = v_new, r_new

@@ -32,7 +32,9 @@ _HASH_B = [_INIT_B * pow(_MULT_B, i, 2**32) & _U32 for i in range(9)]
 _XOR_B = np.array(_HASH_B[:8], dtype=np.uint64)[:, None]
 _MUL_B = np.array(_HASH_B[1:], dtype=np.uint64)[:, None]
 _CYCLE = np.arange(8) % _POOL_SIZE
-_M32, _S16, _S32 = np.uint64(_U32), np.uint64(16), np.uint64(32)
+_M32, _S1, _S16, _S32 = np.uint64(_U32), np.uint64(1), np.uint64(16), np.uint64(32)
+_U64 = 2**64 - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _U64)
 
 # Substreams derived in one vectorised pass; bounds the temporaries to a few
 # hundred KB whatever the layer count.
@@ -92,9 +94,10 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (cross1 >> _S32) + (cross0 >> _S32) + carry
 
 
-def _pcg64_states(pool: list[int], hash_a: int, t: np.ndarray) -> tuple[list[int], list[int]]:
+def _pcg64_states(pool: list[int], hash_a: int, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """PCG64 `state` and `inc` of SeedSequence(seed, spawn_key=(tag, t)) for a uint64 array t.
 
+    Returns them as uint64 halves (state_hi, state_lo, inc_hi, inc_lo).
     `pool` and `hash_a` come from _mixing_point. uint64 array arithmetic
     wraps silently, and every uint32 step masks to 32 bits.
     """
@@ -111,23 +114,38 @@ def _pcg64_states(pool: list[int], hash_a: int, t: np.ndarray) -> tuple[list[int
     words = (mixed[_CYCLE] ^ _XOR_B) * _MUL_B & _M32
     words ^= words >> _S16
     seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << _S32
-    # pcg_setseq_128_srandom_r on (hi, lo) uint64 halves:
-    # inc = 2 * initseq + 1, state = (inc + initstate) * M + inc mod 2**128.
-    one = np.uint64(1)
-    inc_hi = seq_hi << one | seq_lo >> np.uint64(63)
-    inc_lo = seq_lo << one | one
+    # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1, then one step from
+    # inc + initstate, so state = (inc + initstate) * M + inc mod 2**128.
+    inc_hi = seq_hi << _S1 | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << _S1 | _S1
     sum_lo = inc_lo + seed_lo
     sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
-    mult_hi, mult_lo = _PCG64_MULT >> 64, _PCG64_MULT & (2**64 - 1)
-    prod_lo = sum_lo * np.uint64(mult_lo)
-    prod_hi = _mulhi64(sum_lo, mult_lo) + sum_lo * np.uint64(mult_hi) + sum_hi * np.uint64(mult_lo)
-    state_lo = prod_lo + inc_lo
-    state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
-    return _join(state_hi, state_lo), _join(inc_hi, inc_lo)
+    return (*_pcg64_step(sum_hi, sum_lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _join(hi: np.ndarray, lo: np.ndarray) -> list[int]:
-    return [h << 64 | low for h, low in zip(hi.tolist(), lo.tolist())]
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 LCG step, state * M + inc mod 2**128, on uint64 (hi, lo) halves."""
+    prod_lo = lo * _MULT_LO
+    prod_hi = _mulhi64(lo, _PCG64_MULT & _U64) + lo * _MULT_HI + hi * _MULT_LO
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+
+def _pcg64_doubles(states: tuple[np.ndarray, ...], count: int) -> list[np.ndarray]:
+    """The first `count` values `Generator.random()` draws from each PCG64 state.
+
+    `states` is (state_hi, state_lo, inc_hi, inc_lo) as _pcg64_states returns
+    it. PCG64 steps, then outputs XSL-RR: hi ^ lo rotated right by the top
+    six state bits; next_double keeps the top 53 output bits.
+    """
+    hi, lo, inc_hi, inc_lo = states
+    doubles = []
+    for _ in range(count):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> np.uint64(58)
+        output = xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
+        doubles.append((output >> np.uint64(11)) * 2.0**-53)
+    return doubles
 
 
 def _check_substream_count(count: int) -> None:
@@ -136,34 +154,46 @@ def _check_substream_count(count: int) -> None:
 
 
 def _bulk_substreams(seed: int, tag: int, count: int):
-    """Return an iterator over `substream(seed, tag, t)` for t = 0..count-1.
+    """Return (gen, blocks) for `substream(seed, tag, t)`, t = 0..count-1.
 
-    It yields one Generator, re-seeded in place for each t, so use each
-    yield before taking the next. The PCG64 states are derived in blocks of
-    vectorised arithmetic instead of one SeedSequence and PCG64 per t, and
-    layer 0's state is checked against numpy's own. Refuses count > 2**32
-    before it allocates anything.
+    `blocks` yields (start, states) for consecutive runs of at most 4096 t
+    from `start`: their PCG64 states as uint64 halves, derived in vectorised
+    arithmetic instead of one SeedSequence and PCG64 per t. `gen` starts in
+    numpy's own state for t = 0, which the first block is checked against,
+    and `_reseed_each` moves it to any t. Refuses count > 2**32 before it
+    allocates anything.
     """
     seed, tag, count = int(seed), int(tag), int(count)
     _check_substream_count(count)
     pool, hash_a = _mixing_point(seed, tag)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag, 0))))
-    return _reseeded(gen, pool, hash_a, count)
+    return gen, _state_blocks(gen, pool, hash_a, count)
 
 
-def _reseeded(gen: np.random.Generator, pool: list[int], hash_a: int, count: int):
-    bitgen = gen.bit_generator
+def _state_blocks(gen: np.random.Generator, pool: list[int], hash_a: int, count: int):
     for start in range(0, count, _STATE_BLOCK):
         t = np.arange(start, min(start + _STATE_BLOCK, count), dtype=np.uint64)
-        states, incs = _pcg64_states(pool, hash_a, t)
-        # Before the first yield the generator still holds numpy's layer-0 state.
-        if start == 0 and bitgen.state["state"] != {"state": states[0], "inc": incs[0]}:
+        states = _pcg64_states(pool, hash_a, t)
+        # Before the first yield the generator still holds numpy's t = 0 state.
+        if start == 0 and gen.bit_generator.state["state"] != _joined(states, 0):
             raise RuntimeError("bulk substream states differ from numpy's PCG64 seeding")
-        for state, inc in zip(states, incs):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield gen
+        yield start, states
+
+
+def _joined(states: tuple[np.ndarray, ...], k: int) -> dict:
+    hi, lo, inc_hi, inc_lo = (int(half[k]) for half in states)
+    return {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+
+
+def _reseed_each(gen: np.random.Generator, states: tuple[np.ndarray, ...], picks: np.ndarray):
+    """Yield each k of `picks` after re-seeding gen in place to states' k-th entry."""
+    bitgen = gen.bit_generator
+    hi, lo, inc_hi, inc_lo = (half[picks].tolist() for half in states)
+    for k, s_hi, s_lo, c_hi, c_lo in zip(picks.tolist(), hi, lo, inc_hi, inc_lo):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": c_hi << 64 | c_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield k

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsbm import (
@@ -23,7 +23,9 @@ from mlsbm import (
     substream,
     write_graph,
 )
-from mlsbm.seeding import MAX_SUBSTREAMS
+from mlsbm import model
+from mlsbm.recovery import _edge_arrays
+from mlsbm.seeding import MAX_SUBSTREAMS, _STATE_BLOCK
 
 
 # ---------------------------------------------------------------- parameters
@@ -248,7 +250,14 @@ def test_sampled_graphs_satisfy_container_invariants(seed, n, planted):
         assert all(1 <= i < j <= n for i, j in pairs)
         assert not layer.flags.writeable
     # The sampler skips re-validation; the public validator must agree.
-    assert graph == MultiLayerGraph(n, 4, [layer.tolist() for layer in graph.layers])
+    validated = MultiLayerGraph(n, 4, [layer.tolist() for layer in graph.layers])
+    assert graph == validated
+    # Its flat edge table gives what concatenating the layers gives.
+    for got, want in zip(_edge_arrays(graph), _edge_arrays(validated)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert graph._edge_table is not None and validated._edge_table is None
+    assert graph.permute_layers([3, 2, 1, 0])._edge_table is None
+    assert graph.layer_slice(0, 2)._edge_table is None
 
 
 # ------------------------------------------------- per-layer reference sampler
@@ -377,6 +386,91 @@ def test_planted_and_null_samplers_match_per_layer_reference(sizes, seed, data):
     inst = sample_planted(params, seed)
     assert (inst.graph, inst.sigma, inst.tau) == reference_sample_planted(params, seed)
     assert sample_null(params, seed) == reference_sample_null(params, seed)
+
+
+# Expected edges per example are capped so that rho near 0.6 stays quick.
+_REGIME_EDGE_BUDGET = 150_000
+
+
+@given(
+    seed=SAMPLER_SEEDS,
+    n=st.integers(64, 120),
+    ones=st.integers(0, 120),
+    T=st.integers(1, 5000),
+    log_rho=st.floats(math.log(1e-6), math.log(0.6)),
+)
+# One example per regime: screened-empty layers across the 4096-layer block
+# edge, inversion draws with edges, BTPE, p > 0.5, and one-community sigma
+# (a zero-slot cross block) on either side.
+@example(seed=3, n=100, ones=50, T=4500, log_rho=math.log(5e-5))
+@example(seed=4, n=100, ones=50, T=200, log_rho=math.log(0.005))
+@example(seed=5, n=100, ones=50, T=20, log_rho=math.log(0.05))
+@example(seed=6, n=64, ones=32, T=6, log_rho=math.log(0.5))
+@example(seed=7, n=100, ones=0, T=4200, log_rho=math.log(5e-5))
+@example(seed=8, n=100, ones=100, T=300, log_rho=math.log(0.01))
+@settings(max_examples=20, deadline=None)
+def test_screened_sampler_matches_per_layer_reference_in_every_regime(seed, n, ones, T, log_rho):
+    rho = math.exp(log_rho)
+    T = max(1, min(T, int(_REGIME_EDGE_BUDGET / (math.comb(n, 2) * rho))))
+    labels = np.random.default_rng(seed % 2**32)
+    sigma_bits = np.zeros(n, dtype=int)
+    sigma_bits[labels.permutation(n)[: min(ones, n)]] = 1
+    tau_bits = labels.integers(0, 2, size=T).tolist()
+    got = sample_conditional(n, T, rho, sigma_bits.tolist(), tau_bits, seed)
+    assert got == reference_sample_conditional(n, T, rho, sigma_bits, tau_bits, seed)
+    params = MlsbmParams(n=n - n % 2, T=T + T % 2, rho=rho)
+    inst = sample_planted(params, seed)
+    assert (inst.graph, inst.sigma, inst.tau) == reference_sample_planted(params, seed)
+    assert sample_null(params, seed) == reference_sample_null(params, seed)
+
+
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    count=st.integers(0, 10**6),
+    log_p=st.floats(math.log(1e-9), math.log(0.6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_empty_bound_agrees_with_numpys_binomial(seed, count, log_p):
+    p = math.exp(log_p)
+    bound = model._empty_bound(count, p)
+    if count == 0 or p > 0.5 or p * count > 30:
+        assert bound == -1.0  # no slots, p > 0.5 and BTPE are never screened
+        return
+    first = substream(seed, 2, 0).random()
+    k = substream(seed, 2, 0).binomial(count, p)
+    if first <= bound:
+        assert k == 0
+    if first > math.exp(count * math.log(1.0 - p)):
+        assert k > 0
+
+
+def test_the_screen_sends_only_nonempty_layers_to_numpy(monkeypatch):
+    drawn, reseed_each = [], model._reseed_each
+
+    def counting(gen, states, picks):
+        drawn.append(len(picks))
+        return reseed_each(gen, states, picks)
+
+    monkeypatch.setattr(model, "_reseed_each", counting)
+    params = MlsbmParams(n=100, T=_STATE_BLOCK + 904, rho=5e-5)
+    for sample in (lambda: sample_planted(params, seed=1).graph, lambda: sample_null(params, 1)):
+        drawn.clear()
+        graph = sample()
+        nonempty = sum(1 for layer in graph.layers if len(layer))
+        # Every non-empty layer, plus the one screened layer checked per call.
+        assert sum(drawn) == nonempty + 1
+        assert nonempty < params.T // 2
+
+
+def test_a_corrupted_screen_bound_raises(monkeypatch):
+    # Every layer passes the screen, so the per-call check draws layer 0
+    # through numpy and finds edges.
+    monkeypatch.setattr(model, "_empty_bound", lambda count, prob: 1.0)
+    params = MlsbmParams(n=100, T=8, rho=0.05)
+    with pytest.raises(RuntimeError, match="screened as empty"):
+        sample_planted(params, seed=1)
+    with pytest.raises(RuntimeError, match="screened as empty"):
+        sample_null(params, seed=1)
 
 
 def test_more_than_two_to_the_32_layers_are_refused_before_allocating():

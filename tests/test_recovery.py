@@ -28,6 +28,7 @@ from mlsbm import (
     mle_objective,
     oracle_tau_spectral,
     sample_conditional,
+    sample_null,
     sample_planted,
     top_two_eigenpairs,
 )
@@ -366,6 +367,55 @@ def test_power_iteration_matches_dense_solver(seed):
     assert l2 == pytest.approx(w[order[1]], rel=1e-6)
     assert abs(np.dot(v1, V[:, order[0]])) == pytest.approx(1.0, abs=1e-5)
     assert abs(np.dot(v2, V[:, order[1]])) == pytest.approx(1.0, abs=1e-5)
+
+
+def reference_power_iteration(matrix):
+    """The power iteration before its Rayleigh mat-vec was reused: two mat-vecs a step."""
+    n = matrix.shape[0]
+    v = np.cos(np.arange(1, n + 1, dtype=np.float64))
+    v /= np.linalg.norm(v)
+    rayleigh = 0.0
+    for _ in range(recovery._POWER_MAX_ITER):
+        w = matrix @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0, v
+        v_new = w / norm
+        r_new = float(v_new @ (matrix @ v_new))
+        if abs(r_new - rayleigh) <= recovery._POWER_TOL * max(1.0, abs(r_new)):
+            return r_new, v_new
+        v, rayleigh = v_new, r_new
+    return rayleigh, v
+
+
+def reference_top_two_eigenpairs(matrix):
+    lam1, v1 = reference_power_iteration(matrix)
+    lam2, v2 = reference_power_iteration(matrix - lam1 * np.outer(v1, v1))
+    return lam1, v1, lam2, v2
+
+
+def _power_iteration_matrices():
+    """Aggregates the solver meets: the gap cell (a +-2.466 pair that runs to the
+    1000-iteration cap), planted and null arms of the detection workload, a
+    zero matrix, and small dense ones."""
+    gap = sample_planted(MlsbmParams(n=100, T=40000, rho=5e-5), seed=1).graph
+    yield "gap", aggregate_bias_adjusted(gap).matrix
+    for seed in range(3):
+        params = MlsbmParams(n=200, T=62, rho=0.0075)
+        yield f"planted-{seed}", aggregate_bias_adjusted(sample_planted(params, seed).graph).matrix
+        yield f"null-{seed}", aggregate_bias_adjusted(sample_null(params, seed)).matrix
+    yield "zero", np.zeros((8, 8))
+    for seed in range(3):
+        inst = sample_planted(MlsbmParams(n=16, T=6, rho=0.3), seed=seed)
+        yield f"signed-{seed}", aggregate_signed(inst.graph, inst.tau).matrix
+
+
+def test_power_iteration_equals_the_two_mat_vec_reference_exactly():
+    for name, matrix in _power_iteration_matrices():
+        got = top_two_eigenpairs(matrix)
+        want = reference_top_two_eigenpairs(matrix)
+        assert got[0] == want[0] and got[2] == want[2], name
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3]), name
 
 
 # ------------------------------------------------------------------ spectral

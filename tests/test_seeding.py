@@ -13,7 +13,9 @@ from mlsbm.seeding import (
     _STATE_BLOCK,
     _bulk_substreams,
     _mixing_point,
+    _pcg64_doubles,
     _pcg64_states,
+    _reseed_each,
 )
 
 # Seeds of one, two (derive_seed's 63-bit seeds) and several uint32 words,
@@ -24,10 +26,18 @@ SEEDS = st.one_of(
 TAGS = st.one_of(st.integers(0, 4), st.integers(2**32, 2**70))
 
 
+def reseeded(seed, tag, count):
+    """Yield (t, gen) with gen re-seeded to every t in turn, through the bulk blocks."""
+    gen, blocks = _bulk_substreams(seed, tag, count)
+    for start, states in blocks:
+        for k in _reseed_each(gen, states, np.arange(len(states[0]))):
+            yield start + k, gen
+
+
 @given(seed=SEEDS, tag=TAGS, count=st.integers(1, 2 * _STATE_BLOCK + 3), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_bulk_states_equal_per_substream_states(seed, tag, count, data):
-    states = [gen.bit_generator.state for gen in _bulk_substreams(seed, tag, count)]
+    states = [gen.bit_generator.state for _, gen in reseeded(seed, tag, count)]
     assert len(states) == count
     # Every t near the ends and the block edges, plus a few at random.
     edges = {0, 1, count - 1, _STATE_BLOCK - 1, _STATE_BLOCK, 2 * _STATE_BLOCK}
@@ -40,14 +50,27 @@ def test_bulk_states_equal_per_substream_states(seed, tag, count, data):
 @settings(max_examples=25, deadline=None)
 def test_bulk_states_at_the_largest_layer_indices(seed, tag, back):
     t = [MAX_SUBSTREAMS - b for b in back]
-    states, incs = _pcg64_states(*_mixing_point(seed, tag), np.array(t, dtype=np.uint64))
-    for layer, state, inc in zip(t, states, incs):
+    halves = _pcg64_states(*_mixing_point(seed, tag), np.array(t, dtype=np.uint64))
+    for k, layer in enumerate(t):
+        hi, lo, inc_hi, inc_lo = (int(half[k]) for half in halves)
         assert substream(seed, tag, layer).bit_generator.state["state"] == {
-            "state": state, "inc": inc}
+            "state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+
+
+@given(seed=SEEDS, tag=TAGS, count=st.integers(1, _STATE_BLOCK + 3), draws=st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_bulk_doubles_equal_the_generators_first_draws(seed, tag, count, draws):
+    gen, blocks = _bulk_substreams(seed, tag, count)
+    for start, states in blocks:
+        doubles = np.stack(_pcg64_doubles(states, draws), axis=1)
+        picks = np.unique([0, len(doubles) - 1, len(doubles) // 2])
+        for k in picks:
+            fresh = substream(seed, tag, start + k).random(draws)
+            assert doubles[k].tolist() == fresh.tolist(), start + k
 
 
 def test_reseeded_generator_draws_like_a_fresh_substream():
-    for t, gen in enumerate(_bulk_substreams(2**63 - 5, 2, 40)):
+    for t, gen in reseeded(2**63 - 5, 2, 40):
         fresh = substream(2**63 - 5, 2, t)
         assert gen.binomial(4950, 0.3) == fresh.binomial(4950, 0.3)
         assert np.array_equal(gen.choice(4950, size=7, replace=False),
@@ -65,8 +88,10 @@ def test_more_than_two_to_the_32_substreams_are_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**16
-    first = next(_bulk_substreams(1, 2, MAX_SUBSTREAMS))
-    assert first.bit_generator.state == substream(1, 2, 0).bit_generator.state
+    gen, blocks = _bulk_substreams(1, 2, MAX_SUBSTREAMS)
+    start, states = next(blocks)
+    assert start == 0 and len(states[0]) == _STATE_BLOCK
+    assert gen.bit_generator.state == substream(1, 2, 0).bit_generator.state
 
 
 def test_invalid_seeds_are_refused_like_substream():
