@@ -223,7 +223,13 @@ def _cell_id(n: int, T: int, rho: float) -> str:
 
 
 def resolve_worker_count(n_units: int) -> int:
-    """Worker pool size: MLSBM_WORKERS if set, else the CPU count, capped."""
+    """Worker pool size: MLSBM_WORKERS if set, else 1 (serial), capped at n_units.
+
+    Units hold the GIL for much of their time and spend the rest in BLAS,
+    so a default thread pool mostly added contention: slower than serial on
+    sampling-heavy studies, and its study times swung with thread
+    interleaving and with other load on the machine.
+    """
     raw = os.environ.get("MLSBM_WORKERS")
     if raw is not None and raw.strip():
         try:
@@ -233,7 +239,7 @@ def resolve_worker_count(n_units: int) -> int:
         if workers < 1:
             raise ValidationError(f"MLSBM_WORKERS must be >= 1, got {workers}")
     else:
-        workers = os.cpu_count() or 1
+        workers = 1
     return max(1, min(workers, n_units))
 
 
@@ -250,7 +256,7 @@ def _assert_unique_seeds(records: Sequence[TrialRecord]) -> None:
 
 
 def _run_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]]) -> list[TrialRecord]:
-    """Run unit_fn(0..n_units-1) on a pool; concatenate in unit order."""
+    """Run unit_fn(0..n_units-1), serially or on a pool; concatenate in unit order."""
     workers = resolve_worker_count(n_units)
     if workers == 1:
         chunks = [unit_fn(u) for u in range(n_units)]
