@@ -47,12 +47,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_generate(args) -> int:
     params = model.MlsbmParams(n=args.n, T=args.T, rho=args.rho)
-    if args.planted:
-        instance = model.sample_planted(params, args.seed)
-        model.write_graph(args.out, instance)
-    else:
-        graph = model.sample_null(params, args.seed)
-        model.write_graph(args.out, graph)
+    sample = model.sample_planted if args.planted else model.sample_null
+    model.write_graph(args.out, sample(params, args.seed))
     print(f"wrote {args.out}")
     return 0
 

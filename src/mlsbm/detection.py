@@ -83,15 +83,10 @@ def split_layer_test(graph: MultiLayerGraph, recover: RecoverFn) -> DetectionDec
         raise ValidationError(f"split_layer_test needs even n, got {graph.n}")
     training = graph.layer_slice(0, graph.T - 2)
     sigma_hat = recover(training).sigma_hat
-    rho_hat = estimate_density(graph.layers[-1], graph.n)
-    cross_layer = graph.layers[-2]
-    if len(cross_layer):
-        labels = sigma_hat.as_array()
-        cross_count = int(
-            (labels[cross_layer[:, 0] - 1] != labels[cross_layer[:, 1] - 1]).sum()
-        )
-    else:
-        cross_count = 0
+    rho_hat = estimate_density(graph.layer_slice(graph.T - 1, graph.T).edges, graph.n)
+    cross_layer = graph.layer_slice(graph.T - 2, graph.T - 1).edges
+    labels = sigma_hat.as_array()
+    cross_count = int((labels[cross_layer[:, 0] - 1] != labels[cross_layer[:, 1] - 1]).sum())
     cross_mean = 4.0 * cross_count / (graph.n * graph.n)
     if rho_hat == 0.0:
         decision = 0
@@ -126,7 +121,8 @@ def shuffled_test(
     if graph.T < 3:
         raise ValidationError(f"shuffled_test needs at least 3 layers, got {graph.T}")
     if rounds is None:
-        rounds = default_shuffle_rounds(graph.n, estimate_density(graph.layers[-1], graph.n))
+        rho_hat = estimate_density(graph.layer_slice(graph.T - 1, graph.T).edges, graph.n)
+        rounds = default_shuffle_rounds(graph.n, rho_hat)
     if rounds < 1:
         raise ValidationError(f"rounds must be >= 1, got {rounds}")
     best: Optional[DetectionDecision] = None

@@ -32,10 +32,9 @@ from .model import (
     MlsbmParams,
     MultiLayerGraph,
     PlantedInstance,
-    _NO_EDGES,
-    _sample_balanced,
     sample_null,
     sample_planted,
+    sample_planted_empty,
 )
 from .recovery import (
     RecoveryResult,
@@ -45,7 +44,7 @@ from .recovery import (
     mle_local_search_multistart,
     oracle_tau_spectral,
 )
-from .seeding import derive_seed, substream
+from .seeding import derive_seed
 
 CSV_COLUMNS = (
     "cell",
@@ -437,10 +436,7 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
     def unit(ti: int) -> list[TrialRecord]:
         seed = derive_seed(base_seed, 0, ti, _SEED_INSTANCE)
         if rho == 0.0:
-            sigma = _sample_balanced(n, substream(seed, 0))
-            tau = _sample_balanced(T, substream(seed, 1))
-            graph = MultiLayerGraph._from_checked(n, (_NO_EDGES,) * T)
-            instance = PlantedInstance(graph=graph, sigma=sigma, tau=tau)
+            instance = sample_planted_empty(n, T, seed)
         else:
             instance = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed)
         return [

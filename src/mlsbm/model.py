@@ -5,7 +5,8 @@ layers and one balanced layer-type labelling tau. The slot (i, j, t) with
 i < j holds an edge with probability 3*rho/2 when sigma(i) + sigma(j) + tau(t)
 is even and rho/2 when it is odd, independently across slots. The null model
 fills every slot independently with probability rho. Layers are simple
-undirected graphs stored as sorted edge lists with 1-based node indices.
+undirected graphs with 1-based node indices. A graph stores all of them as
+one edge table sorted by (layer, i, j), plus that table's layer column.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ _ENUM_MAX_ITEMS = 20
 # A first draw within this relative distance below numpy's empty-layer bound
 # still goes to numpy (see _empty_bound).
 _SCREEN_MARGIN = 1e-9
-
-# Shared read-only empty layer: most layers of a sparse cell draw no edge.
-_NO_EDGES = np.empty((0, 2), dtype=np.int64)
-_NO_EDGES.setflags(write=False)
-
 
 def _check_even(value, name: str, minimum: int) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -132,102 +128,132 @@ class Assignment:
         return cls(tuple(int(c) for c in text))
 
 
-def _validate_layer_edges(edges: np.ndarray, n: int, where: str) -> np.ndarray:
+def _check_size(value, name: str, minimum: int) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _layer_rows(layer, t: int) -> np.ndarray:
+    """One input layer as an (m, 2) int64 array; its contents are checked later."""
     try:
-        edges = np.asarray(edges, dtype=np.int64)
+        rows = np.asarray(layer, dtype=np.int64)
     except OverflowError as exc:
-        raise ValidationError(f"{where}: node index outside the int64 range") from exc
-    if edges.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValidationError(f"{where}: edge array must have shape (m, 2)")
-    i, j = edges[:, 0], edges[:, 1]
-    if (i < 1).any() or (j > n).any():
-        raise ValidationError(f"{where}: node indices must lie in [1, {n}]")
-    if (i >= j).any():
-        raise ValidationError(f"{where}: edges must satisfy i < j (no self-loops)")
-    if len(edges) > 1:
-        # Row-to-row lexicographic comparison: no key arithmetic to overflow int64.
-        ascending = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
-        if not ascending.all():
-            raise ValidationError(f"{where}: edges must be sorted by (i, j) without duplicates")
-    edges = edges.copy()
-    edges.setflags(write=False)
-    return edges
+        raise ValidationError(f"layer {t + 1}: node index outside the int64 range") from exc
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != 2):
+        raise ValidationError(f"layer {t + 1}: edge array must have shape (m, 2)")
+    return rows.reshape(-1, 2)
 
 
-@dataclass(frozen=True, eq=False)
+def _check_table(n: int, edges: np.ndarray, layer_ids: np.ndarray) -> None:
+    """The one edge validator: 1 <= i < j <= n, rows strictly increasing in (t, i, j).
+
+    layer_ids must be sorted. The first faulty layer is reported, range before
+    self-loops before order, as a layer-by-layer check would. Each row is
+    compared with its predecessor: no key arithmetic, so no int64 overflow.
+    """
+    i, j, t = edges[:, 0], edges[:, 1], layer_ids
+    out_of_range = (i < 1) | (j > n)
+    loop = i >= j
+    unsorted = np.zeros(len(edges), dtype=bool)
+    ascending = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+    unsorted[1:] = (t[1:] == t[:-1]) & ~ascending
+    bad = np.flatnonzero(out_of_range | loop | unsorted)
+    if not len(bad):
+        return
+    layer = int(t[bad[0]])
+    rows = slice(*np.searchsorted(t, [layer, layer + 1]))
+    for fault, message in (
+        (out_of_range, f"node indices must lie in [1, {n}]"),
+        (loop, "edges must satisfy i < j (no self-loops)"),
+        (unsorted, "edges must be sorted by (i, j) without duplicates"),
+    ):
+        if fault[rows].any():
+            raise ValidationError(f"layer {layer + 1}: {message}")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MultiLayerGraph:
-    """Edge lists of T simple undirected layers over n shared nodes.
+    """T simple undirected layers over n shared nodes, stored as one edge table.
 
-    Nodes are 1-based. Each layer is an int64 array of shape (m_t, 2) holding
-    rows (i, j) with i < j, sorted lexicographically, free of duplicates.
+    `edges` is a read-only int64 array of shape (E, 2) holding every edge
+    (i, j) of every layer, 1-based with i < j, and `layer_ids` is its
+    read-only 0-based layer column. Rows are sorted by (layer, i, j) and free
+    of duplicates. Nothing of size T is stored: `layers` builds T read-only
+    views of the table each time it is read.
     """
 
     n: int
     T: int
-    layers: tuple[np.ndarray, ...]
+    edges: np.ndarray
+    layer_ids: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
-            raise ValidationError(f"T must be an integer >= 1, got {self.T!r}")
-        if len(self.layers) != self.T:
-            raise ValidationError(f"expected {self.T} layers, got {len(self.layers)}")
-        checked = tuple(
-            _validate_layer_edges(layer, self.n, f"layer {t + 1}")
-            for t, layer in enumerate(self.layers)
-        )
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "T", int(self.T))
-        object.__setattr__(self, "layers", checked)
-
-    # The sampler's sorted (E, 2) edge table and its layer ids, of which
-    # `layers` are views; None for graphs built any other way.
-    _edge_table = None
-
-    @classmethod
-    def _from_checked(
-        cls, n: int, layers: tuple[np.ndarray, ...], edge_table=None
-    ) -> "MultiLayerGraph":
-        """Wrap layers taken from a validated graph without checking them again.
-
-        Validated layers are read-only, so the new graph can share them.
-        """
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "T", len(layers))
-        object.__setattr__(graph, "layers", layers)
-        if edge_table is not None:
-            object.__setattr__(graph, "_edge_table", edge_table)
-        return graph
+    def __init__(self, n: int, T: int, layers: Sequence):
+        """Validate T per-layer edge lists; layers[t] holds layer t's sorted (i, j) rows."""
+        n, T = _check_size(n, "n", 2), _check_size(T, "T", 1)
+        if len(layers) != T:
+            raise ValidationError(f"expected {T} layers, got {len(layers)}")
+        rows = [_layer_rows(layer, t) for t, layer in enumerate(layers)]
+        edges = np.concatenate(rows)
+        layer_ids = np.repeat(np.arange(T), [len(r) for r in rows])
+        _check_table(n, edges, layer_ids)
+        _from_table(n, T, edges, layer_ids, self)
 
     def __eq__(self, other):
         if not isinstance(other, MultiLayerGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.T == other.T
-            and all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
+        return (self.n, self.T) == (other.n, other.T) and all(
+            np.array_equal(a, b)
+            for a, b in ((self.edges, other.edges), (self.layer_ids, other.layer_ids))
         )
 
     @property
     def total_edges(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return len(self.edges)
+
+    @property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """Every layer's (m_t, 2) rows as read-only views of `edges`; O(T) per read."""
+        return tuple(np.split(self.edges, np.searchsorted(self.layer_ids, np.arange(1, self.T))))
 
     def layer_slice(self, start: int, stop: int) -> "MultiLayerGraph":
         """Sub-graph keeping layers [start, stop) (0-based layer positions, start < stop)."""
         if not (0 <= start < stop <= self.T):
             raise ValidationError(f"layer slice [{start}, {stop}) out of range for T={self.T}")
-        return MultiLayerGraph._from_checked(self.n, self.layers[start:stop])
+        first, last = np.searchsorted(self.layer_ids, [start, stop])
+        ids = self.layer_ids[first:last]
+        ids = ids - start if start else ids  # a view when the slice starts at layer 0
+        return _from_table(self.n, int(stop - start), self.edges[first:last], ids)
 
     def permute_layers(self, order: Sequence[int]) -> "MultiLayerGraph":
         """Reorder layers; `order[k]` is the old position placed at new position k."""
-        order = [int(o) for o in order]
-        if sorted(order) != list(range(self.T)):
+        order = np.array([int(o) for o in order], dtype=np.int64)
+        if not np.array_equal(np.sort(order), np.arange(self.T)):
             raise ValidationError("order must be a permutation of 0..T-1")
-        return MultiLayerGraph._from_checked(self.n, tuple(self.layers[o] for o in order))
+        starts = np.searchsorted(self.layer_ids, np.arange(self.T + 1))
+        sizes = np.diff(starts)[order]
+        # Row r of new layer k is row r - (k's new start) + (its old start).
+        shift = starts[order] - (np.cumsum(sizes) - sizes)
+        layer_ids = np.repeat(np.arange(self.T), sizes)
+        rows = np.arange(len(layer_ids)) + np.repeat(shift, sizes)
+        # np.take: ≈10x faster than fancy indexing edges[rows] on an (E, 2) table.
+        return _from_table(self.n, self.T, np.take(self.edges, rows, axis=0), layer_ids)
+
+
+def _from_table(
+    n: int, T: int, edges: np.ndarray, layer_ids: np.ndarray, graph: MultiLayerGraph | None = None
+) -> MultiLayerGraph:
+    """The one table constructor: wraps a valid (t, i, j)-sorted table, made read-only.
+
+    Sampled, permuted and sliced tables are valid by construction, so unchecked.
+    `graph` is the instance the public constructor fills in after validating.
+    """
+    graph = object.__new__(MultiLayerGraph) if graph is None else graph
+    edges.setflags(write=False)
+    layer_ids.setflags(write=False)
+    for name, value in (("n", n), ("T", T), ("edges", edges), ("layer_ids", layer_ids)):
+        object.__setattr__(graph, name, value)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -388,8 +414,7 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
     draws nothing, so it skips numpy; the first such layer of each call is
     drawn through numpy anyway and must come out empty. Every other layer
     re-seeds one generator and appends its slot codes. One pass then decodes
-    and sorts all codes, and the layers are read-only views of that table,
-    so the graph skips re-validation.
+    and sorts all codes into the graph's table, which skips re-validation.
     """
     gen, blocks = _bulk_substreams(seed, _LAYER_STREAM, T)
     codes = array("q")
@@ -419,17 +444,10 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
 
 
 def _graph_from_edges(n: int, edges: np.ndarray, sizes: np.ndarray) -> MultiLayerGraph:
-    """Sort decoded (i, j) rows, grouped by layer, into one read-only (t, i, j) table."""
+    """Sort decoded (i, j) rows, grouped by layer, into the graph's (t, i, j) table."""
     layer_ids = np.repeat(np.arange(len(sizes)), sizes)
-    table = edges[np.lexsort((edges[:, 1], edges[:, 0], layer_ids))]
-    table.setflags(write=False)
-    layer_ids.setflags(write=False)
-    layers = [_NO_EDGES] * len(sizes)
-    nonempty = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes)[nonempty]
-    for t, start, end in zip(nonempty.tolist(), (ends - sizes[nonempty]).tolist(), ends.tolist()):
-        layers[t] = table[start:end]
-    return MultiLayerGraph._from_checked(n, tuple(layers), (table, layer_ids))
+    table = np.take(edges, np.lexsort((edges[:, 1], edges[:, 0], layer_ids)), axis=0)
+    return _from_table(n, len(sizes), table, layer_ids)
 
 
 def sample_conditional(
@@ -445,16 +463,11 @@ def sample_conditional(
     This is the low-level conditional sampler: sigma_bits and tau_bits may be
     any bit sequences of lengths n and T (e.g. a single layer with tau = (0,)).
     """
-    for name, size in (("n", n), ("T", T)):
-        if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
-            raise ValidationError(f"{name} must be an integer, got {size!r}")
-    n, T = int(n), int(T)
+    n, T = _check_size(n, "n", 2), _check_size(T, "T", 1)
     sigma = _as_bits(sigma_bits, "sigma_bits")
     tau = _as_bits(tau_bits, "tau_bits")
-    if len(sigma) != n or n < 2:
-        raise ValidationError(f"sigma_bits must have length n >= 2, got n={n}, len={len(sigma)}")
-    if len(tau) != T or T < 1:
-        raise ValidationError(f"tau_bits must have length T >= 1, got T={T}, len={len(tau)}")
+    if (len(sigma), len(tau)) != (n, T):
+        raise ValidationError(f"sigma_bits and tau_bits need lengths {n} and {T}")
     rho = _check_rho(rho)
     sampler = _planted_sampler(n, rho, np.array(sigma, dtype=np.int8), np.array(tau, dtype=np.int8))
     return _sample_layers(n, T, seed, sampler)
@@ -474,11 +487,18 @@ def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
     (seed, layer-tag, t), so the output is reproducible and layers could be
     sampled in parallel.
     """
-    _check_substream_count(params.T)  # before tau's permutation of T items
-    sigma = _sample_balanced(params.n, substream(seed, _SIGMA_STREAM))
-    tau = _sample_balanced(params.T, substream(seed, _TAU_STREAM))
-    sampler = _planted_sampler(params.n, params.rho, sigma.as_array(), tau.as_array())
+    labels = sample_planted_empty(params.n, params.T, seed)
+    sampler = _planted_sampler(params.n, params.rho, labels.sigma.as_array(), labels.tau.as_array())
     graph = _sample_layers(params.n, params.T, seed, sampler)
+    return PlantedInstance(graph=graph, sigma=labels.sigma, tau=labels.tau)
+
+
+def sample_planted_empty(n: int, T: int, seed: int) -> PlantedInstance:
+    """The rho = 0 limit of sample_planted: its sigma and tau for this seed, and no edges."""
+    _check_substream_count(T)  # before tau's permutation of T items
+    sigma = _sample_balanced(n, substream(seed, _SIGMA_STREAM))
+    tau = _sample_balanced(T, substream(seed, _TAU_STREAM))
+    graph = _from_table(n, T, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
     return PlantedInstance(graph=graph, sigma=sigma, tau=tau)
 
 
@@ -528,14 +548,12 @@ def write_graph(
     if (sigma is None) != (tau is None):
         raise ValidationError("sigma and tau footers must be written together")
     lines = [f"{FORMAT_HEADER} n={graph.n} T={graph.T}"]
-    for t, layer in enumerate(graph.layers, start=1):
-        for i, j in layer:
-            lines.append(f"{t} {i} {j}")
+    layer_numbers = (graph.layer_ids + 1).tolist()
+    lines += [f"{t} {i} {j}" for t, (i, j) in zip(layer_numbers, graph.edges.tolist())]
     if sigma is not None:
         if sigma.size != graph.n or tau.size != graph.T:
             raise ValidationError("footer label lengths must match the graph dimensions")
-        lines.append(f"sigma {sigma.bitstring()}")
-        lines.append(f"tau {tau.bitstring()}")
+        lines += [f"sigma {sigma.bitstring()}", f"tau {tau.bitstring()}"]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -561,23 +579,19 @@ def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance
         T = int(header[3][2:])
     except ValueError as exc:
         raise ValidationError(f"{path}: bad header numbers") from exc
-    per_layer: list[list[tuple[int, int]]] = [[] for _ in range(T)]
-    sigma_bits: str | None = None
-    tau_bits: str | None = None
+    _check_substream_count(T)  # the samplers' cap, before any edge is read
+    layer_numbers: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    footers: dict[str, str] = {}
     last_t = 0
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "sigma":
-            sigma_bits = parts[1] if len(parts) == 2 else None
-            if sigma_bits is None:
-                raise ValidationError(f"{path}: malformed sigma footer")
+        if parts[0] in ("sigma", "tau"):
+            if len(parts) != 2:
+                raise ValidationError(f"{path}: malformed {parts[0]} footer")
+            footers[parts[0]] = parts[1]
             continue
-        if parts[0] == "tau":
-            tau_bits = parts[1] if len(parts) == 2 else None
-            if tau_bits is None:
-                raise ValidationError(f"{path}: malformed tau footer")
-            continue
-        if sigma_bits is not None or tau_bits is not None:
+        if footers:
             raise ValidationError(f"{path}: edge lines after footers")
         if len(parts) != 3:
             raise ValidationError(f"{path}: bad edge line {ln!r}")
@@ -590,12 +604,24 @@ def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance
         if t < last_t:
             raise ValidationError(f"{path}: edges must be sorted by layer")
         last_t = t
-        per_layer[t - 1].append((i, j))
-    graph = MultiLayerGraph(n, T, per_layer)
-    if (sigma_bits is None) != (tau_bits is None):
+        layer_numbers.append(t)
+        pairs.append((i, j))
+    n, T = _check_size(n, "n", 2), _check_size(T, "T", 1)
+    layer_ids = np.array(layer_numbers, dtype=np.int64) - 1
+    try:
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        # Reported after any fault of an earlier layer, as a layer-by-layer check would.
+        t = next(t for t, p in zip(layer_numbers, pairs) if not -(2**63) <= min(p) <= max(p) < 2**63)
+        first = layer_numbers.index(t)
+        _check_table(n, np.array(pairs[:first], dtype=np.int64).reshape(-1, 2), layer_ids[:first])
+        raise ValidationError(f"layer {t}: node index outside the int64 range") from exc
+    _check_table(n, edges, layer_ids)
+    graph = _from_table(n, T, edges, layer_ids)
+    if len(footers) == 1:
         raise ValidationError(f"{path}: sigma and tau footers must appear together")
-    if sigma_bits is not None:
-        sigma = Assignment.from_bitstring(sigma_bits)
-        tau = Assignment.from_bitstring(tau_bits)
+    if footers:
+        sigma = Assignment.from_bitstring(footers["sigma"])
+        tau = Assignment.from_bitstring(footers["tau"])
         return PlantedInstance(graph=graph, sigma=sigma, tau=tau)
     return graph

@@ -81,14 +81,8 @@ def _check_dense_size(n: int) -> None:
 
 
 def _edge_arrays(graph: MultiLayerGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All edges flattened to 0-based (i, j, t) arrays, in layer order."""
-    if graph._edge_table is not None:
-        edges, layer_ids = graph._edge_table
-    else:
-        edges = np.concatenate(graph.layers)
-        counts = np.fromiter(map(len, graph.layers), dtype=np.int64, count=graph.T)
-        layer_ids = np.repeat(np.arange(graph.T), counts)
-    return edges[:, 0] - 1, edges[:, 1] - 1, layer_ids
+    """The graph's edge table as 0-based (i, j, t) arrays, in layer order."""
+    return graph.edges[:, 0] - 1, graph.edges[:, 1] - 1, graph.layer_ids
 
 
 def aggregate_bias_adjusted(graph: MultiLayerGraph) -> AggregateMatrix:
@@ -254,8 +248,6 @@ def mle_objective(graph: MultiLayerGraph, sigma: Assignment, tau: Assignment) ->
 
 def _even_count(sig: np.ndarray, tau: np.ndarray, e_i, e_j, e_t) -> int:
     """Number of edges whose parity sigma_i + sigma_j + tau_t is even."""
-    if len(e_i) == 0:
-        return 0
     parity = (sig[e_i] + sig[e_j] + tau[e_t]) % 2
     return int(len(e_i) - parity.sum())
 
@@ -285,7 +277,7 @@ def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
     tau_mat = np.array([a.labels for a in taus], dtype=np.int64)
     e_i, e_j, e_t = _edge_arrays(graph)
     layer_totals = np.bincount(e_t, minlength=T).astype(np.int64)
-    onehot = (e_t[:, None] == np.arange(T)[None, :]).astype(np.int64) if len(e_t) else None
+    onehot = (e_t[:, None] == np.arange(T)[None, :]).astype(np.int64)
 
     best_val = -1
     best_sigma_idx = 0
@@ -294,14 +286,11 @@ def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
     for start in range(0, n_sigma, chunk):
         block = sigmas[start : start + chunk]
         sig_mat = np.array([a.labels for a in block], dtype=np.int64)
-        if len(e_i) == 0:
-            objs = np.zeros((len(block), n_tau), dtype=np.int64)
-        else:
-            parity = (sig_mat[:, e_i] + sig_mat[:, e_j]) % 2
-            odd_per_layer = parity @ onehot
-            even_per_layer = layer_totals[None, :] - odd_per_layer
-            # objective(sigma, tau) = sum_t (tau_t ? odd_t : even_t)
-            objs = even_per_layer @ (1 - tau_mat.T) + odd_per_layer @ tau_mat.T
+        parity = (sig_mat[:, e_i] + sig_mat[:, e_j]) % 2
+        odd_per_layer = parity @ onehot
+        even_per_layer = layer_totals[None, :] - odd_per_layer
+        # objective(sigma, tau) = sum_t (tau_t ? odd_t : even_t)
+        objs = even_per_layer @ (1 - tau_mat.T) + odd_per_layer @ tau_mat.T
         flat = int(np.argmax(objs))
         val = int(objs.flat[flat])
         if val > best_val:
@@ -326,11 +315,8 @@ def _tau_for_sigma(sig: np.ndarray, e_i, e_j, e_t, layer_totals: np.ndarray) -> 
     margins get tau_t = 0, ties resolved by layer index.
     """
     T = len(layer_totals)
-    if len(e_i):
-        parity = (sig[e_i] + sig[e_j]) % 2
-        odd = np.bincount(e_t, weights=parity.astype(np.float64), minlength=T)
-    else:
-        odd = np.zeros(T)
+    parity = (sig[e_i] + sig[e_j]) % 2
+    odd = np.bincount(e_t, weights=parity.astype(np.float64), minlength=T)
     margin = (layer_totals - odd) - odd
     order = np.argsort(-margin, kind="stable")
     tau = np.ones(T, dtype=np.int64)

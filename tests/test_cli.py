@@ -117,6 +117,13 @@ def test_recover_on_an_unparseable_file_is_a_validation_error(tmp_path, capsys, 
     assert code == 2 and err.startswith("error:")
 
 
+def test_recover_on_a_file_declaring_too_many_layers_is_a_size_guard(tmp_path, capsys):
+    path = tmp_path / "huge.edges"
+    path.write_text("mlsbm-edges v1 n=4 T=1000000000000\n1 1 2\n")
+    code, _, err = run(capsys, "recover", "--in", str(path), "--method", "sum-spectral")
+    assert code == 3 and err.startswith("size guard:")
+
+
 def test_recover_unknown_method_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["recover", "--n", "8", "--T", "4", "--rho", "0.3",

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from mlsbm import MlsbmParams, MultiLayerGraph, read_graph, sample_planted, write_graph
 from mlsbm.errors import ValidationError
 from mlsbm.experiments import (
     CSV_COLUMNS,
@@ -24,6 +25,7 @@ from mlsbm.experiments import (
     run_phase_diagram,
     write_results,
 )
+from mlsbm.recovery import mle_local_search_multistart
 
 
 def small_recovery_config(**overrides):
@@ -313,6 +315,32 @@ def test_gap_demo_validates_arguments():
         run_gap_demo(8, 4, 0.1, trials=0)
     with pytest.raises(ValidationError):
         run_gap_demo(8, 4, 0.7, trials=1)
+
+
+def test_library_paths_never_build_the_per_layer_views(monkeypatch, tmp_path):
+    # `layers` costs O(T) views per read (about 70 ms at T = 40000); the
+    # library reads the edge table instead.
+    def refuse(graph):
+        raise AssertionError("library code built MultiLayerGraph.layers")
+
+    monkeypatch.setattr(MultiLayerGraph, "layers", property(refuse))
+    run_gap_demo(16, 64, 0.02, trials=1, base_seed=21)
+    with pytest.warns(RuntimeWarning):
+        run_gap_demo(8, 4, 0.0, trials=1, base_seed=9)
+    run_detection_sweep(
+        ExperimentConfig(
+            kind="detection",
+            cells=((8, 6, 0.3),),
+            methods=("split-test", "shuffled-test"),
+            trials=2,
+            base_seed=3,
+        )
+    )
+    instance = sample_planted(MlsbmParams(n=16, T=8, rho=0.3), seed=4)
+    mle_local_search_multistart(instance.graph)
+    path = tmp_path / "graph.txt"
+    write_graph(path, instance)
+    assert read_graph(path).graph == instance.graph
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from mlsbm import (
     write_graph,
 )
 from mlsbm import model
-from mlsbm.recovery import _edge_arrays
 from mlsbm.seeding import MAX_SUBSTREAMS, _STATE_BLOCK
 
 
@@ -204,6 +203,25 @@ def test_graph_rejects_malformed_layers():
         MultiLayerGraph(n=4, T=1, layers=[[(1, 5)]])  # out of range
     with pytest.raises(ValidationError):
         MultiLayerGraph(n=4, T=2, layers=[[(1, 2)]])  # layer count mismatch
+    for n, T in ((True, 1), (4, True)):  # a bool is not a size
+        with pytest.raises(ValidationError, match="must be an integer"):
+            MultiLayerGraph(n=n, T=T, layers=[[(1, 2)]])
+
+
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([[(2, 1)], [(1, 9)]], "layer 1: edges must satisfy i < j"),
+        ([[(1, 2)], [(2, 3), (1, 2), (1, 9)]], "layer 2: node indices must lie in"),
+        ([[], [(1, 3), (1, 2)], [(0, 1)]], "layer 2: edges must be sorted"),
+        ([[(1, 2)], [(1, 2)], [(3, 4), (3, 4)]], "layer 3: edges must be sorted"),
+    ],
+)
+def test_the_table_validator_reports_the_first_faulty_layer(layers, message):
+    # Range before self-loops before order within a layer, and the earliest
+    # faulty layer first, whatever faults later layers hold.
+    with pytest.raises(ValidationError, match=message):
+        MultiLayerGraph(n=4, T=len(layers), layers=layers)
 
 
 def test_layer_slice_and_permute():
@@ -230,9 +248,31 @@ def test_layer_views_equal_validated_graphs_and_stay_read_only(seed, data):
         (g.layer_slice(start, stop), [layer.tolist() for layer in g.layers[start:stop]]),
     ]
     for view, layers in views:
-        assert view == MultiLayerGraph(n=g.n, T=len(layers), layers=layers)
+        assert_table_is_the_validators(view, MultiLayerGraph(n=g.n, T=len(layers), layers=layers))
         assert view.T == len(view.layers)
         assert all(not layer.flags.writeable for layer in view.layers)
+
+
+def assert_table_is_the_validators(graph, validated):
+    """graph's edge table and layer ids equal the public validator's, and are read-only."""
+    assert graph == validated
+    for got, want in ((graph.edges, validated.edges), (graph.layer_ids, validated.layer_ids)):
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+        assert not got.flags.writeable
+
+
+def assert_container_invariants(graph, order, start, stop):
+    """A graph built without validation, and its permuted and sliced tables,
+    are what the public validator builds from the same layers."""
+    layers = [layer.tolist() for layer in graph.layers]
+    assert_table_is_the_validators(graph, MultiLayerGraph(graph.n, graph.T, layers))
+    permuted = [layers[o] for o in order]
+    assert_table_is_the_validators(
+        graph.permute_layers(order), MultiLayerGraph(graph.n, graph.T, permuted)
+    )
+    assert_table_is_the_validators(
+        graph.layer_slice(start, stop), MultiLayerGraph(graph.n, stop - start, layers[start:stop])
+    )
 
 
 @given(
@@ -249,15 +289,24 @@ def test_sampled_graphs_satisfy_container_invariants(seed, n, planted):
         assert len(pairs) == len(set(pairs))
         assert all(1 <= i < j <= n for i, j in pairs)
         assert not layer.flags.writeable
-    # The sampler skips re-validation; the public validator must agree.
-    validated = MultiLayerGraph(n, 4, [layer.tolist() for layer in graph.layers])
-    assert graph == validated
-    # Its flat edge table gives what concatenating the layers gives.
-    for got, want in zip(_edge_arrays(graph), _edge_arrays(validated)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert graph._edge_table is not None and validated._edge_table is None
-    assert graph.permute_layers([3, 2, 1, 0])._edge_table is None
-    assert graph.layer_slice(0, 2)._edge_table is None
+    assert_container_invariants(graph, [3, 2, 1, 0], 1, 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda params: sample_planted(params, seed=3).graph,
+        lambda params: sample_null(params, seed=3),
+        lambda params: model.sample_planted_empty(params.n, params.T, seed=3).graph,
+    ],
+    ids=["planted", "null", "gap-demo-rho-0"],
+)
+def test_screened_and_empty_graphs_across_a_substream_block_satisfy_container_invariants(make):
+    # Most layers are screened as empty, and T crosses a 4096-layer block.
+    params = MlsbmParams(n=100, T=_STATE_BLOCK + 904, rho=5e-5)
+    graph = make(params)
+    order = np.random.default_rng(0).permutation(params.T).tolist()
+    assert_container_invariants(graph, order, 1, params.T - 1)
 
 
 # ------------------------------------------------- per-layer reference sampler
@@ -524,6 +573,53 @@ def test_graph_file_edges_sorted(tmp_path):
     assert rows == sorted(rows)
 
 
+def test_write_graph_bytes_with_empty_first_middle_and_last_layers(tmp_path):
+    layers = [[], [(1, 2), (3, 4)], [], [(1, 3)], [(2, 4), (3, 4)], []]
+    graph = MultiLayerGraph(n=4, T=6, layers=layers)
+    sigma, tau = Assignment((0, 0, 1, 1)), Assignment((0, 1, 0, 1, 1, 0))
+    path = tmp_path / "planted.txt"
+    write_graph(path, graph, sigma, tau)
+    assert path.read_bytes() == (
+        b"mlsbm-edges v1 n=4 T=6\n"
+        b"2 1 2\n2 3 4\n4 1 3\n5 2 4\n5 3 4\n"
+        b"sigma 0011\ntau 010110\n"
+    )
+    assert read_graph(path) == PlantedInstance(graph, sigma, tau)
+
+
+@pytest.mark.parametrize("T", [10**12, MAX_SUBSTREAMS + 1])
+def test_read_graph_refuses_more_than_two_to_the_32_layers_before_reading_edges(tmp_path, T):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"mlsbm-edges v1 n=4 T={T}\n1 1 2\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            read_graph(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_read_graph_at_the_layer_cap_allocates_per_edge_not_per_layer(tmp_path, monkeypatch):
+    path = tmp_path / "cap.txt"
+    path.write_text(f"mlsbm-edges v1 n=4 T={MAX_SUBSTREAMS}\n{MAX_SUBSTREAMS} 1 2\n")
+
+    def refuse(graph):
+        raise AssertionError("read_graph built the per-layer views")
+
+    monkeypatch.setattr(MultiLayerGraph, "layers", property(refuse))
+    tracemalloc.start()
+    try:
+        graph = read_graph(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert graph.T == MAX_SUBSTREAMS and graph.total_edges == 1
+    assert graph.edges.tolist() == [[1, 2]] and graph.layer_ids.tolist() == [MAX_SUBSTREAMS - 1]
+
+
 def test_read_graph_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not-a-graph v9 n=4 T=2\n")
@@ -537,9 +633,17 @@ def test_read_graph_refuses_non_ascii_bytes_and_int64_overflow(tmp_path):
         path.write_bytes(b"mlsbm-edges v1 n=4 T=2\n" + body)
         with pytest.raises(ValidationError):
             read_graph(path)
+    # An overflow is reported after an earlier layer's fault, as before.
+    path.write_bytes(b"mlsbm-edges v1 n=4 T=2\n1 2 1\n2 1 99999999999999999999\n")
+    with pytest.raises(ValidationError, match="layer 1: edges must satisfy i < j"):
+        read_graph(path)
+    path.write_bytes(b"mlsbm-edges v1 n=4 T=2\n1 1 2\n2 1 99999999999999999999\n")
+    with pytest.raises(ValidationError, match="layer 2: node index outside the int64 range"):
+        read_graph(path)
 
 
-# A header whose T stays small: read_graph allocates one list per declared layer.
+# Small headers keep each example quick; large T is refused or read in
+# O(E) memory (tests above), so these headers are not about memory.
 HEADERS = st.builds(
     "mlsbm-edges v1 n={} T={}".format,
     st.sampled_from(["6", "1", "0", "-6", "2", "99999999999999999999", "6x", ""]),
