@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import detection, experiments, metrics, model, recovery, theory
@@ -97,7 +98,7 @@ def _cmd_theory_chi2(args) -> int:
     status = 0
     if slots <= theory.TENSOR_GUARD_SLOTS:
         tau = args.tau if args.tau else "0" * (args.T // 2) + "1" * (args.T - args.T // 2)
-        brute = theory.chi_square_bruteforce(args.n, args.T, args.rho, [int(b) for b in tau])
+        brute = theory.chi_square_bruteforce(args.n, args.T, args.rho, tau)
         agree = _rel_close(closed.value, brute, _REL_TOL_CHI2)
         lines.append(f"brute force (tau={tau}): {brute!r}")
         lines.append("PASS: closed form matches brute force" if agree
@@ -267,7 +268,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gap_demo(args) -> int:
-    summary = experiments.run_gap_demo(args.n, args.T, args.rho, args.trials, args.seed)
+    # one "warning: ..." line per warning, also when the run then fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            summary = experiments.run_gap_demo(args.n, args.T, args.rho, args.trials, args.seed)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     records = summary.pop("records")
     if args.out:
         experiments.write_results(records, args.out, overwrite=args.force,

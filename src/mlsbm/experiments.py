@@ -113,7 +113,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("recovery", "detection"):
             raise ValidationError(f"kind must be 'recovery' or 'detection', got {self.kind!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.base_seed, int) or self.base_seed < 0:
             raise ValidationError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
@@ -125,14 +125,11 @@ class ExperimentConfig:
                 n, T, rho = cell
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed cell {cell!r}") from exc
-            n, T, rho = int(n), int(T), float(rho)
-            if n < 2 or n % 2 != 0 or T < 2 or T % 2 != 0:
-                raise ValidationError(f"cell {cell!r} needs even n >= 2 and even T >= 2")
-            if not (0.0 < rho < MAX_DENSITY):
-                raise ValidationError(
-                    f"cell {cell!r} needs rho in (0, {MAX_DENSITY:.6g}), got {rho}"
-                )
-            cells.append((n, T, rho))
+            try:
+                params = MlsbmParams(n=n, T=T, rho=rho)
+            except ValidationError as exc:
+                raise ValidationError(f"cell {cell!r}: {exc}") from exc
+            cells.append((params.n, params.T, params.rho))
         object.__setattr__(self, "cells", tuple(cells))
         methods = tuple(self.methods)
         if not methods:
@@ -144,7 +141,9 @@ class ExperimentConfig:
                     f"unknown {self.kind} method {method!r}; valid: {sorted(valid)}"
                 )
         object.__setattr__(self, "methods", methods)
-        if self.rounds is not None and (not isinstance(self.rounds, int) or self.rounds < 1):
+        if self.rounds is not None and (
+            not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 1
+        ):
             raise ValidationError(f"rounds must be an integer >= 1, got {self.rounds!r}")
 
     @classmethod
@@ -419,7 +418,7 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
     rho = float(rho)
     if not (0.0 <= rho < MAX_DENSITY):
         raise ValidationError(f"rho must lie in [0, {MAX_DENSITY:.6g}), got {rho}")
-    if not isinstance(trials, int) or trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     info_scale = n * T * rho
     comp_scale = n * math.sqrt(T) * rho

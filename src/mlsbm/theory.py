@@ -13,6 +13,13 @@ routes so tests can cross-check them:
   small combinatorial identities (a signed convolution identity and a
   hypergeometric tail bound) used by the analysis.
 
+The four brute-force oracles share one enumeration core: a parity table of
+(sigma_i + sigma_j + tau_t) mod 2 over balanced labellings x slots, one
+chunked pass over all 2^slots adjacency tensors (chi-square and projection),
+and one guard that refuses oversized tables before allocating them. The
+exact routes (closed forms, and `_lambda_table`'s parity-class counts) stay
+independent of that core.
+
 All heavy weights are computed in log-space with log-sum-exp accumulation;
 the only signed quantity (the per-subset expectation) handles its sign
 separately from its magnitude.
@@ -23,18 +30,32 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BoundInapplicableError, SizeGuardError, ValidationError
-from .model import MAX_DENSITY, Assignment, _check_even, _check_rho, enumerate_assignments
+from .model import (
+    Assignment,
+    MlsbmParams,
+    _as_bits,
+    _check_even,
+    _check_rho,
+    _check_size,
+    enumerate_assignments,
+)
 
 # Hard enumeration caps (errors, never silent truncation).
 TENSOR_GUARD_SLOTS = 24
 SUBSET_GUARD = 10**7
+# Cells an oracle's parity table (labellings x slots) and its likelihood
+# table (2^slots tensors x labellings) may hold, checked before allocation.
+_TABLE_GUARD_CELLS = 1 << 27
+# Tensors per likelihood chunk, and its tensors x labellings cap.
+_CHUNK_TENSORS = 1 << 15
+_CHUNK_CELLS = 1 << 20
 
 Slot = tuple[int, int, int]
 
@@ -98,9 +119,7 @@ def chi_square_closed_form(n: int, T: int, rho: float) -> ChiSquareReport:
     the `mixed` base, with multiplicities C(n-2c,2)+C(2c,2) and 2c(n-2c) per
     layer. The result does not depend on the layer types at all.
     """
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    rho = _check_rho(rho)
+    n, T, rho = astuple(MlsbmParams(n, T, rho))
     log_same, log_mixed = (math.log(b) for b in _chi_square_bases(rho))
     log_total = _log_comb(n, n // 2)
     terms = []
@@ -129,9 +148,7 @@ def chi_square_relaxed_bound(n: int, T: int, rho: float) -> float:
     vanishing-density regime (extreme overlaps negligible) but can dip
     below it at moderate density. Exposed for comparison only; the closed
     form above is exact."""
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    rho = _check_rho(rho)
+    n, T, rho = astuple(MlsbmParams(n, T, rho))
     log_same, log_mixed = (math.log(b) for b in _chi_square_bases(rho))
     log_total = _log_comb(n, n // 2)
     pair_count = math.comb(n, 2) * T
@@ -147,19 +164,9 @@ def chi_square_relaxed_bound(n: int, T: int, rho: float) -> float:
     return math.expm1(_logsumexp(terms))
 
 
-def _tau_bits(tau, T: int) -> tuple[int, ...]:
-    if isinstance(tau, Assignment):
-        bits = tau.labels
-    else:
-        try:
-            bits = tuple(int(b) for b in tau)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("tau must be an Assignment or a bit sequence") from exc
-    if any(b not in (0, 1) for b in bits):
-        raise ValidationError("tau entries must all be 0 or 1")
-    if len(bits) != T:
-        raise ValidationError(f"tau has {len(bits)} entries but T={T}")
-    return bits
+# ---------------------------------------------------------------------------
+# enumeration core shared by the brute-force oracles
+# ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
@@ -169,54 +176,78 @@ def _slot_list(n: int, T: int) -> tuple[Slot, ...]:
     return tuple((i, j, t) for t in range(1, T + 1) for (i, j) in pairs)
 
 
+def _parity_table(name: str, n: int, T: int, slots: Sequence[Slot],
+                  tau: Optional[Sequence[int]] = None, tensors: bool = False) -> np.ndarray:
+    """(labellings x slots) int8 table of (sigma_i + sigma_j + tau_t) mod 2.
+
+    Rows run over balanced sigma in `enumerate_assignments` order for a fixed
+    tau, else sigma-major over balanced (sigma, tau). The guard counts this
+    table's cells and, with `tensors`, the 2^slots x labellings likelihood
+    cells, and refuses before any labelling is built.
+    """
+    n_slots = len(slots)
+    if tensors and n_slots > TENSOR_GUARD_SLOTS:
+        raise SizeGuardError(f"{name} is capped at {TENSOR_GUARD_SLOTS} slots, got {n_slots}")
+    labellings = math.comb(n, n // 2) * (1 if tau is not None else math.comb(T, T // 2))
+    cells = max(labellings * max(n_slots, 1), labellings << n_slots if tensors else 0)
+    if cells > _TABLE_GUARD_CELLS:
+        raise SizeGuardError(f"{name} needs {cells} table cells > {_TABLE_GUARD_CELLS}")
+    i, j, t = np.array(slots, dtype=np.int64).reshape(-1, 3).T - 1
+    sigmas = np.array([s.labels for s in enumerate_assignments(n)], dtype=np.int8)
+    node_part = sigmas[:, i] + sigmas[:, j]
+    if tau is not None:
+        table = node_part + np.asarray(tau, dtype=np.int8)[t]
+    else:
+        taus = np.array([s.labels for s in enumerate_assignments(T)], dtype=np.int8)
+        table = (node_part[:, None, :] + taus[None, :, t]).reshape(labellings, n_slots)
+    table %= 2
+    return table
+
+
+def _tensor_chunks(parity: np.ndarray, rho: float):
+    """Every adjacency tensor over the parity table's slots, in code order.
+
+    Yields (bits, log P1, log P0) per chunk: the tensors' 0/1 entries, their
+    log-likelihood averaged over the table's labellings (3*rho/2 on even
+    parity, rho/2 on odd) and under the null model. `bits` is a view of one
+    buffer that the next chunk overwrites.
+    """
+    labellings, n_slots = parity.shape
+    probs = np.where(parity == 0, 1.5 * rho, 0.5 * rho)
+    log_p = np.log(probs)
+    log_q = np.log1p(-probs)
+    chunk = max(1, min(_CHUNK_TENSORS, _CHUNK_CELLS // labellings, 1 << n_slots))
+    exponents = np.arange(n_slots, dtype=np.uint32)
+    buffer = np.empty((chunk, n_slots))
+    for start in range(0, 1 << n_slots, chunk):
+        codes = np.arange(start, min(start + chunk, 1 << n_slots), dtype=np.uint32)
+        bits = buffer[: len(codes)]
+        np.copyto(bits, (codes[:, None] >> exponents[None, :]) & 1)
+        log_like = bits @ log_p.T + (1.0 - bits) @ log_q.T
+        top = log_like.max(axis=1)
+        log_p1 = top + np.log(np.exp(log_like - top[:, None]).sum(axis=1)) - math.log(labellings)
+        edges = bits.sum(axis=1)
+        yield bits, log_p1, edges * math.log(rho) + (n_slots - edges) * math.log1p(-rho)
+
+
 def chi_square_bruteforce(n: int, T: int, rho: float, tau) -> float:
     """Chi-square divergence by enumerating every adjacency tensor.
 
     tau may be any bit sequence of length T (the divergence is conditional on
     the layer types); only the node labelling is averaged. Guarded at
-    binom(n,2)*T <= 24 slots.
+    binom(n,2)*T <= 24 slots by the enumeration core.
     """
-    n = _check_even(n, "n", 2)
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValidationError(f"T must be an integer >= 1, got {T!r}")
-    T = int(T)
-    rho = _check_rho(rho)
-    tau = _tau_bits(tau, T)
-    slots = _slot_list(n, T)
-    n_slots = len(slots)
-    if n_slots > TENSOR_GUARD_SLOTS:
-        raise SizeGuardError(
-            f"chi_square_bruteforce is capped at {TENSOR_GUARD_SLOTS} slots, got {n_slots}"
-        )
-    sigmas = enumerate_assignments(n)
-    probs = np.empty((len(sigmas), n_slots), dtype=np.float64)
-    for row, sigma in enumerate(sigmas):
-        lab = sigma.labels
-        for col, (i, j, t) in enumerate(slots):
-            parity = (lab[i - 1] + lab[j - 1] + tau[t - 1]) % 2
-            probs[row, col] = 1.5 * rho if parity == 0 else 0.5 * rho
-    log_p = np.log(probs)
-    log_q = np.log1p(-probs)
-    log_rho = math.log(rho)
-    log_1m_rho = math.log1p(-rho)
-    log_count = math.log(len(sigmas))
-
-    total_parts = []
-    chunk = 1 << 15
-    exponents = np.arange(n_slots, dtype=np.uint32)
-    for start in range(0, 1 << n_slots, chunk):
-        stop = min(start + chunk, 1 << n_slots)
-        codes = np.arange(start, stop, dtype=np.uint32)
-        bits = ((codes[:, None] >> exponents[None, :]) & 1).astype(np.float64)
-        log_like = bits @ log_p.T + (1.0 - bits) @ log_q.T
-        top = log_like.max(axis=1)
-        log_p1 = top + np.log(np.exp(log_like - top[:, None]).sum(axis=1)) - log_count
-        edges = bits.sum(axis=1)
-        log_p0 = edges * log_rho + (n_slots - edges) * log_1m_rho
-        # (P1 - P0)^2 / P0 = P0 * expm1(log P1 - log P0)^2: every term is
-        # non-negative, so no cancellation enters the sum
-        total_parts.append(float(np.sum(np.exp(log_p0) * np.expm1(log_p1 - log_p0) ** 2)))
-    return math.fsum(total_parts)
+    n, T, rho = _check_even(n, "n", 2), _check_size(T, "T", 1), _check_rho(rho)
+    tau = _as_bits(tau.labels if isinstance(tau, Assignment) else tau, "tau")
+    if len(tau) != T:
+        raise ValidationError(f"tau has {len(tau)} entries but T={T}")
+    parity = _parity_table("chi_square_bruteforce", n, T, _slot_list(n, T), tau, tensors=True)
+    # (P1 - P0)^2 / P0 = P0 * expm1(log P1 - log P0)^2: every term is
+    # non-negative, so no cancellation enters the sum
+    return math.fsum(
+        float(np.sum(np.exp(log_p0) * np.expm1(log_p1 - log_p0) ** 2))
+        for _, log_p1, log_p0 in _tensor_chunks(parity, rho)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +290,7 @@ def chi_alpha_expectation(alpha, n: int, T: int, rho: float) -> float:
     odd-appearance set sizes. The odd-appearance node set is always even
     because each slot contributes two node appearances.
     """
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    rho = _check_rho(rho)
+    n, T, rho = astuple(MlsbmParams(n, T, rho))
     alpha = _validate_alpha(alpha, n, T)
     u_size, v_size = _parity_sets(alpha)
     assert u_size % 2 == 0, "node parity set size must be even"
@@ -283,20 +312,11 @@ def chi_alpha_expectation_bruteforce(alpha, n: int, T: int, rho: float) -> float
     Computes the raw parity sum per slot (no parity-set shortcut), so this is
     an independent route for cross-checking the closed form.
     """
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    rho = _check_rho(rho)
+    n, T, rho = astuple(MlsbmParams(n, T, rho))
     alpha = _validate_alpha(alpha, n, T)
-    sign_total = 0
-    count = 0
-    for sigma in enumerate_assignments(n):
-        for tau in enumerate_assignments(T):
-            parity = sum(
-                sigma.labels[i - 1] + sigma.labels[j - 1] + tau.labels[t - 1]
-                for (i, j, t) in alpha
-            )
-            sign_total += -1 if parity % 2 else 1
-            count += 1
+    parity = _parity_table("chi_alpha_expectation_bruteforce", n, T, alpha)
+    count = len(parity)
+    sign_total = count - 2 * int(np.count_nonzero(np.bitwise_xor.reduce(parity, axis=1)))
     return kappa(rho) ** len(alpha) * sign_total / count
 
 
@@ -382,17 +402,12 @@ def lambda_count_enumerate(n: int, T: int, a: int, r: int, k: int) -> LambdaCoun
     """Exact size of the (a, r, k) parity class by subset enumeration."""
     n = _check_even(n, "n", 2)
     T = _check_even(T, "T", 2)
-    for name, v in (("a", a), ("r", r), ("k", k)):
-        if not isinstance(v, (int, np.integer)) or v < 0:
-            raise ValidationError(f"{name} must be a non-negative integer, got {v!r}")
-    if a < 1:
-        raise ValidationError(f"a must be >= 1, got {a}")
-    table, _, _ = _lambda_table(n, T, int(a))
-    exact = dict(table).get((int(r), int(k)), 0)
+    a, r, k = _check_size(a, "a", 1), _check_size(r, "r", 0), _check_size(k, "k", 0)
+    table, _, _ = _lambda_table(n, T, a)
     return LambdaCount(
-        n=n, T=T, a=int(a), r=int(r), k=int(k),
-        exact=exact,
-        upper_bound=lambda_count_bound(n, T, int(a), int(r), int(k)),
+        n=n, T=T, a=a, r=r, k=k,
+        exact=dict(table).get((r, k), 0),
+        upper_bound=lambda_count_bound(n, T, a, r, k),
     )
 
 
@@ -401,7 +416,7 @@ def lambda_count_partition(n: int, T: int, a: int) -> dict:
     odd-layer-parity count and the grand total (partition identity check)."""
     n = _check_even(n, "n", 2)
     T = _check_even(T, "T", 2)
-    table, odd_v, total = _lambda_table(n, T, int(a))
+    table, odd_v, total = _lambda_table(n, T, _check_size(a, "a", 1))
     return {"counts": dict(table), "odd_layer_parity": odd_v, "total_subsets": total}
 
 
@@ -415,10 +430,7 @@ def lambda_count_bound(
     on overflow. The bound is asymptotic in (n, T); at tiny sizes it can in
     principle be crossed, which callers log rather than fail.
     """
-    if a < 1:
-        raise ValidationError(f"a must be >= 1, got {a}")
-    if r < 0 or k < 0:
-        raise ValidationError("r and k must be >= 0")
+    a, r, k = _check_size(a, "a", 1), _check_size(r, "r", 0), _check_size(k, "k", 0)
     if 2 * r > n or 2 * k > T:
         return 0.0
     power_term = float(a) * math.log(a) if strengthened else (4.0 * a / 3.0) * math.log(a)
@@ -457,14 +469,11 @@ def ldlr_norm_exact(n: int, T: int, rho: float, D: int) -> LdlrReport:
     count * [C(n/2,r) C(T/2,k) / (C(n,2r) C(T,2k))]^2; the squared
     denominators come from squaring the per-subset signed expectation.
     """
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    rho = _check_rho(rho)
-    if not isinstance(D, (int, np.integer)) or D < 1:
-        raise ValidationError(f"D must be an integer >= 1, got {D!r}")
+    n, T, rho = astuple(MlsbmParams(n, T, rho))
+    D = _check_size(D, "D", 1)
     kap = kappa(rho)
     terms = []
-    for a in range(1, int(D) + 1):
+    for a in range(1, D + 1):
         table, _, _ = _lambda_table(n, T, a)
         term = 0.0
         for (r, k), count in table:
@@ -476,7 +485,7 @@ def ldlr_norm_exact(n: int, T: int, rho: float, D: int) -> LdlrReport:
             term += count * ratio * ratio
         terms.append((a, kap ** (2 * a) * term))
     return LdlrReport(
-        degree=int(D),
+        degree=D,
         value=math.fsum(t for _, t in terms),
         per_a_terms=tuple(terms),
         kappa=kap,
@@ -490,31 +499,17 @@ def ldlr_norm_bruteforce(n: int, T: int, rho: float, D: int) -> float:
     (sigma, tau) average (never the closed form), making this a fully
     independent route.
     """
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    rho = _check_rho(rho)
-    if D < 1:
-        raise ValidationError(f"D must be an integer >= 1, got {D!r}")
-    slots = _slot_list(n, T)
-    n_slots = len(slots)
+    n, T, rho = astuple(MlsbmParams(n, T, rho))
+    D = _check_size(D, "D", 1)
     for a in range(1, D + 1):
         _check_subset_guard(n, T, a)
-    sigmas = enumerate_assignments(n)
-    taus = enumerate_assignments(T)
     # sign of each slot under each (sigma, tau): +1 on even parity
-    signs = np.empty((len(sigmas) * len(taus), n_slots), dtype=np.int8)
-    row = 0
-    for sigma in sigmas:
-        for tau in taus:
-            for col, (i, j, t) in enumerate(slots):
-                parity = (sigma.labels[i - 1] + sigma.labels[j - 1] + tau.labels[t - 1]) % 2
-                signs[row, col] = -1 if parity else 1
-            row += 1
+    signs = 1 - 2 * _parity_table("ldlr_norm_bruteforce", n, T, _slot_list(n, T))
     kap = kappa(rho)
     total = 0.0
     for a in range(1, D + 1):
         scale = kap ** (2 * a)
-        for combo in _colex_combinations(n_slots, a):
+        for combo in _colex_combinations(signs.shape[1], a):
             mean_sign = float(signs[:, combo].prod(axis=1, dtype=np.int64).mean())
             total += scale * mean_sign * mean_sign
     return total
@@ -523,54 +518,24 @@ def ldlr_norm_bruteforce(n: int, T: int, rho: float, D: int) -> float:
 def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
     """Norm by explicit likelihood projection over every adjacency tensor.
 
-    Builds the likelihood ratio L = P1/P0 pointwise on all 2^slots tensors,
-    computes each basis coefficient as the P0-expectation of L times the
-    standardized edge product, and sums the squares. Validates that the
-    standardized products really behave as an orthonormal basis.
+    Builds the likelihood ratio L = P1/P0 on all 2^slots tensors chunk by
+    chunk, adds up each basis coefficient (the P0-expectation of L times the
+    standardized edge product) across chunks, and sums the squares.
+    Validates that the standardized products behave as an orthonormal basis.
     """
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    rho = _check_rho(rho)
-    if D < 1:
-        raise ValidationError(f"D must be an integer >= 1, got {D!r}")
-    slots = _slot_list(n, T)
-    n_slots = len(slots)
-    if n_slots > TENSOR_GUARD_SLOTS:
-        raise SizeGuardError(
-            f"ldlr_projection_oracle is capped at {TENSOR_GUARD_SLOTS} slots, got {n_slots}"
-        )
+    n, T, rho = astuple(MlsbmParams(n, T, rho))
+    D = _check_size(D, "D", 1)
     for a in range(1, D + 1):
         _check_subset_guard(n, T, a)
-    sigmas = enumerate_assignments(n)
-    taus = enumerate_assignments(T)
-    probs = np.empty((len(sigmas) * len(taus), n_slots), dtype=np.float64)
-    row = 0
-    for sigma in sigmas:
-        for tau in taus:
-            for col, (i, j, t) in enumerate(slots):
-                parity = (sigma.labels[i - 1] + sigma.labels[j - 1] + tau.labels[t - 1]) % 2
-                probs[row, col] = 1.5 * rho if parity == 0 else 0.5 * rho
-            row += 1
-    log_p = np.log(probs)
-    log_q = np.log1p(-probs)
-    codes = np.arange(1 << n_slots, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(n_slots, dtype=np.uint32)[None, :]) & 1).astype(
-        np.float64
-    )
-    log_like = bits @ log_p.T + (1.0 - bits) @ log_q.T
-    top = log_like.max(axis=1)
-    p1 = np.exp(top) * np.exp(log_like - top[:, None]).sum(axis=1) / len(probs)
-    edges = bits.sum(axis=1)
-    p0 = np.exp(edges * math.log(rho) + (n_slots - edges) * math.log1p(-rho))
-    likelihood_ratio = p1 / p0
-    std = (bits - rho) / math.sqrt(rho * (1.0 - rho))
-    total = 0.0
-    for a in range(1, D + 1):
-        for combo in _colex_combinations(n_slots, a):
-            basis_vec = std[:, combo].prod(axis=1)
-            coeff = float(np.sum(p0 * likelihood_ratio * basis_vec))
-            total += coeff * coeff
-    return total
+    parity = _parity_table("ldlr_projection_oracle", n, T, _slot_list(n, T), tensors=True)
+    combos = [c for a in range(1, D + 1) for c in _colex_combinations(parity.shape[1], a)]
+    coeffs = np.zeros(len(combos))
+    for bits, log_p1, log_p0 in _tensor_chunks(parity, rho):
+        weight = np.exp(log_p0) * np.exp(log_p1 - log_p0)  # P0 times the likelihood ratio
+        std = (bits - rho) / math.sqrt(rho * (1.0 - rho))
+        for idx, combo in enumerate(combos):
+            coeffs[idx] += np.sum(weight * std[:, combo].prod(axis=1))
+    return float(np.sum(coeffs * coeffs))
 
 
 def ldlr_upper_bound(n: int, T: int, rho: float, D: int, strengthened: bool = False) -> float:
@@ -581,12 +546,7 @@ def ldlr_upper_bound(n: int, T: int, rho: float, D: int, strengthened: bool = Fa
     geometric-sum step behind the bound fails and the bound is inapplicable.
     rho = 0 is allowed here (the bound degenerates to 0).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValidationError(f"T must be a positive integer, got {T!r}")
-    if not isinstance(D, (int, np.integer)) or D < 1:
-        raise ValidationError(f"D must be an integer >= 1, got {D!r}")
+    n, T, D = _check_size(n, "n", 1), _check_size(T, "T", 1), _check_size(D, "D", 1)
     rho = float(rho)
     if rho < 0 or not math.isfinite(rho):
         raise ValidationError(f"rho must be a finite non-negative real, got {rho}")
@@ -604,21 +564,22 @@ def ldlr_upper_bound(n: int, T: int, rho: float, D: int, strengthened: bool = Fa
 # ---------------------------------------------------------------------------
 
 
+def _check_vandermonde(m, k) -> tuple[int, int]:
+    m, k = _check_size(m, "m", 1), _check_size(k, "k", 0)
+    if k > m:
+        raise ValidationError(f"k must satisfy 0 <= k <= m, got {k!r}")
+    return m, k
+
+
 def signed_vandermonde(m: int, k: int) -> int:
     """Direct evaluation of sum_i (-1)^i C(m,i) C(m,k-i), exact integers."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValidationError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(k, (int, np.integer)) or not (0 <= k <= m):
-        raise ValidationError(f"k must satisfy 0 <= k <= m, got {k!r}")
+    m, k = _check_vandermonde(m, k)
     return sum((-1) ** i * math.comb(m, i) * math.comb(m, k - i) for i in range(k + 1))
 
 
 def signed_vandermonde_closed_form(m: int, k: int) -> int:
     """Closed form: 0 for odd k, (-1)^{k/2} C(m, k/2) for even k."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValidationError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(k, (int, np.integer)) or not (0 <= k <= m):
-        raise ValidationError(f"k must satisfy 0 <= k <= m, got {k!r}")
+    m, k = _check_vandermonde(m, k)
     if k % 2 == 1:
         return 0
     return (-1) ** (k // 2) * math.comb(m, k // 2)
@@ -626,9 +587,7 @@ def signed_vandermonde_closed_form(m: int, k: int) -> int:
 
 def hypergeometric_cdf(N: int, K: int, m: int, x_max: int) -> Fraction:
     """Exact P(X <= x_max) for X ~ Hypergeometric(N, K, m), as a Fraction."""
-    for name, v in (("N", N), ("K", K), ("m", m)):
-        if not isinstance(v, (int, np.integer)) or v < 0:
-            raise ValidationError(f"{name} must be a non-negative integer, got {v!r}")
+    N, K, m = _check_size(N, "N", 0), _check_size(K, "K", 0), _check_size(m, "m", 0)
     if K > N or m > N:
         raise ValidationError("need K <= N and m <= N")
     lo = max(0, m - (N - K))
@@ -643,6 +602,7 @@ def hypergeometric_cdf(N: int, K: int, m: int, x_max: int) -> Fraction:
 
 def hypergeometric_tail_check(N: int, K: int, m: int, t: float) -> tuple[float, float]:
     """Exact lower-tail probability P(X <= (K/N - t) m) next to exp(-2 t^2 m)."""
+    N, K, m = _check_size(N, "N", 1), _check_size(K, "K", 0), _check_size(m, "m", 0)
     t = float(t)
     if not (0.0 < t < m * K / N):
         raise ValidationError(f"t must satisfy 0 < t < m*K/N = {m * K / N:.6g}, got {t}")

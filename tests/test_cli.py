@@ -202,6 +202,13 @@ def test_theory_chi2_small_case_passes(capsys):
     assert payload["closed_form"] == pytest.approx(payload["brute_force"], rel=1e-10)
 
 
+def test_theory_chi2_rejects_a_malformed_tau(capsys):
+    for tau in ("0a", "02", "011"):
+        code, _, err = run(capsys, "theory", "chi2", "--n", "4", "--T", "2",
+                           "--rho", "0.1", "--tau", tau)
+        assert code == 2 and err.startswith("error: tau ")
+
+
 def test_theory_chi2_skips_brute_force_past_the_guard(capsys):
     code, out, _ = run(capsys, "theory", "chi2",
                        "--n", "8", "--T", "4", "--rho", "0.1", "--json")
@@ -218,6 +225,20 @@ def test_theory_ldlr_degree_one_is_exactly_zero(capsys):
     assert payload["exact"] == 0.0
     assert payload["brute_force"] == pytest.approx(0.0, abs=1e-12)
     assert payload["agree"] is True
+
+
+def test_theory_ldlr_skips_the_projection_past_the_table_guard(capsys):
+    # 24 slots x 36 labellings: the projection would enumerate 2^24 x 36
+    # likelihood cells; the other two routes run
+    code, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "4",
+                       "--rho", "0.1", "--D", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["projection"] is None and payload["agree"] is True
+    assert payload["exact"] == payload["brute_force"] == 0.0
+    code, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "4",
+                       "--rho", "0.1", "--D", "1")
+    assert code == 0 and "projection skipped: ldlr_projection_oracle needs" in out
 
 
 def test_theory_lambda_partitions_and_guards(capsys):
@@ -364,10 +385,12 @@ def test_gap_demo_prints_summary_and_writes_records(tmp_path, capsys):
 
 
 def test_gap_demo_past_the_dense_cap_is_a_size_guard_refusal(capsys):
-    with pytest.warns(RuntimeWarning, match="not between the thresholds"):
-        code, _, err = run(capsys, "gap-demo", "--n", "4098", "--T", "2",
-                           "--rho", "1e-6", "--trials", "1")
-    assert code == 3 and "size guard" in err
+    code, _, err = run(capsys, "gap-demo", "--n", "4098", "--T", "2",
+                       "--rho", "1e-6", "--trials", "1")
+    assert code == 3
+    warning, refusal = err.splitlines()
+    assert warning.startswith("warning: gap demo parameters are not between the thresholds: ")
+    assert refusal.startswith("size guard")
 
 
 # ---------------------------------------------------------------------------

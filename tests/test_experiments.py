@@ -79,6 +79,26 @@ def test_config_rejects_empty_and_malformed():
         small_recovery_config(rounds=0)
 
 
+def test_config_cell_errors_name_the_cell():
+    with pytest.raises(ValidationError) as excinfo:
+        small_recovery_config(cells=((8, 4, 0.3), (7, 4, 0.3)))
+    assert str(excinfo.value) == "cell (7, 4, 0.3): n must be an even integer >= 2, got 7"
+    with pytest.raises(ValidationError, match=r"^cell \(8, 4, 0\.0\): rho must lie strictly"):
+        small_recovery_config(cells=((8, 4, 0.0),))
+    with pytest.raises(ValidationError, match=r"^cell \(8, True, 0\.3\): T must be an integer"):
+        small_recovery_config(cells=((8, True, 0.3),))
+    assert small_recovery_config(cells=((8, 4, 1 / 3),)).cells == ((8, 4, 1 / 3),)
+
+
+def test_bool_counts_are_rejected():
+    with pytest.raises(ValidationError, match="trials must be an integer >= 1, got True"):
+        small_recovery_config(trials=True)
+    with pytest.raises(ValidationError, match="rounds must be an integer >= 1, got True"):
+        small_recovery_config(kind="detection", methods=("shuffled-test",), rounds=True)
+    with pytest.raises(ValidationError, match="trials must be an integer >= 1, got True"):
+        run_gap_demo(4, 2, 0.1, True)
+
+
 def test_config_method_names_gated_by_kind():
     # recovery methods are rejected on detection configs and vice versa
     with pytest.raises(ValidationError):

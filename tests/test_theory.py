@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,9 @@ from mlsbm import (
     signed_vandermonde,
     signed_vandermonde_closed_form,
 )
-from mlsbm.theory import _colex_combinations
+from mlsbm import theory
+from mlsbm.model import edge_probability, enumerate_assignments
+from mlsbm.theory import _colex_combinations, _parity_table, _slot_list
 
 
 def logsumexp(values):
@@ -128,6 +132,71 @@ def test_chi_square_brute_force_guard_and_validation():
 def test_chi_square_tau_independence_exhaustive():
     values = [chi_square_bruteforce(4, 2, 0.3, tau) for tau in ((0, 1), (1, 0))]
     assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
+# ------------------------------------------------------- enumeration core
+
+
+@given(
+    n=st.sampled_from([2, 4, 6]),
+    T=st.sampled_from([2, 4]),
+    rho=st.floats(1e-3, 0.66),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_parity_table_cells_are_the_model_edge_probabilities(n, T, rho, data):
+    slots = _slot_list(n, T)
+    sigmas = [s.labels for s in enumerate_assignments(n)]
+    taus = [t.labels for t in enumerate_assignments(T)]
+    fixed_tau = tuple(data.draw(st.lists(st.integers(0, 1), min_size=T, max_size=T)))
+    layouts = (
+        (_parity_table("test", n, T, slots, fixed_tau), [(s, fixed_tau) for s in sigmas]),
+        (_parity_table("test", n, T, slots), [(s, t) for s in sigmas for t in taus]),
+    )
+    for table, rows in layouts:
+        assert table.shape == (len(rows), len(slots))
+        probs = np.where(table == 0, 1.5 * rho, 0.5 * rho)
+        for row, (sigma, tau) in zip(probs, rows):
+            expected = [
+                edge_probability(sigma[i - 1], sigma[j - 1], tau[t - 1], rho)
+                for i, j, t in slots
+            ]
+            assert row.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ldlr_projection_oracle(4, 4, 0.1, 1),  # 2^24 tensors x 36 labellings
+        lambda: ldlr_projection_oracle(2, 16, 0.1, 1),  # 2^16 tensors x 25740 labellings
+        lambda: chi_alpha_expectation_bruteforce([(1, 2, 1)], 20, 20, 0.1),  # 184756^2 rows
+    ],
+    ids=["projection-4-4", "projection-2-16", "alpha-20-20"],
+)
+def test_oracle_guard_refuses_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="table cells"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tensor_oracles_sum_across_uneven_chunks(monkeypatch):
+    # 4096 tensors in one chunk, then in chunks of 100 with a short last one
+    whole = (chi_square_bruteforce(4, 2, 0.3, (0, 1)), ldlr_projection_oracle(4, 2, 0.3, 2))
+    monkeypatch.setattr(theory, "_CHUNK_TENSORS", 100)
+    chunked = (chi_square_bruteforce(4, 2, 0.3, (0, 1)), ldlr_projection_oracle(4, 2, 0.3, 2))
+    for a, b in zip(whole, chunked):
+        assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_ldlr_routes_reject_a_float_degree():
+    for route in (ldlr_norm_exact, ldlr_norm_bruteforce, ldlr_projection_oracle, ldlr_upper_bound):
+        with pytest.raises(ValidationError, match="D must be an integer >= 1, got 2.0"):
+            route(4, 2, 0.01, 2.0)
 
 
 # -------------------------------------------------- Walsh-basis expectations
@@ -414,6 +483,8 @@ def test_hypergeometric_tail_validation():
         hypergeometric_tail_check(20, 10, 10, 0.0)
     with pytest.raises(ValidationError):
         hypergeometric_tail_check(20, 10, 10, 5.0)  # t == mK/N upper limit
+    with pytest.raises(ValidationError):
+        hypergeometric_tail_check(0, 0, 0, 0.1)  # no population to draw from
 
 
 @given(
