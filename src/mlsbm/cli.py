@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -94,23 +93,23 @@ def _cmd_theory_chi2(args) -> int:
     closed = theory.chi_square_closed_form(args.n, args.T, args.rho)
     lines = [f"closed form: {closed.value!r}"]
     payload: dict = {"closed_form": closed.value, "per_c_log_terms": list(closed.per_c_terms)}
-    slots = math.comb(args.n, 2) * args.T
+    half = args.T // 2
+    # the balanced split by default, drawn lazily: the guard may refuse T first
+    tau = args.tau or (int(t >= half) for t in range(args.T))
     status = 0
-    if slots <= theory.TENSOR_GUARD_SLOTS:
-        tau = args.tau if args.tau else "0" * (args.T // 2) + "1" * (args.T - args.T // 2)
+    try:
         brute = theory.chi_square_bruteforce(args.n, args.T, args.rho, tau)
+    except SizeGuardError as exc:
+        lines.append(f"brute force skipped: {exc}")
+        payload["brute_force"] = None
+    else:
+        tau = args.tau or "0" * half + "1" * (args.T - half)
         agree = _rel_close(closed.value, brute, _REL_TOL_CHI2)
         lines.append(f"brute force (tau={tau}): {brute!r}")
         lines.append("PASS: closed form matches brute force" if agree
                      else "FAIL: closed form disagrees with brute force")
         payload.update({"brute_force": brute, "tau": tau, "agree": agree})
-        if not agree:
-            status = 1
-    else:
-        lines.append(
-            f"brute force skipped: {slots} slots exceed the {theory.TENSOR_GUARD_SLOTS}-slot guard"
-        )
-        payload["brute_force"] = None
+        status = 0 if agree else 1
     _emit(args, payload, lines)
     return status
 
@@ -249,16 +248,15 @@ def _cmd_sweep(args) -> int:
         records, out, config, overwrite=args.force, include_timing=args.timing
     )
     if config.kind == "recovery":
-        for ci, (n, T, rho) in enumerate(config.cells):
-            cell = experiments._cell_id(n, T, rho)
-            for method in config.methods:
-                losses = [
-                    r.loss for r in records
-                    if r.cell == cell and r.method == method and r.loss is not None
-                ]
-                mean = sum(losses) / len(losses) if losses else float("nan")
-                print(f"cell {cell} method {method}: mean loss {mean:.4f} "
-                      f"({len(losses)}/{config.trials} trials)")
+        losses: dict[tuple[str, str], list[float]] = {}
+        for r in records:
+            cell_losses = losses.setdefault((r.cell, r.method), [])
+            if r.loss is not None:
+                cell_losses.append(r.loss)
+        for (cell, method), cell_losses in losses.items():
+            mean = sum(cell_losses) / len(cell_losses) if cell_losses else float("nan")
+            print(f"cell {cell} method {method}: mean loss {mean:.4f} "
+                  f"({len(cell_losses)}/{config.trials} trials)")
     else:
         risks = experiments.detection_risk_by_cell(records)
         for (cell, method), risk in sorted(risks.items()):

@@ -19,7 +19,7 @@ import statistics
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,7 +31,8 @@ from .model import (
     Assignment,
     MlsbmParams,
     MultiLayerGraph,
-    PlantedInstance,
+    _check_even,
+    _check_size,
     sample_null,
     sample_planted,
     sample_planted_empty,
@@ -44,7 +45,7 @@ from .recovery import (
     mle_local_search_multistart,
     oracle_tau_spectral,
 )
-from .seeding import derive_seed
+from .seeding import _check_seed, derive_seed
 
 CSV_COLUMNS = (
     "cell",
@@ -113,10 +114,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("recovery", "detection"):
             raise ValidationError(f"kind must be 'recovery' or 'detection', got {self.kind!r}")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.base_seed, int) or self.base_seed < 0:
-            raise ValidationError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
+        object.__setattr__(self, "trials", _check_size(self.trials, "trials", 1))
+        object.__setattr__(self, "base_seed", _check_seed(self.base_seed, "base_seed"))
         cells = []
         if not self.cells:
             raise ValidationError("config needs at least one (n, T, rho) cell")
@@ -129,7 +128,10 @@ class ExperimentConfig:
                 params = MlsbmParams(n=n, T=T, rho=rho)
             except ValidationError as exc:
                 raise ValidationError(f"cell {cell!r}: {exc}") from exc
-            cells.append((params.n, params.T, params.rho))
+            normalized = astuple(params)
+            if normalized in cells:
+                raise ValidationError(f"cell {cell!r} repeats cell {_cell_id(*normalized)}")
+            cells.append(normalized)
         object.__setattr__(self, "cells", tuple(cells))
         methods = tuple(self.methods)
         if not methods:
@@ -141,10 +143,8 @@ class ExperimentConfig:
                     f"unknown {self.kind} method {method!r}; valid: {sorted(valid)}"
                 )
         object.__setattr__(self, "methods", methods)
-        if self.rounds is not None and (
-            not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 1
-        ):
-            raise ValidationError(f"rounds must be an integer >= 1, got {self.rounds!r}")
+        if self.rounds is not None:
+            object.__setattr__(self, "rounds", _check_size(self.rounds, "rounds", 1))
 
     @classmethod
     def from_exponents(
@@ -266,45 +266,53 @@ def _run_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]]) -> lis
     return records
 
 
-def _recovery_record(
-    method: str,
-    instance: PlantedInstance,
-    cell: str,
-    rho: float,
-    trial: int,
-    seed: int,
-    *,
-    size_guard_is_degenerate: bool = False,
-) -> TrialRecord:
-    """Time one recovery method on a planted instance and score it as a row.
+def _timed_rows(methods: Sequence[str], score: Callable[[str], tuple], cell: str,
+                n: int, T: int, rho: float, trial: int, seed: int) -> list[TrialRecord]:
+    """A timed study row per method from score(method) = (loss, decision, objective, degenerate)."""
+    rows = []
+    for method in methods:
+        start = time.perf_counter()
+        loss, decision, objective, degenerate = score(method)
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        rows.append(TrialRecord(
+            cell=cell, n=n, T=T, rho=rho, method=method, trial=trial, seed=seed, loss=loss,
+            decision=decision, objective=objective, wall_time_ms=elapsed_ms, degenerate=degenerate,
+        ))
+    return rows
 
-    With size_guard_is_degenerate, a method refusing the instance's size is
+
+def _run_recovery(cells: Sequence[tuple[int, int, float]], methods: Sequence[str], trials: int,
+                  base_seed: int, cell_prefix: str,
+                  size_guard_is_degenerate: bool) -> list[TrialRecord]:
+    """Score every recovery method on one planted instance per (cell, trial) unit.
+
+    rho = 0 plants sigma and tau over empty layers. With
+    size_guard_is_degenerate, a method refusing the instance's size is
     recorded as degenerate with an empty loss; otherwise the refusal propagates.
     """
-    start = time.perf_counter()
-    try:
-        result = RECOVERY_RUNNERS[method](instance.graph, instance.tau)
-        loss = hamming_loss(result.sigma_hat, instance.sigma).value
-        objective, degenerate = result.objective, result.degenerate
-    except SizeGuardError:
-        if not size_guard_is_degenerate:
-            raise
-        loss, objective, degenerate = None, None, True
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    return TrialRecord(
-        cell=cell,
-        n=instance.graph.n,
-        T=instance.graph.T,
-        rho=rho,
-        method=method,
-        trial=trial,
-        seed=seed,
-        loss=loss,
-        decision=None,
-        objective=objective,
-        wall_time_ms=elapsed_ms,
-        degenerate=degenerate,
-    )
+
+    def unit(u: int) -> list[TrialRecord]:
+        ci, ti = divmod(u, trials)
+        n, T, rho = cells[ci]
+        seed = derive_seed(base_seed, ci, ti, _SEED_INSTANCE)
+        if rho == 0.0:
+            instance = sample_planted_empty(n, T, seed)
+        else:
+            instance = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed)
+
+        def score(method: str) -> tuple:
+            try:
+                result = RECOVERY_RUNNERS[method](instance.graph, instance.tau)
+            except SizeGuardError:
+                if not size_guard_is_degenerate:
+                    raise
+                return None, None, None, True
+            loss = hamming_loss(result.sigma_hat, instance.sigma).value
+            return loss, None, result.objective, result.degenerate
+
+        return _timed_rows(methods, score, cell_prefix + _cell_id(n, T, rho), n, T, rho, ti, seed)
+
+    return _run_units(len(cells) * trials, unit)
 
 
 def run_phase_diagram(config: ExperimentConfig) -> list[TrialRecord]:
@@ -316,22 +324,8 @@ def run_phase_diagram(config: ExperimentConfig) -> list[TrialRecord]:
     """
     if config.kind != "recovery":
         raise ValidationError(f"run_phase_diagram needs kind='recovery', got {config.kind!r}")
-    n_cells = len(config.cells)
-
-    def unit(u: int) -> list[TrialRecord]:
-        ci, ti = divmod(u, config.trials)
-        n, T, rho = config.cells[ci]
-        seed = derive_seed(config.base_seed, ci, ti, _SEED_INSTANCE)
-        instance = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed)
-        return [
-            _recovery_record(
-                method, instance, _cell_id(n, T, rho), rho, ti, seed,
-                size_guard_is_degenerate=True,
-            )
-            for method in config.methods
-        ]
-
-    return _run_units(n_cells * config.trials, unit)
+    return _run_recovery(config.cells, config.methods, config.trials, config.base_seed,
+                         cell_prefix="", size_guard_is_degenerate=True)
 
 
 def run_detection_sweep(config: ExperimentConfig) -> list[TrialRecord]:
@@ -363,26 +357,13 @@ def run_detection_sweep(config: ExperimentConfig) -> list[TrialRecord]:
             else:
                 graph = sample_null(params, seed)
             shuffle_seed = derive_seed(config.base_seed, ci, ti, shuffle_tag)
-            for method in config.methods:
-                start = time.perf_counter()
+
+            def score(method: str) -> tuple:
                 outcome = DETECTION_RUNNERS[method](graph, config.rounds, shuffle_seed)
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                out.append(
-                    TrialRecord(
-                        cell=f"{_cell_id(n, T, rho)}|{arm}",
-                        n=n,
-                        T=T,
-                        rho=rho,
-                        method=method,
-                        trial=ti,
-                        seed=seed,
-                        loss=None,
-                        decision=outcome.decision,
-                        objective=None,
-                        wall_time_ms=elapsed_ms,
-                        degenerate=False,
-                    )
-                )
+                return None, outcome.decision, None, False
+
+            cell = f"{_cell_id(n, T, rho)}|{arm}"
+            out += _timed_rows(config.methods, score, cell, n, T, rho, ti, seed)
         return out
 
     return _run_units(len(config.cells) * config.trials, unit)
@@ -412,14 +393,10 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
     and yields empty graphs: both methods flag degenerate and the gap is
     reported undefined.
     """
-    n, T = int(n), int(T)
-    if n < 4 or n % 2 != 0 or T < 2 or T % 2 != 0:
-        raise ValidationError(f"run_gap_demo needs even n >= 4 and even T >= 2, got {n}, {T}")
-    rho = float(rho)
+    n, T, rho = _check_even(n, "n", 4), _check_even(T, "T", 2), float(rho)
     if not (0.0 <= rho < MAX_DENSITY):
         raise ValidationError(f"rho must lie in [0, {MAX_DENSITY:.6g}), got {rho}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _check_size(trials, "trials", 1)
     info_scale = n * T * rho
     comp_scale = n * math.sqrt(T) * rho
     between = info_scale >= 10.0 and comp_scale <= 3.0
@@ -432,33 +409,19 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
             stacklevel=2,
         )
 
-    def unit(ti: int) -> list[TrialRecord]:
-        seed = derive_seed(base_seed, 0, ti, _SEED_INSTANCE)
-        if rho == 0.0:
-            instance = sample_planted_empty(n, T, seed)
-        else:
-            instance = sample_planted(MlsbmParams(n=n, T=T, rho=rho), seed)
-        return [
-            _recovery_record(method, instance, f"gap-{_cell_id(n, T, rho)}", rho, ti, seed)
-            for method in ("oracle-tau-spectral", "bias-adjusted-spectral")
-        ]
-
-    records = _run_units(trials, unit)
+    records = _run_recovery(((n, T, rho),), ("oracle-tau-spectral", "bias-adjusted-spectral"),
+                            trials, base_seed, cell_prefix="gap-", size_guard_is_degenerate=False)
     oracle = [r for r in records if r.method == "oracle-tau-spectral"]
     spectral = [r for r in records if r.method == "bias-adjusted-spectral"]
-    paired = [
-        (o.loss, s.loss)
-        for o, s in zip(oracle, spectral)
-        if not o.degenerate and not s.degenerate
-    ]
-    degenerate_trials = trials - len(paired)
+    paired = [(o.loss, s.loss) for o, s in zip(oracle, spectral)
+              if not o.degenerate and not s.degenerate]
     summary: dict = {
         "n": n,
         "T": T,
         "rho": rho,
         "trials": trials,
         "between_thresholds": between,
-        "degenerate_trials": degenerate_trials,
+        "degenerate_trials": trials - len(paired),
         "oracle_losses": [r.loss for r in oracle],
         "spectral_losses": [r.loss for r in spectral],
         "gap_defined": bool(paired),

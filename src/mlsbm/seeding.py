@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import SizeGuardError, ValidationError
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
 # (numpy/random/bit_generator.pyx, pcg64.h). _bulk_substreams checks its
@@ -43,6 +43,13 @@ _STATE_BLOCK = 4096
 MAX_SUBSTREAMS = 2**32
 
 
+def _check_seed(seed, name: str = "seed") -> int:
+    """The seed as an int; every seed passes here before it reaches numpy."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator addressed by (seed, path).
 
@@ -53,7 +60,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     path : int
         Substream coordinates (e.g. a stream tag plus a layer index).
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -63,7 +70,7 @@ def derive_seed(seed: int, *path: int) -> int:
     Used where a component needs its own base seed (per-trial instances,
     per-round shuffles) rather than a generator.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1))
 
 
@@ -163,7 +170,7 @@ def _bulk_substreams(seed: int, tag: int, count: int):
     and `_reseed_each` moves it to any t. Refuses count > 2**32 before it
     allocates anything.
     """
-    seed, tag, count = int(seed), int(tag), int(count)
+    seed, tag, count = _check_seed(seed), int(tag), int(count)
     _check_substream_count(count)
     pool, hash_a = _mixing_point(seed, tag)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag, 0))))

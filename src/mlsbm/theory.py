@@ -176,22 +176,28 @@ def _slot_list(n: int, T: int) -> tuple[Slot, ...]:
     return tuple((i, j, t) for t in range(1, T + 1) for (i, j) in pairs)
 
 
-def _parity_table(name: str, n: int, T: int, slots: Sequence[Slot],
-                  tau: Optional[Sequence[int]] = None, tensors: bool = False) -> np.ndarray:
+def _parity_table(name: str, n: int, T: int, slots: Optional[Sequence[Slot]] = None,
+                  tau=None, tensors: bool = False) -> np.ndarray:
     """(labellings x slots) int8 table of (sigma_i + sigma_j + tau_t) mod 2.
 
     Rows run over balanced sigma in `enumerate_assignments` order for a fixed
-    tau, else sigma-major over balanced (sigma, tau). The guard counts this
+    tau (T bits, or an Assignment), else sigma-major over balanced (sigma,
+    tau). `slots` defaults to every slot of (n, T). The guard counts this
     table's cells and, with `tensors`, the 2^slots x labellings likelihood
-    cells, and refuses before any labelling is built.
+    cells, and refuses before the slots, tau or any labelling is built.
     """
-    n_slots = len(slots)
+    n_slots = math.comb(n, 2) * T if slots is None else len(slots)
     if tensors and n_slots > TENSOR_GUARD_SLOTS:
         raise SizeGuardError(f"{name} is capped at {TENSOR_GUARD_SLOTS} slots, got {n_slots}")
     labellings = math.comb(n, n // 2) * (1 if tau is not None else math.comb(T, T // 2))
     cells = max(labellings * max(n_slots, 1), labellings << n_slots if tensors else 0)
     if cells > _TABLE_GUARD_CELLS:
         raise SizeGuardError(f"{name} needs {cells} table cells > {_TABLE_GUARD_CELLS}")
+    if tau is not None:
+        tau = _as_bits(tau.labels if isinstance(tau, Assignment) else tau, "tau")
+        if len(tau) != T:
+            raise ValidationError(f"tau has {len(tau)} entries but T={T}")
+    slots = _slot_list(n, T) if slots is None else slots
     i, j, t = np.array(slots, dtype=np.int64).reshape(-1, 3).T - 1
     sigmas = np.array([s.labels for s in enumerate_assignments(n)], dtype=np.int8)
     node_part = sigmas[:, i] + sigmas[:, j]
@@ -238,10 +244,7 @@ def chi_square_bruteforce(n: int, T: int, rho: float, tau) -> float:
     binom(n,2)*T <= 24 slots by the enumeration core.
     """
     n, T, rho = _check_even(n, "n", 2), _check_size(T, "T", 1), _check_rho(rho)
-    tau = _as_bits(tau.labels if isinstance(tau, Assignment) else tau, "tau")
-    if len(tau) != T:
-        raise ValidationError(f"tau has {len(tau)} entries but T={T}")
-    parity = _parity_table("chi_square_bruteforce", n, T, _slot_list(n, T), tau, tensors=True)
+    parity = _parity_table("chi_square_bruteforce", n, T, tau=tau, tensors=True)
     # (P1 - P0)^2 / P0 = P0 * expm1(log P1 - log P0)^2: every term is
     # non-negative, so no cancellation enters the sum
     return math.fsum(
@@ -351,6 +354,11 @@ def _check_subset_guard(n: int, T: int, a: int) -> int:
             f"subset enumeration needs binom({n_slots}, {a}) = {total} > {SUBSET_GUARD}"
         )
     return n_slots
+
+
+def _subset_sizes(n: int, T: int, D: int) -> range:
+    """Subset sizes 1..D, stopped at binom(n,2)*T: no slot subset is larger."""
+    return range(1, min(D, math.comb(n, 2) * T) + 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -473,7 +481,7 @@ def ldlr_norm_exact(n: int, T: int, rho: float, D: int) -> LdlrReport:
     D = _check_size(D, "D", 1)
     kap = kappa(rho)
     terms = []
-    for a in range(1, D + 1):
+    for a in _subset_sizes(n, T, D):
         table, _, _ = _lambda_table(n, T, a)
         term = 0.0
         for (r, k), count in table:
@@ -500,14 +508,14 @@ def ldlr_norm_bruteforce(n: int, T: int, rho: float, D: int) -> float:
     independent route.
     """
     n, T, rho = astuple(MlsbmParams(n, T, rho))
-    D = _check_size(D, "D", 1)
-    for a in range(1, D + 1):
+    sizes = _subset_sizes(n, T, _check_size(D, "D", 1))
+    for a in sizes:
         _check_subset_guard(n, T, a)
     # sign of each slot under each (sigma, tau): +1 on even parity
-    signs = 1 - 2 * _parity_table("ldlr_norm_bruteforce", n, T, _slot_list(n, T))
+    signs = 1 - 2 * _parity_table("ldlr_norm_bruteforce", n, T)
     kap = kappa(rho)
     total = 0.0
-    for a in range(1, D + 1):
+    for a in sizes:
         scale = kap ** (2 * a)
         for combo in _colex_combinations(signs.shape[1], a):
             mean_sign = float(signs[:, combo].prod(axis=1, dtype=np.int64).mean())
@@ -524,11 +532,11 @@ def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
     Validates that the standardized products behave as an orthonormal basis.
     """
     n, T, rho = astuple(MlsbmParams(n, T, rho))
-    D = _check_size(D, "D", 1)
-    for a in range(1, D + 1):
+    sizes = _subset_sizes(n, T, _check_size(D, "D", 1))
+    for a in sizes:
         _check_subset_guard(n, T, a)
-    parity = _parity_table("ldlr_projection_oracle", n, T, _slot_list(n, T), tensors=True)
-    combos = [c for a in range(1, D + 1) for c in _colex_combinations(parity.shape[1], a)]
+    parity = _parity_table("ldlr_projection_oracle", n, T, tensors=True)
+    combos = [c for a in sizes for c in _colex_combinations(parity.shape[1], a)]
     coeffs = np.zeros(len(combos))
     for bits, log_p1, log_p0 in _tensor_chunks(parity, rho):
         weight = np.exp(log_p0) * np.exp(log_p1 - log_p0)  # P0 times the likelihood ratio

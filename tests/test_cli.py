@@ -1,6 +1,8 @@
 """End-to-end command-line checks, run in process through main(argv)."""
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -217,6 +219,27 @@ def test_theory_chi2_skips_brute_force_past_the_guard(capsys):
     assert payload["brute_force"] is None
 
 
+def test_theory_chi2_reports_the_oracle_guard_and_builds_no_default_tau(capsys):
+    # 2 slots per layer x 10^7 layers: the default tau would be a 10 MB string
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "theory", "chi2",
+                           "--n", "2", "--T", "10000000", "--rho", "1e-4")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1 << 20
+    assert "brute force skipped: chi_square_bruteforce is capped at 24 slots" in out
+
+
+def test_theory_ldlr_degree_past_the_slot_count_exits_zero(capsys):
+    code, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
+                       "--rho", "0.1", "--D", "1000000000", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"] is True and len(payload["per_a_terms"]) == 12
+
+
 def test_theory_ldlr_degree_one_is_exactly_zero(capsys):
     code, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
                        "--rho", "0.2", "--D", "1", "--json")
@@ -369,6 +392,98 @@ def test_sweep_on_an_exponent_grid_matches_the_library_phase_diagram(tmp_path, c
     assert out_csv.read_bytes() == library_csv.read_bytes()
     sidecar = json.loads((tmp_path / "ray.csv.config.json").read_text())
     assert sidecar == expected.to_json_dict()
+
+
+def test_sweep_refuses_a_repeated_cell_before_running(tmp_path, capsys):
+    for cells in ("cells = 8:4:0.3, 8:4:0.30", "n_values = 8, 8\na = 0.5\nb = 0.5"):
+        config = tmp_path / "dup.cfg"
+        config.write_text(f"kind = recovery\n{cells}\ntrials = 1\n")
+        code, out, err = run(capsys, "sweep", "--config", str(config),
+                             "--out", str(tmp_path / "dup.csv"))
+        assert code == 2 and "repeats cell n8-T4-rho" in err and out == ""
+        assert not (tmp_path / "dup.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--n", "8", "--T", "4", "--rho", "0.1", "--seed", "-1", "--out", "g.edges"),
+        ("recover", "--n", "8", "--T", "4", "--rho", "0.1", "--seed", "-1",
+         "--method", "sum-spectral"),
+        ("gap-demo", "--n", "8", "--T", "4", "--rho", "0.1", "--seed", "-1", "--trials", "1"),
+        ("detect", "--n", "8", "--T", "4", "--rho", "0.1", "--shuffle-seed", "-1",
+         "--method", "shuffled-test"),
+    ],
+    ids=["generate", "recover", "gap-demo", "detect-shuffle"],
+)
+def test_negative_seeds_are_validation_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[-1] == "error: seed must be a non-negative integer, got -1"
+
+
+# sha256 of each study's CSV, config sidecar and stdout, recorded before the
+# three studies shared one recovery unit and one row builder.
+GOLDEN_STUDIES = {
+    "rec": (
+        ("sweep", "--config", "rec.cfg"),
+        {
+            "stdout": "0f29a739484918f9a9c73d4a8aa0f91b002dab04a0044f7be09366e905a40c6e",
+            "csv": "7cc9fb7aec34d89f5609b9a37b695cdf07acfc38b173f8b7c26829b25d47d270",
+            "sidecar": "d78cbf4d7a8ea5d14ff8bf8679a9b68e32af41d209e4671469e232fc96a6aa74",
+        },
+    ),
+    "det": (
+        ("sweep", "--config", "det.cfg", "--out", "det.csv"),
+        {
+            "stdout": "571ba18adc60b4a359c43b418fc7ba57fb57427de93a88947a6e3371dd3f591c",
+            "csv": "09e22a8d72455eff794dce79b1b15ee3f41b895ec7626e6cf646b4a6221d7163",
+            "sidecar": "b95fd7b0fcd3cb22214b4679cd8946e77d09253d4ffe9d1e0c22e577169c72dd",
+        },
+    ),
+    "gap": (
+        ("gap-demo", "--n", "8", "--T", "4", "--rho", "0.1", "--trials", "3",
+         "--seed", "3", "--out", "gap.csv"),
+        {
+            "stdout": "567d12f6140b144f48aad9f234571e9b4d6940643724216166332901e8ed89a6",
+            "csv": "91f148ce07a46963b5831a148e43ea129fef03a2131102ebf85fabb36f5a1ee0",
+        },
+    ),
+    "gap0": (
+        ("gap-demo", "--n", "8", "--T", "4", "--rho", "0", "--trials", "2",
+         "--seed", "3", "--out", "gap0.csv"),
+        {
+            "stdout": "a47018b5d5162b69b49b3ef553355ab7fe31ada4d6b82446a2aa13317cb75515",
+            "csv": "2a1e5037acc93a5cb5245f5d7e2467ea7d2cb4793adc8c1f69565cf8f0c648bc",
+        },
+    ),
+}
+
+
+def test_study_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys):
+    # every recovery method with a size-guarded mle-exhaustive row at n=24, a
+    # split + shuffled detection sweep, and the gap demo at rho > 0 and rho = 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rec.cfg").write_text(
+        "kind = recovery\ncells = 8:4:0.3, 24:4:0.1\n"
+        "methods = bias-adjusted-spectral, sum-spectral, oracle-tau-spectral, mle-exhaustive,"
+        " mle-local-search\n"
+        "trials = 2\nbase_seed = 5\noutput_path = rec.csv\n"
+    )
+    (tmp_path / "det.cfg").write_text(
+        "kind = detection\ncells = 8:4:0.3, 10:6:0.2\nmethods = split-test, shuffled-test\n"
+        "trials = 2\nbase_seed = 7\nrounds = 3\n"
+    )
+    for name, (argv, golden) in GOLDEN_STUDIES.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        files = {"stdout": out.encode(), "csv": (tmp_path / f"{name}.csv").read_bytes()}
+        sidecar = tmp_path / f"{name}.csv.config.json"
+        if sidecar.exists():
+            files["sidecar"] = sidecar.read_bytes()
+        digests = {key: hashlib.sha256(data).hexdigest() for key, data in files.items()}
+        assert digests == golden, name
 
 
 def test_gap_demo_prints_summary_and_writes_records(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import statistics
 import warnings
 
+import numpy as np
 import pytest
 
 from mlsbm import MlsbmParams, MultiLayerGraph, read_graph, sample_planted, write_graph
@@ -97,6 +98,23 @@ def test_bool_counts_are_rejected():
         small_recovery_config(kind="detection", methods=("shuffled-test",), rounds=True)
     with pytest.raises(ValidationError, match="trials must be an integer >= 1, got True"):
         run_gap_demo(4, 2, 0.1, True)
+
+
+def test_config_refuses_a_repeated_cell():
+    # 0.30 and 0.3 are one cell once normalized; so are two equal grid points
+    for cells in (((8, 4, 0.3), (10, 4, 0.2), (8, 4, 0.30)), ((8, 4, 0.3), (np.int64(8), 4, 3 / 10))):
+        with pytest.raises(ValidationError, match=r"repeats cell n8-T4-rho0\.3$"):
+            small_recovery_config(cells=cells)
+    with pytest.raises(ValidationError, match="repeats cell n8-T"):
+        ExperimentConfig.from_exponents([8, 8], 0.5, 0.5)
+
+
+def test_config_seed_and_counts_are_checked_once_at_the_boundary():
+    for seed in (1.5, True, -1):
+        with pytest.raises(ValidationError, match="^base_seed must be a non-negative integer"):
+            small_recovery_config(base_seed=seed)
+    cfg = small_recovery_config(trials=np.int64(2), base_seed=np.int64(3))
+    assert type(cfg.trials) is int and type(cfg.base_seed) is int
 
 
 def test_config_method_names_gated_by_kind():
@@ -335,6 +353,15 @@ def test_gap_demo_validates_arguments():
         run_gap_demo(8, 4, 0.1, trials=0)
     with pytest.raises(ValidationError):
         run_gap_demo(8, 4, 0.7, trials=1)
+    for n, T in ((8.5, 4), ("8", "4"), (8, 4.9), (True, 4), (8, 2.0)):
+        with pytest.raises(ValidationError, match="must be an integer, got "):
+            run_gap_demo(n, T, 0.1, 1)
+    with pytest.raises(ValidationError, match="^n must be an even integer >= 4, got 2$"):
+        run_gap_demo(2, 4, 0.1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer"):
+            run_gap_demo(8, 4, 0.1, 1, base_seed=1.5)
 
 
 def test_library_paths_never_build_the_per_layer_views(monkeypatch, tmp_path):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsbm import SizeGuardError, substream
+from mlsbm import SizeGuardError, ValidationError, substream
 from mlsbm.seeding import (
     MAX_SUBSTREAMS,
     _STATE_BLOCK,
     _bulk_substreams,
+    derive_seed,
     _mixing_point,
     _pcg64_doubles,
     _pcg64_states,
@@ -95,8 +96,14 @@ def test_more_than_two_to_the_32_substreams_are_refused_before_allocating():
 
 
 def test_invalid_seeds_are_refused_like_substream():
-    for seed in (-1, -(2**70)):
-        with pytest.raises(ValueError):
-            substream(seed, 2, 0)
-        with pytest.raises(ValueError):
-            _bulk_substreams(seed, 2, 4)
+    # every entry where a seed reaches numpy refuses it the same way
+    for seed in (-1, -(2**70), 1.5, True, "3", None):
+        for entry in (substream, derive_seed, _bulk_substreams):
+            with pytest.raises(ValidationError, match="^seed must be a non-negative integer, got "):
+                entry(seed, 2, 4)
+
+
+def test_numpy_integer_seeds_are_plain_seeds():
+    assert derive_seed(np.int64(5), 1) == derive_seed(5, 1)
+    first = substream(np.uint64(5), 2).random()
+    assert first == substream(5, 2).random()

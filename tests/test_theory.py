@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -363,6 +364,18 @@ def test_ldlr_report_per_degree_terms_sum_to_value():
         report.value, rel=1e-12
     )
     assert all(v >= 0 for _, v in report.per_a_terms)
+
+
+def test_ldlr_degree_past_the_slot_count_stops_at_it():
+    # binom(4, 2) * 2 = 12 slots: no subset has more, so D = 10^9 is D = 12
+    start = time.perf_counter()
+    huge = ldlr_norm_exact(4, 2, 0.1, 10**9)
+    assert time.perf_counter() - start < 1.0
+    capped = ldlr_norm_exact(4, 2, 0.1, 12)
+    assert huge.value == capped.value and huge.per_a_terms == capped.per_a_terms
+    assert huge.degree == 10**9
+    assert ldlr_norm_bruteforce(4, 2, 0.1, 10**9) == ldlr_norm_bruteforce(4, 2, 0.1, 12)
+    assert ldlr_projection_oracle(4, 2, 0.1, 10**9) == ldlr_projection_oracle(4, 2, 0.1, 12)
 
 
 def test_ldlr_squared_denominators_adjudicated():
