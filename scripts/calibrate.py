@@ -1,10 +1,10 @@
 """One-shot pilot calibration for the finite-size acceptance thresholds.
 
-Runs every Monte-Carlo check the test suite asserts, at the exact seeds the
-tests use, and writes the measured numbers to a JSON fixture. The fixture is
-frozen after review: tests compare fresh runs against both the fixture (exact
-equality, everything is deterministic) and the target thresholds. Re-run only
-to regenerate the fixture after an intentional algorithm change:
+PROTOCOLS is the only home of the seeded Monte-Carlo protocols the tests
+assert on; this script writes their numbers to a JSON fixture, frozen after
+review. The tests run the same table once per session, compare its rendering
+with the fixture byte for byte (everything is deterministic), then assert the
+target thresholds. Re-run only after an intentional algorithm change:
 
     python3 scripts/calibrate.py --out tests/fixtures/calibration.json
 """
@@ -14,6 +14,7 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from mlsbm import (
@@ -48,11 +49,11 @@ def mle_pilot() -> dict:
         exhaustive = mle_exhaustive(inst.graph)
         init = bias_adjusted_spectral(inst.graph).sigma_hat
         single = mle_local_search(inst.graph, init)
-        if single.objective == exhaustive.objective:
-            single_matches += 1
         multi = mle_local_search_multistart(inst.graph)
-        if multi.objective == exhaustive.objective:
-            multi_matches += 1
+        # neither ascent may beat the exact optimum it is matched against
+        assert max(single.objective, multi.objective) <= exhaustive.objective, trial
+        single_matches += single.objective == exhaustive.objective
+        multi_matches += multi.objective == exhaustive.objective
     return {
         "exhaustive_mean_loss_n10_T6_rho0.4": sum(losses) / len(losses),
         "exhaustive_losses": losses,
@@ -98,17 +99,16 @@ def detection_pilot() -> dict:
     n, T = 200, 64
     rho_easy = 12.0 / (n * T**0.5)
     rho_hard = 0.01 / (n * T)
+    easy = ExperimentConfig(
+        kind="detection",
+        cells=((n, T, rho_easy),),
+        methods=("shuffled-test",),
+        trials=50,
+        base_seed=BASE_SEED,
+    )
     by_rounds = {}
     for rounds in (1, 2, 3, 5):
-        config = ExperimentConfig(
-            kind="detection",
-            cells=((n, T, rho_easy),),
-            methods=("shuffled-test",),
-            trials=50,
-            base_seed=BASE_SEED,
-            rounds=rounds,
-        )
-        records = run_detection_sweep(config)
+        records = run_detection_sweep(replace(easy, rounds=rounds))
         risk = next(iter(detection_risk_by_cell(records).values()))
         planted = [r.decision for r in records if r.cell.endswith("|planted")]
         null = [r.decision for r in records if r.cell.endswith("|null")]
@@ -118,16 +118,8 @@ def detection_pilot() -> dict:
             "type_ii": 1.0 - sum(planted) / len(planted),
         }
     chosen = min(by_rounds, key=lambda k: (by_rounds[k]["risk"], int(k)))
-    hard_config = ExperimentConfig(
-        kind="detection",
-        cells=((n, T, rho_hard),),
-        methods=("shuffled-test",),
-        trials=50,
-        base_seed=BASE_SEED,
-        rounds=int(chosen),
-    )
-    hard_records = run_detection_sweep(hard_config)
-    hard_risk = next(iter(detection_risk_by_cell(hard_records).values()))
+    hard = replace(easy, cells=((n, T, rho_hard),), rounds=int(chosen))
+    hard_risk = next(iter(detection_risk_by_cell(run_detection_sweep(hard)).values()))
     return {
         "rho_easy": rho_easy,
         "rho_hard": rho_hard,
@@ -169,34 +161,40 @@ def phase_example_pilot() -> dict:
     }
 
 
+PROTOCOLS = {
+    "mle": mle_pilot,
+    "spectral": spectral_pilot,
+    "gap": gap_pilot,
+    "detection": detection_pilot,
+    "phase": phase_example_pilot,
+}
+
+
+def render(fixture: dict) -> str:
+    """The fixture's JSON text, exactly as tests/fixtures/calibration.json holds it."""
+    return json.dumps(fixture, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the fixture JSON here (default: stdout only)")
     parser.add_argument(
-        "--skip", nargs="*", default=[],
-        choices=["mle", "spectral", "gap", "detection", "phase"],
+        "--skip", nargs="*", default=[], choices=list(PROTOCOLS),
         help="pilot sections to skip (for quick reruns)",
     )
     args = parser.parse_args()
-    sections = {
-        "mle": mle_pilot,
-        "spectral": spectral_pilot,
-        "gap": gap_pilot,
-        "detection": detection_pilot,
-        "phase": phase_example_pilot,
-    }
     fixture = {"base_seed": BASE_SEED}
-    for name, fn in sections.items():
+    for name, fn in PROTOCOLS.items():
         if name in args.skip:
             continue
         start = time.perf_counter()
         fixture[name] = fn()
         print(f"[{name}] done in {time.perf_counter() - start:.1f}s", file=sys.stderr)
-    text = json.dumps(fixture, indent=2, sort_keys=True)
-    print(text)
+    text = render(fixture)
+    sys.stdout.write(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

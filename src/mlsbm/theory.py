@@ -74,6 +74,14 @@ def _logsumexp(values) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in values))
 
 
+def _expm1_or_inf(x: float) -> float:
+    """exp(x) - 1, or inf where it overflows a double."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
 def kappa(rho: float) -> float:
     """Per-slot signal amplitude of a standardized edge variable."""
     rho = _check_rho(rho)
@@ -136,7 +144,7 @@ def chi_square_closed_form(n: int, T: int, rho: float) -> ChiSquareReport:
             - log_total
         )
         terms.append((c, log_term))
-    value = math.expm1(_logsumexp(t for _, t in terms))
+    value = _expm1_or_inf(_logsumexp(t for _, t in terms))
     return ChiSquareReport(value=max(value, 0.0), per_c_terms=tuple(terms), closed_form_used=True)
 
 
@@ -161,7 +169,7 @@ def chi_square_relaxed_bound(n: int, T: int, rho: float) -> float:
             - log_total
         )
         terms.append(log_term)
-    return math.expm1(_logsumexp(terms))
+    return _expm1_or_inf(_logsumexp(terms))
 
 
 # ---------------------------------------------------------------------------

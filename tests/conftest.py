@@ -1,21 +1,19 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from calibrate import PROTOCOLS
 from mlsbm import Assignment, MultiLayerGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# Base seed used by scripts/calibrate.py; the frozen numbers in
-# fixtures/calibration.json were produced from these exact streams.
-CALIBRATION_BASE_SEED = 20260821
 
-
-@pytest.fixture(scope="session")
-def calibration():
-    with open(FIXTURES / "calibration.json") as fh:
-        return json.load(fh)
+@functools.cache
+def fresh(name):
+    """One scripts/calibrate.py protocol, run once per session, in its fixture form."""
+    return json.loads(json.dumps(PROTOCOLS[name]()))
 
 
 def parity_even_graph(n, T, sigma_bits, tau_bits):

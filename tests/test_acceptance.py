@@ -1,37 +1,29 @@
 """Acceptance suite: exact-formula oracle equivalence at desk scale plus
 calibrated finite-size Monte-Carlo checks.
 
-Every Monte-Carlo test replays the seed protocol of scripts/calibrate.py and
-compares fresh numbers against both the frozen fixture (exact equality; the
-whole pipeline is deterministic) and the target threshold. One deliberate
-failure ships in this file: the computational-regime median-loss target of
-0.05 is not met by the pinned spectral pipeline at n=128 (measured 0.0625);
-the assertion message in that test carries the evidence.
+The suite runs scripts/calibrate.py's PROTOCOLS table once per session
+(conftest.fresh), compares its rendering with the frozen fixture byte for byte
+(the pipeline is deterministic), then asserts each target on the fresh
+numbers. One deliberate failure ships in this file: the computational-regime
+median-loss target of 0.05 is not met by the pinned spectral pipeline at
+n=128 (measured 0.0625); the assertion message in that test carries the evidence.
 """
 
 import math
-import statistics
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from conftest import CALIBRATION_BASE_SEED, parity_even_graph
-from mlsbm import Assignment, MlsbmParams, sample_planted
+from calibrate import BASE_SEED, PROTOCOLS, render
+from conftest import FIXTURES, fresh, parity_even_graph
+from mlsbm import Assignment
 from mlsbm.cli import main
 from mlsbm.errors import BoundInapplicableError
-from mlsbm.experiments import (
-    ExperimentConfig,
-    detection_risk_by_cell,
-    run_detection_sweep,
-    run_gap_demo,
-)
 from mlsbm.metrics import hamming_loss
-from mlsbm.recovery import (
-    aggregate_sum_spectral,
-    bias_adjusted_spectral,
-    mle_exhaustive,
-    mle_local_search_multistart,
-)
+from mlsbm.recovery import mle_exhaustive
 from mlsbm.theory import (
     chi_square_bruteforce,
     chi_square_closed_form,
@@ -45,8 +37,6 @@ from mlsbm.theory import (
     signed_vandermonde,
     signed_vandermonde_closed_form,
 )
-
-BASE = CALIBRATION_BASE_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +155,7 @@ def test_norm_upper_bound_dominance_and_regime_probe():
 # ---------------------------------------------------------------------------
 
 
-def test_exhaustive_search_noiseless_and_calibrated_noisy_recovery(calibration):
+def test_exhaustive_search_noiseless_and_calibrated_noisy_recovery():
     for n in (4, 6):
         sigma = Assignment(tuple([0] * (n // 2) + [1] * (n // 2)))
         for T in (2, 4):
@@ -174,29 +164,12 @@ def test_exhaustive_search_noiseless_and_calibrated_noisy_recovery(calibration):
             result = mle_exhaustive(graph)
             assert hamming_loss(result.sigma_hat, sigma).value == 0.0
 
-    losses = []
-    for trial in range(20):
-        instance = sample_planted(MlsbmParams(n=10, T=6, rho=0.4), seed=BASE + trial)
-        result = mle_exhaustive(instance.graph)
-        losses.append(hamming_loss(result.sigma_hat, instance.sigma).value)
-    fixture = calibration["mle"]
-    assert losses == fixture["exhaustive_losses"]
-    mean = sum(losses) / len(losses)
-    assert mean == fixture["exhaustive_mean_loss_n10_T6_rho0.4"]
+    mean = fresh("mle")["exhaustive_mean_loss_n10_T6_rho0.4"]
     assert mean <= 0.1
 
 
-def test_local_search_battery_matches_exact_objective_often_enough(calibration):
-    matches = 0
-    for trial in range(50):
-        instance = sample_planted(
-            MlsbmParams(n=12, T=8, rho=0.4), seed=BASE + 1000 + trial
-        )
-        exhaustive = mle_exhaustive(instance.graph)
-        searched = mle_local_search_multistart(instance.graph)
-        matches += searched.objective == exhaustive.objective
-    rate = matches / 50.0
-    assert rate == calibration["mle"]["multistart_match_rate_n12_T8_rho0.4"]
+def test_local_search_battery_matches_exact_objective_often_enough():
+    rate = fresh("mle")["multistart_match_rate_n12_T8_rho0.4"]
     assert rate >= 0.8
 
 
@@ -205,26 +178,8 @@ def test_local_search_battery_matches_exact_objective_often_enough(calibration):
 # ---------------------------------------------------------------------------
 
 
-def _computational_regime_losses(method):
-    n, T = 128, 64
-    rho = 8.0 / (n * math.sqrt(T))
-    losses = []
-    for trial in range(20):
-        instance = sample_planted(
-            MlsbmParams(n=n, T=T, rho=rho), seed=BASE + 2000 + trial
-        )
-        result = method(instance.graph)
-        losses.append(hamming_loss(result.sigma_hat, instance.sigma).value)
-    return rho, losses
-
-
-def test_computational_regime_bias_adjusted_median_loss(calibration):
-    fixture = calibration["spectral"]
-    rho, losses = _computational_regime_losses(bias_adjusted_spectral)
-    assert rho == fixture["rho"]
-    assert losses == fixture["bias_adjusted_losses"]
-    median = statistics.median(losses)
-    assert median == fixture["bias_adjusted_median_loss"]
+def test_computational_regime_bias_adjusted_median_loss():
+    median = fresh("spectral")["bias_adjusted_median_loss"]
     assert median <= 0.05, (
         f"median loss {median} over the 20 frozen seeds misses the 0.05 target. "
         "This failure is genuine, not a seed artifact: across 30 disjoint "
@@ -240,12 +195,8 @@ def test_computational_regime_bias_adjusted_median_loss(calibration):
     )
 
 
-def test_computational_regime_sum_spectral_cancellation(calibration):
-    fixture = calibration["spectral"]
-    _, losses = _computational_regime_losses(aggregate_sum_spectral)
-    assert losses == fixture["sum_spectral_losses"]
-    median = statistics.median(losses)
-    assert median == fixture["sum_spectral_median_loss"]
+def test_computational_regime_sum_spectral_cancellation():
+    median = fresh("spectral")["sum_spectral_median_loss"]
     assert median >= 0.4
 
 
@@ -254,24 +205,13 @@ def test_computational_regime_sum_spectral_cancellation(calibration):
 # ---------------------------------------------------------------------------
 
 
-def test_gap_demo_between_thresholds_and_control_cell(calibration):
-    fixture = calibration["gap"]
-    summary = run_gap_demo(100, 40000, 5e-5, trials=10, base_seed=BASE)
+def test_gap_demo_between_thresholds_and_control_cell():
+    summary = fresh("gap")["gap_cell"]
     assert summary["between_thresholds"] is True
-    gap_cell = fixture["gap_cell"]
-    assert summary["oracle_losses"] == gap_cell["oracle_losses"]
-    assert summary["spectral_losses"] == gap_cell["spectral_losses"]
-    assert summary["median_oracle_loss"] == gap_cell["median_oracle_loss"]
-    assert summary["median_spectral_loss"] == gap_cell["median_spectral_loss"]
     assert summary["median_oracle_loss"] <= 0.25
     assert summary["median_spectral_loss"] >= 0.4
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        control = run_gap_demo(128, 64, 0.05, trials=10, base_seed=BASE)
-    control_fixture = fixture["control_cell"]
-    assert control["median_oracle_loss"] == control_fixture["median_oracle_loss"]
-    assert control["median_spectral_loss"] == control_fixture["median_spectral_loss"]
+    control = fresh("gap")["control_cell"]
     assert control["median_oracle_loss"] <= 0.05
     assert control["median_spectral_loss"] <= 0.05
 
@@ -281,39 +221,40 @@ def test_gap_demo_between_thresholds_and_control_cell(calibration):
 # ---------------------------------------------------------------------------
 
 
-def _detection_risk(n, T, rho, rounds):
-    config = ExperimentConfig(
-        kind="detection",
-        cells=((n, T, rho),),
-        methods=("shuffled-test",),
-        trials=50,
-        base_seed=BASE,
-        rounds=rounds,
-    )
-    records = run_detection_sweep(config)
-    return next(iter(detection_risk_by_cell(records).values()))
-
-
-def test_detection_risk_easy_cell_low_hard_cell_high(calibration):
-    fixture = calibration["detection"]
-    n, T = 200, 64
-    rounds = fixture["chosen_rounds"]
-
-    rho_easy = 12.0 / (n * math.sqrt(T))
-    assert rho_easy == fixture["rho_easy"]
-    easy_risk = _detection_risk(n, T, rho_easy, rounds)
-    assert easy_risk == fixture["easy_risk_at_chosen"]
+def test_detection_risk_easy_cell_low_hard_cell_high():
+    easy_risk = fresh("detection")["easy_risk_at_chosen"]
     assert easy_risk <= 0.1
-
-    rho_hard = 0.01 / (n * T)
-    assert rho_hard == fixture["rho_hard"]
-    hard_risk = _detection_risk(n, T, rho_hard, rounds)
-    assert hard_risk == fixture["hard_risk_at_chosen"]
+    hard_risk = fresh("detection")["hard_risk_at_chosen"]
     assert hard_risk >= 0.8
 
 
 # ---------------------------------------------------------------------------
-# 10. byte-identical outputs across repeat runs and worker counts
+# 10. the phase example below rho = 0.01/(nT); the fixture the protocols write
+# ---------------------------------------------------------------------------
+
+
+def test_phase_example_easy_cell_recovers_below_info_cell_does_not():
+    phase = fresh("phase")
+    assert phase["easy_cell_mean_loss"] <= 0.05
+    for loss in phase["below_info_mean_loss_by_method"].values():
+        assert loss >= 0.4
+
+
+def test_calibration_fixture_is_what_the_protocols_produce():
+    fixture = {"base_seed": BASE_SEED, **{name: fresh(name) for name in PROTOCOLS}}
+    assert render(fixture).encode() == (FIXTURES / "calibration.json").read_bytes()
+
+
+def test_calibrate_script_runs_standalone_with_skip():
+    argv = [sys.executable, "scripts/calibrate.py", "--skip", "mle", "spectral", "gap", "detection"]
+    done = subprocess.run(argv, capture_output=True, text=True, check=False,
+                          cwd=FIXTURES.parents[1], env={**os.environ, "PYTHONPATH": "src"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == render({"base_seed": BASE_SEED, "phase": fresh("phase")})
+
+
+# ---------------------------------------------------------------------------
+# 11. byte-identical outputs across repeat runs and worker counts
 # ---------------------------------------------------------------------------
 
 

@@ -232,6 +232,12 @@ def test_theory_chi2_reports_the_oracle_guard_and_builds_no_default_tau(capsys):
     assert "brute force skipped: chi_square_bruteforce is capped at 24 slots" in out
 
 
+def test_theory_chi2_overflow_prints_inf_and_exits_zero(capsys):
+    for n, T, rho in (("200", "1000000", "0.01"), ("2", "10000000000", "0.1")):
+        code, out, _ = run(capsys, "theory", "chi2", "--n", n, "--T", T, "--rho", rho)
+        assert code == 0 and out.startswith("closed form: inf\nbrute force skipped: ")
+
+
 def test_theory_ldlr_degree_past_the_slot_count_exits_zero(capsys):
     code, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
                        "--rho", "0.1", "--D", "1000000000", "--json")

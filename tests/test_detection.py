@@ -19,7 +19,7 @@ from mlsbm import (
 )
 from mlsbm.detection import to_json_record
 
-from conftest import parity_even_graph
+from conftest import fresh, parity_even_graph
 
 
 def complete_layer(n):
@@ -179,11 +179,11 @@ def test_decision_json_record():
 # ----------------------------------------------------- calibrated pilot facts
 
 
-def test_frozen_pilot_risk_profile(calibration):
+def test_frozen_pilot_risk_profile():
     # The frozen pilot at n=200, T=64, rho = 12/(n sqrt(T)) justifies the
     # shipped defaults: the chosen round count minimizes measured risk, and
     # even five shuffle rounds keep total risk within 0.1 on the easy cell.
-    detection = calibration["detection"]
+    detection = fresh("detection")
     by_rounds = detection["risk_by_rounds"]
     chosen = str(detection["chosen_rounds"])
     assert by_rounds[chosen]["risk"] == min(v["risk"] for v in by_rounds.values())

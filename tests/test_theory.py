@@ -111,6 +111,12 @@ def test_chi_square_relaxed_bound_dominates_only_at_small_density():
     assert chi_square_relaxed_bound(4, 2, 0.4) < chi_square_closed_form(4, 2, 0.4).value
 
 
+def test_chi_square_overflow_is_inf_not_an_error():
+    for n, T, rho in ((200, 10**6, 0.01), (2, 10**10, 0.1)):
+        assert chi_square_closed_form(n, T, rho).value == math.inf
+        assert chi_square_relaxed_bound(n, T, rho) == math.inf
+
+
 def test_chi_square_relaxed_bound_hand_value():
     # n=4, T=2, rho=0.4: bases give ratio (1-3rho/4)/(1-5rho/4) = 1.4 and
     # product (0.7*0.5)/0.6**2 = 35/36; six unordered pairs per layer, two
