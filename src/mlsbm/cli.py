@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -25,9 +26,20 @@ def _rel_close(x: float, y: float, tol: float) -> bool:
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
+def _finite_json(value):
+    """value with each non-finite float spelled as the string 'inf', '-inf' or 'nan'."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
+
+
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in lines:
             print(line)

@@ -19,9 +19,9 @@ import statistics
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .detection import DetectionDecision, shuffled_test, split_layer_test
 from .errors import SizeGuardError, ValidationError
@@ -39,6 +39,7 @@ from .model import (
 )
 from .recovery import (
     RecoveryResult,
+    _check_dense_size,
     aggregate_sum_spectral,
     bias_adjusted_spectral,
     mle_exhaustive,
@@ -46,21 +47,6 @@ from .recovery import (
     oracle_tau_spectral,
 )
 from .seeding import _check_seed, derive_seed
-
-CSV_COLUMNS = (
-    "cell",
-    "n",
-    "T",
-    "rho",
-    "method",
-    "trial",
-    "seed",
-    "loss",
-    "decision",
-    "objective",
-    "wall_time_ms",
-    "degenerate",
-)
 
 # Seed purpose tags inside one (cell, trial) unit.
 _SEED_INSTANCE = 0
@@ -98,18 +84,48 @@ DETECTION_RUNNERS: dict[
 }
 
 
+def _int_from_text(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValidationError(f"config key {key}: expected integer, got {text!r}") from exc
+
+
+def _list_from_text(key: str, text: str) -> tuple[str, ...]:
+    """A comma list, blank items dropped."""
+    return tuple(filter(None, (item.strip() for item in text.split(","))))
+
+
+def _cells_from_text(key: str, text: str) -> tuple[tuple[int, int, float], ...]:
+    cells = []
+    for chunk in _list_from_text(key, text):
+        parts = chunk.split(":")
+        if len(parts) != 3:
+            raise ValidationError(f"config cell {chunk!r}: expected n:T:rho")
+        try:
+            cells.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ValidationError(f"config cell {chunk!r}: bad number") from exc
+    return tuple(cells)
+
+
+def _from_text(parse: Callable[[str, str], Any], **default) -> Any:
+    """A field that config files spell as text, converted by parse(key, text)."""
+    return field(metadata={"from_text": parse}, **default)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: a cell grid, the methods to run, and the trial budget."""
 
     kind: str
-    cells: tuple[tuple[int, int, float], ...]
-    methods: tuple[str, ...]
-    trials: int
-    base_seed: int = 0
-    output_path: Optional[str] = None
+    cells: tuple[tuple[int, int, float], ...] = _from_text(_cells_from_text)
+    methods: tuple[str, ...] = _from_text(_list_from_text)
+    trials: int = _from_text(_int_from_text)
+    base_seed: int = _from_text(_int_from_text, default=0)
+    output_path: Optional[str] = _from_text(lambda key, text: text or None, default=None)
     # Shuffle rounds for detection sweeps; None uses the heuristic default.
-    rounds: Optional[int] = None
+    rounds: Optional[int] = _from_text(_int_from_text, default=None)
 
     def __post_init__(self):
         if self.kind not in ("recovery", "detection"):
@@ -153,43 +169,26 @@ class ExperimentConfig:
         a: float,
         b: float,
         *,
-        kind: str = "recovery",
         methods: Sequence[str] = ("bias-adjusted-spectral",),
-        trials: int = 1,
-        base_seed: int = 0,
-        output_path: Optional[str] = None,
-        rounds: Optional[int] = None,
+        **other_fields,
     ) -> "ExperimentConfig":
-        """Grid from scaling exponents: T = n^a rounded to even, rho = n^-b."""
+        """Grid from scaling exponents: T = n^a rounded to even, rho = n^-b.
+
+        The other fields pass through as keywords, with the config-file defaults.
+        """
         cells = []
         for n in n_values:
             n = int(n)
             T = max(2, int(round(float(n) ** float(a))))
-            if T % 2 != 0:
-                T += 1
+            T += T % 2
             rho = float(n) ** (-float(b))
             cells.append((n, T, rho))
-        return cls(
-            kind=kind,
-            cells=tuple(cells),
-            methods=tuple(methods),
-            trials=trials,
-            base_seed=base_seed,
-            output_path=output_path,
-            rounds=rounds,
-        )
+        return cls(cells=tuple(cells), methods=tuple(methods),
+                   **{**_FILE_DEFAULTS, **other_fields})
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": "mlsbm-sweep-config v1",
-            "kind": self.kind,
-            "cells": [list(cell) for cell in self.cells],
-            "methods": list(self.methods),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "output_path": self.output_path,
-            "rounds": self.rounds,
-        }
+        return {"format": "mlsbm-sweep-config v1", **asdict(self),
+                "cells": [list(cell) for cell in self.cells], "methods": list(self.methods)}
 
 
 @dataclass(frozen=True)
@@ -214,6 +213,34 @@ class TrialRecord:
             raise ValidationError(f"loss must lie in [0, 1/2], got {self.loss}")
         if self.decision is not None and self.decision not in (0, 1):
             raise ValidationError(f"decision must be 0 or 1, got {self.decision}")
+        # the CSV writer leaves a lone \r unquoted, and readers end the row there
+        if "\r" in self.cell + self.method:
+            raise ValidationError(f"cell and method must not contain '\\r': {self.cell!r}, "
+                                  f"{self.method!r}")
+
+
+def _optional(fmt: Callable[[Any], str], parse: Callable[[str], Any]) -> tuple:
+    """The codec of an optional column: None is the empty cell."""
+    return (lambda value: "" if value is None else fmt(value),
+            lambda text: parse(text) if text else None)
+
+
+# One (format, parse) codec per results-CSV column, in TrialRecord's field order.
+_CSV_CODECS: dict[str, tuple[Callable[[Any], str], Callable[[str], Any]]] = {
+    "cell": (str, str),
+    "n": (str, int),
+    "T": (str, int),
+    "rho": (repr, float),
+    "method": (str, str),
+    "trial": (str, int),
+    "seed": (str, int),
+    "loss": _optional(lambda loss: repr(float(loss)), float),
+    "decision": _optional(str, int),
+    "objective": _optional(str, int),
+    "wall_time_ms": _optional("{:.3f}".format, float),
+    "degenerate": (lambda flag: "1" if flag else "0", {"0": False, "1": True}.__getitem__),
+}
+CSV_COLUMNS = tuple(_CSV_CODECS)
 
 
 def _cell_id(n: int, T: int, rho: float) -> str:
@@ -282,13 +309,11 @@ def _timed_rows(methods: Sequence[str], score: Callable[[str], tuple], cell: str
 
 
 def _run_recovery(cells: Sequence[tuple[int, int, float]], methods: Sequence[str], trials: int,
-                  base_seed: int, cell_prefix: str,
-                  size_guard_is_degenerate: bool) -> list[TrialRecord]:
+                  base_seed: int, cell_prefix: str) -> list[TrialRecord]:
     """Score every recovery method on one planted instance per (cell, trial) unit.
 
-    rho = 0 plants sigma and tau over empty layers. With
-    size_guard_is_degenerate, a method refusing the instance's size is
-    recorded as degenerate with an empty loss; otherwise the refusal propagates.
+    rho = 0 plants sigma and tau over empty layers. A method refusing the
+    instance's size is recorded as degenerate with an empty loss.
     """
 
     def unit(u: int) -> list[TrialRecord]:
@@ -304,8 +329,6 @@ def _run_recovery(cells: Sequence[tuple[int, int, float]], methods: Sequence[str
             try:
                 result = RECOVERY_RUNNERS[method](instance.graph, instance.tau)
             except SizeGuardError:
-                if not size_guard_is_degenerate:
-                    raise
                 return None, None, None, True
             loss = hamming_loss(result.sigma_hat, instance.sigma).value
             return loss, None, result.objective, result.degenerate
@@ -325,7 +348,7 @@ def run_phase_diagram(config: ExperimentConfig) -> list[TrialRecord]:
     if config.kind != "recovery":
         raise ValidationError(f"run_phase_diagram needs kind='recovery', got {config.kind!r}")
     return _run_recovery(config.cells, config.methods, config.trials, config.base_seed,
-                         cell_prefix="", size_guard_is_degenerate=True)
+                         cell_prefix="")
 
 
 def run_detection_sweep(config: ExperimentConfig) -> list[TrialRecord]:
@@ -391,7 +414,7 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
     n*sqrt(T)*rho small); anything else triggers a warning but still runs,
     so the easy control cell can reuse this code path. rho = 0 is allowed
     and yields empty graphs: both methods flag degenerate and the gap is
-    reported undefined.
+    reported undefined. n past the dense cap is refused before sampling.
     """
     n, T, rho = _check_even(n, "n", 4), _check_even(T, "T", 2), float(rho)
     if not (0.0 <= rho < MAX_DENSITY):
@@ -408,9 +431,10 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
             RuntimeWarning,
             stacklevel=2,
         )
+    _check_dense_size(n)
 
     records = _run_recovery(((n, T, rho),), ("oracle-tau-spectral", "bias-adjusted-spectral"),
-                            trials, base_seed, cell_prefix="gap-", size_guard_is_degenerate=False)
+                            trials, base_seed, cell_prefix="gap-")
     oracle = [r for r in records if r.method == "oracle-tau-spectral"]
     spectral = [r for r in records if r.method == "bias-adjusted-spectral"]
     paired = [(o.loss, s.loss) for o, s in zip(oracle, spectral)
@@ -427,14 +451,11 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
         "gap_defined": bool(paired),
         "records": records,
     }
-    if paired:
-        summary["median_oracle_loss"] = statistics.median(o for o, _ in paired)
-        summary["median_spectral_loss"] = statistics.median(s for _, s in paired)
-        summary["median_gap"] = statistics.median(s - o for o, s in paired)
-    else:
-        summary["median_oracle_loss"] = None
-        summary["median_spectral_loss"] = None
-        summary["median_gap"] = None
+    for key, values in (("median_oracle_loss", [o for o, _ in paired]),
+                        ("median_spectral_loss", [s for _, s in paired]),
+                        ("median_gap", [s - o for o, s in paired])):
+        summary[key] = statistics.median(values) if paired else None
+    if not paired:
         summary["note"] = "gap undefined: every trial was degenerate"
     return summary
 
@@ -442,14 +463,6 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
 # ---------------------------------------------------------------------------
 # results round-tripping
 # ---------------------------------------------------------------------------
-
-
-def _format_value(value, *, as_float: bool = False) -> str:
-    if value is None:
-        return ""
-    if as_float:
-        return repr(float(value))
-    return str(value)
 
 
 def write_results(
@@ -476,23 +489,10 @@ def write_results(
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for record in records:
-                timing = record.wall_time_ms if include_timing else None
-                writer.writerow(
-                    [
-                        record.cell,
-                        record.n,
-                        record.T,
-                        repr(record.rho),
-                        record.method,
-                        record.trial,
-                        record.seed,
-                        _format_value(record.loss, as_float=True),
-                        _format_value(record.decision),
-                        _format_value(record.objective),
-                        "" if timing is None else f"{timing:.3f}",
-                        "1" if record.degenerate else "0",
-                    ]
-                )
+                if not include_timing:
+                    record = replace(record, wall_time_ms=None)
+                writer.writerow([fmt(getattr(record, name))
+                                 for name, (fmt, _) in _CSV_CODECS.items()])
         if config is not None:
             with open(sidecar, "w", encoding="utf-8") as fh:
                 json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -501,63 +501,52 @@ def write_results(
         raise OSError(f"failed writing results to {path}: {exc}") from exc
 
 
+def _read_row(row: Sequence[str]) -> TrialRecord:
+    if len(row) != len(CSV_COLUMNS):
+        raise ValidationError(f"malformed row {row!r}")
+    values = {}
+    for (name, (_, parse)), text in zip(_CSV_CODECS.items(), row):
+        try:
+            values[name] = parse(text)
+        except (KeyError, ValueError) as exc:
+            raise ValidationError(f"bad {name} value {text!r}") from exc
+    return TrialRecord(**values)
+
+
 def read_results(path: Union[str, Path]) -> list[TrialRecord]:
     """Parse a results CSV back into records (inverse of write_results)."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: empty results file (missing header)") from None
-            if tuple(header) != CSV_COLUMNS:
-                raise ValidationError(f"{path}: unexpected header {header!r}")
-            records = []
-            for row in reader:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValidationError(f"{path}: malformed row {row!r}")
-                (cell, n, T, rho, method, trial, seed, loss, decision,
-                 objective, wall_ms, degenerate) = row
-                if degenerate not in ("0", "1"):
-                    raise ValidationError(f"{path}: bad degenerate flag {degenerate!r}")
-                records.append(
-                    TrialRecord(
-                        cell=cell,
-                        n=int(n),
-                        T=int(T),
-                        rho=float(rho),
-                        method=method,
-                        trial=int(trial),
-                        seed=int(seed),
-                        loss=float(loss) if loss else None,
-                        decision=int(decision) if decision else None,
-                        objective=int(objective) if objective else None,
-                        wall_time_ms=float(wall_ms) if wall_ms else None,
-                        degenerate=degenerate == "1",
-                    )
-                )
-            return records
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise OSError(f"failed reading results from {path}: {exc}") from exc
+    try:
+        if not rows:
+            raise ValidationError("empty results file (missing header)")
+        if tuple(rows[0]) != CSV_COLUMNS:
+            raise ValidationError(f"unexpected header {rows[0]!r}")
+        return [_read_row(row) for row in rows[1:]]
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # config files: flat key = value text with comma arrays
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "kind", "cells", "methods", "trials", "base_seed",
-    "output_path", "rounds", "n_values", "a", "b",
-}
+# Defaults of the fields that ExperimentConfig requires (methods default by kind).
+_FILE_DEFAULTS = {"kind": "recovery", "trials": 1}
+_GRID_KEYS = ("n_values", "a", "b")
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | set(_GRID_KEYS)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key = value sweep-config format.
 
-    Keys: kind, trials, base_seed, methods (comma list), rounds, output_path,
-    and either cells (comma list of n:T:rho triples) or the exponent grid
-    n_values (comma list) + a + b. Lines starting with # are comments.
+    Keys: ExperimentConfig's fields (methods and cells as comma lists, a cell
+    as n:T:rho), or the exponent grid n_values (comma list) + a + b in place
+    of cells. Lines starting with # are comments.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -574,57 +563,26 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
 
-    def parse_int(key: str, default=None) -> Optional[int]:
-        if key not in values:
-            return default
-        try:
-            return int(values[key])
-        except ValueError as exc:
-            raise ValidationError(f"config key {key}: expected integer, got {values[key]!r}") from exc
-
-    kind = values.get("kind", "recovery")
-    trials = parse_int("trials", 1)
-    base_seed = parse_int("base_seed", 0)
-    rounds = parse_int("rounds", None)
-    output_path = values.get("output_path") or None
-    if "methods" in values:
-        methods = tuple(m.strip() for m in values["methods"].split(",") if m.strip())
-    else:
-        methods = ("shuffled-test",) if kind == "detection" else ("bias-adjusted-spectral",)
-
-    has_cells = "cells" in values
-    has_grid = any(k in values for k in ("n_values", "a", "b"))
-    if has_cells and has_grid:
+    given = dict(_FILE_DEFAULTS)
+    for f in fields(ExperimentConfig):
+        if f.name in values:
+            parse = f.metadata.get("from_text", lambda key, text: text)
+            given[f.name] = parse(f.name, values[f.name])
+    given.setdefault("methods", ("shuffled-test",) if given["kind"] == "detection"
+                     else ("bias-adjusted-spectral",))
+    grid = {key: values[key] for key in _GRID_KEYS if key in values}
+    if "cells" in given and grid:
         raise ValidationError("config must use either 'cells' or the exponent grid, not both")
-    if has_cells:
-        cells = []
-        for chunk in values["cells"].split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                raise ValidationError(f"config cell {chunk!r}: expected n:T:rho")
-            try:
-                cells.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ValidationError(f"config cell {chunk!r}: bad number") from exc
-        return ExperimentConfig(
-            kind=kind, cells=tuple(cells), methods=methods, trials=trials,
-            base_seed=base_seed, output_path=output_path, rounds=rounds,
-        )
-    if not all(k in values for k in ("n_values", "a", "b")):
+    if "cells" in given:
+        return ExperimentConfig(**given)
+    if len(grid) != len(_GRID_KEYS):
         raise ValidationError("config needs 'cells' or all of 'n_values', 'a', 'b'")
     try:
-        n_values = [int(v) for v in values["n_values"].split(",") if v.strip()]
-        a = float(values["a"])
-        b = float(values["b"])
+        n_values = [int(v) for v in _list_from_text("n_values", grid["n_values"])]
+        a, b = float(grid["a"]), float(grid["b"])
     except ValueError as exc:
         raise ValidationError("config exponent grid: bad number") from exc
-    return ExperimentConfig.from_exponents(
-        n_values, a, b, kind=kind, methods=methods, trials=trials,
-        base_seed=base_seed, output_path=output_path, rounds=rounds,
-    )
+    return ExperimentConfig.from_exponents(n_values, a, b, **given)
 
 
 def read_config(path: Union[str, Path]) -> ExperimentConfig:

@@ -24,6 +24,8 @@ _EXHAUSTIVE_GUARD = 10**7
 _DEGENERATE_EIGEN_TOL = 1e-10
 _POWER_TOL = 1e-8
 _POWER_MAX_ITER = 1000
+# Relabel-then-swap rounds of mle_local_search.
+_MAX_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -354,7 +356,7 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
     return unique
 
 
-def mle_local_search_multistart(graph: MultiLayerGraph, max_rounds: int = 50) -> RecoveryResult:
+def mle_local_search_multistart(graph: MultiLayerGraph) -> RecoveryResult:
     """Best of mle_local_search over the deterministic start battery.
 
     Single-start ascent from one spectral initialization lands in a wrong
@@ -365,7 +367,7 @@ def mle_local_search_multistart(graph: MultiLayerGraph, max_rounds: int = 50) ->
     """
     best: Optional[RecoveryResult] = None
     for init in default_start_battery(graph):
-        result = mle_local_search(graph, init, max_rounds=max_rounds)
+        result = mle_local_search(graph, init)
         if best is None or result.objective > best.objective:
             best = result
     assert best is not None
@@ -378,15 +380,14 @@ def mle_local_search_multistart(graph: MultiLayerGraph, max_rounds: int = 50) ->
     )
 
 
-def mle_local_search(
-    graph: MultiLayerGraph, init: Assignment, max_rounds: int = 50
-) -> RecoveryResult:
+def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult:
     """Alternating ascent toward the MLE from a given starting labelling.
 
     Each round relabels layers optimally for the current sigma, then applies
     best-improvement swaps (one 0-node for one 1-node) while any swap raises
-    the objective. The objective never decreases; the result is locally
-    optimal under single swaps and layer relabelings.
+    the objective, for at most _MAX_ROUNDS rounds. The objective never
+    decreases; the result is locally optimal under single swaps and layer
+    relabelings.
 
     With x = 1 - 2 sigma in {+1, -1}^n and the signed aggregate
     W = sum_t (1 - 2 tau_t) A_t, swapping a 0-node a with a 1-node b changes
@@ -401,8 +402,6 @@ def mle_local_search(
         raise ValidationError(f"init has {init.size} labels but the graph has {n} nodes")
     if T % 2 != 0:
         raise ValidationError("mle_local_search needs even T for balanced tau")
-    if max_rounds < 1:
-        raise ValidationError(f"max_rounds must be >= 1, got {max_rounds}")
     _check_dense_size(n)
     edges = _edge_arrays(graph)
     layer_totals = np.bincount(edges[2], minlength=T).astype(np.float64)
@@ -416,7 +415,7 @@ def mle_local_search(
     # correct ascent makes at most E swaps; more means the gains are corrupt.
     swaps_left = len(edges[0])
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         changed = False
         new_tau = _tau_for_sigma(sig, *edges, layer_totals)
         if not np.array_equal(new_tau, tau):

@@ -238,6 +238,22 @@ def test_theory_chi2_overflow_prints_inf_and_exits_zero(capsys):
         assert code == 0 and out.startswith("closed form: inf\nbrute force skipped: ")
 
 
+def test_theory_json_reports_are_strict_json(capsys):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    code, out, _ = run(capsys, "theory", "chi2", "--n", "2", "--T", "10000000000",
+                       "--rho", "0.1", "--json")
+    assert code == 0
+    assert json.loads(out, parse_constant=refuse)["closed_form"] == "inf"
+
+
+def test_theory_ldlr_past_the_slot_cap_is_a_size_guard_refusal(capsys):
+    code, _, err = run(capsys, "theory", "ldlr", "--n", "200", "--T", "500",
+                       "--rho", "0.001", "--D", "1")
+    assert code == 3 and err.startswith("size guard: subset enumeration is capped at")
+
+
 def test_theory_ldlr_degree_past_the_slot_count_exits_zero(capsys):
     code, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
                        "--rho", "0.1", "--D", "1000000000", "--json")

@@ -7,9 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlsbm import MlsbmParams, MultiLayerGraph, read_graph, sample_planted, write_graph
-from mlsbm.errors import ValidationError
+from mlsbm import experiments
+from mlsbm.errors import SizeGuardError, ValidationError
 from mlsbm.experiments import (
     CSV_COLUMNS,
     DETECTION_RUNNERS,
@@ -147,6 +150,9 @@ def test_trial_record_validates_ranges():
         TrialRecord(**{**good, "loss": 0.6})
     with pytest.raises(ValidationError):
         TrialRecord(**{**good, "loss": None, "decision": 2})
+    for text in ({"cell": "a\rb"}, {"method": "\r"}):
+        with pytest.raises(ValidationError, match="must not contain"):
+            TrialRecord(**{**good, **text})
 
 
 def test_csv_schema_is_pinned():
@@ -154,6 +160,7 @@ def test_csv_schema_is_pinned():
         "cell", "n", "T", "rho", "method", "trial", "seed",
         "loss", "decision", "objective", "wall_time_ms", "degenerate",
     )
+    assert CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +371,17 @@ def test_gap_demo_validates_arguments():
             run_gap_demo(8, 4, 0.1, 1, base_seed=1.5)
 
 
+def test_gap_demo_refuses_past_the_dense_cap_before_sampling(monkeypatch):
+    # sampling this instance takes tens of seconds and over 1 GB before a
+    # method would refuse n = 5000
+    def refuse(*args):
+        raise AssertionError("the gap demo sampled before its size guard")
+
+    monkeypatch.setattr(experiments, "sample_planted", refuse)
+    with pytest.warns(RuntimeWarning), pytest.raises(SizeGuardError, match="n=5000"):
+        run_gap_demo(5000, 40000, 5e-5, 1)
+
+
 def test_library_paths_never_build_the_per_layer_views(monkeypatch, tmp_path):
     # `layers` costs O(T) views per read (about 70 ms at T = 40000); the
     # library reads the edge table instead.
@@ -456,6 +474,45 @@ def test_read_results_rejects_bad_files(tmp_path):
     )
     with pytest.raises(ValidationError, match="degenerate"):
         read_results(bad_flag)
+
+
+def test_read_results_names_the_file_and_column_on_a_bad_value(tmp_path):
+    path = tmp_path / "typo.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "c,eight,4,0.1,sum-spectral,0,1,,,,,0\n")
+    with pytest.raises(ValidationError) as excinfo:
+        read_results(path)
+    assert str(excinfo.value) == f"{path}: bad n value 'eight'"
+    assert isinstance(excinfo.value, ValueError)
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "c,8,4,0.1,sum-spectral,0,1,0.75,,,,0\n")
+    with pytest.raises(ValidationError, match=f"^{path}: loss must lie in"):
+        read_results(path)
+
+
+# any encodable text a record accepts, quotes, commas and newlines included
+text_cells = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"))
+trial_records = st.builds(
+    TrialRecord,
+    cell=text_cells,
+    n=st.integers(),
+    T=st.integers(),
+    rho=st.floats(allow_nan=False),
+    method=text_cells,
+    trial=st.integers(),
+    seed=st.integers(min_value=0),
+    loss=st.none() | st.floats(0.0, 0.5),
+    decision=st.sampled_from((None, 0, 1)),
+    objective=st.none() | st.integers(),
+    wall_time_ms=st.none() | st.integers(0, 10**9).map(lambda k: k / 1000),
+    degenerate=st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trial_records, max_size=5))
+def test_results_csv_round_trips_every_valid_record(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("round-trip") / "records.csv"
+    write_results(records, path, include_timing=True)
+    assert read_results(path) == records
 
 
 def test_timing_column_only_written_on_request(tmp_path):

@@ -408,6 +408,15 @@ def test_ldlr_guard():
         ldlr_norm_exact(10, 10, 0.1, 6)
 
 
+def test_ldlr_guard_refuses_a_long_slot_list_before_building_it():
+    # degree 1 admits binom(slots, 1) subsets, but listing 9.95 million
+    # slots would take minutes
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="capped at 100000 slots, got 9950000"):
+        ldlr_norm_exact(200, 500, 0.1, 1)
+    assert time.perf_counter() - start < 1.0
+
+
 # ------------------------------------------------------------------ xi bound
 
 
