@@ -356,6 +356,17 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
     return unique
 
 
+def _check_ascent(graph: MultiLayerGraph, method: str) -> None:
+    """Refuse what the swap ascent cannot run on, before anything is allocated."""
+    n, T = graph.n, graph.T
+    if n < 2 or n % 2 != 0 or T % 2 != 0:
+        raise ValidationError(f"{method} needs even n >= 2 and even T, got n={n}, T={T}")
+    _check_dense_size(n)
+    # |gain| <= 2E + 2T, so below this bound every swap score and partial sum fits.
+    if n * n * (2 * graph.total_edges + 2 * T + 2) >= 2**63:
+        raise SizeGuardError(f"{method} swap scores overflow int64 at n={n}, T={T}")
+
+
 def mle_local_search_multistart(graph: MultiLayerGraph) -> RecoveryResult:
     """Best of mle_local_search over the deterministic start battery.
 
@@ -365,6 +376,7 @@ def mle_local_search_multistart(graph: MultiLayerGraph) -> RecoveryResult:
     optimum far more reliably at unchanged asymptotic cost. Ties keep the
     earliest start, so the result is deterministic.
     """
+    _check_ascent(graph, "mle_local_search_multistart")
     best: Optional[RecoveryResult] = None
     for init in default_start_battery(graph):
         result = mle_local_search(graph, init)
@@ -390,60 +402,63 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
     relabelings.
 
     With x = 1 - 2 sigma in {+1, -1}^n and the signed aggregate
-    W = sum_t (1 - 2 tau_t) A_t, swapping a 0-node a with a 1-node b changes
-    the objective by g[b] - g[a] - 2 W[a, b], where g = W x. W and g are
-    rebuilt only when tau changes (O(E + n^2), at most once per round); an
-    accepted swap (u: 0 -> 1, v: 1 -> 0) updates g += 2 (W[:, v] - W[:, u])
-    in O(n), so each swap step costs O(n^2 / 4) for its gain table. All
-    values are integers held exactly in float64.
+    W = sum_t (1 - 2 tau_t) A_t, swapping a 0-node u with a 1-node v changes
+    the objective by g[v] - g[u] - 2 W[u, v], where g = W x. W, g and a
+    contiguous zeros x ones block of -2W are built only when tau changes
+    (O(E + n^2), at most once per round). An accepted swap updates
+    g += 2 (W[:, v] - W[:, u]) and the block's row and column at u's and v's
+    positions in O(n), so each step costs two broadcast passes and one argmax
+    over the n^2 / 4 block. Its int64 scores K gain - (u n + v), K = n^2,
+    break ties toward the smallest (u, v), as a row-major argmax over
+    index-sorted zeros and ones would.
     """
     n, T = graph.n, graph.T
     if init.size != n:
         raise ValidationError(f"init has {init.size} labels but the graph has {n} nodes")
-    if T % 2 != 0:
-        raise ValidationError("mle_local_search needs even T for balanced tau")
-    _check_dense_size(n)
+    _check_ascent(graph, "mle_local_search")
     edges = _edge_arrays(graph)
     layer_totals = np.bincount(edges[2], minlength=T).astype(np.float64)
+    K = n * n
 
     sig = init.as_array().astype(np.int64)
-    tau = _tau_for_sigma(sig, *edges, layer_totals)
-    obj = _even_count(sig, tau, *edges)
-    trace = [obj]
-    W = None
+    zeros, ones = np.flatnonzero(sig == 0), np.flatnonzero(sig == 1)
+    block, score = np.empty((2, n // 2, n // 2), dtype=np.int64)
+    tau, trace = None, []
     # Each accepted swap raises obj, an integer in [0, E], by at least 1, so a
     # correct ascent makes at most E swaps; more means the gains are corrupt.
     swaps_left = len(edges[0])
 
     for _ in range(_MAX_ROUNDS):
-        changed = False
         new_tau = _tau_for_sigma(sig, *edges, layer_totals)
-        if not np.array_equal(new_tau, tau):
+        changed = tau is not None and not np.array_equal(new_tau, tau)
+        if tau is None or changed:
             tau = new_tau
             obj = _even_count(sig, tau, *edges)
             trace.append(obj)
-            changed = True
-            W = None
-        if W is None:
             W = _weighted_layer_sum(graph, 1.0 - 2.0 * tau)
-            g = W @ (1.0 - 2.0 * sig)
-        # Best-improvement swaps at fixed tau.
-        while True:
-            zeros_idx = np.flatnonzero(sig == 0)
-            ones_idx = np.flatnonzero(sig == 1)
-            delta = g[ones_idx] - g[zeros_idx][:, None] - 2.0 * W[zeros_idx][:, ones_idx]
-            flat = int(np.argmax(delta))
-            gain = delta.flat[flat]
-            if gain <= 0:
+            kg = K * (W @ (1.0 - 2.0 * sig)).astype(np.int64)
+            W = (-2 * K) * W.astype(np.int64)  # from here on, W holds -2 K W
+            # Swapping u for v scores W[u, v] - terms[0, u] + terms[1, v].
+            terms = kg + np.outer([n, -1], np.arange(n))
+            block[...] = W[np.ix_(zeros, ones)]
+        while True:  # best-improvement swaps at fixed tau
+            np.subtract(block, terms[0, zeros][:, None], out=score)
+            np.add(score, terms[1, ones], out=score)
+            flat = int(score.argmax())
+            best = int(score.flat[flat])
+            if best <= 0:
                 break
             if swaps_left == 0:
                 raise AssertionError("local search exceeded E swaps: swap gains are inconsistent")
             swaps_left -= 1
-            u = int(zeros_idx[flat // len(ones_idx)])
-            v = int(ones_idx[flat % len(ones_idx)])
+            a, b = divmod(flat, n // 2)
+            u, v = int(zeros[a]), int(ones[b])
+            zeros[a], ones[b] = v, u
+            block[a] = W[v, ones]
+            block[:, b] = W[u, zeros]  # W is symmetric
+            terms += W[u] - W[v]
             sig[u], sig[v] = 1, 0
-            g += 2.0 * (W[v] - W[u])  # rows: W is symmetric
-            obj += int(round(gain))
+            obj += (best + u * n + v) // K
             trace.append(obj)
             changed = True
         if not changed:

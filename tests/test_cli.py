@@ -126,6 +126,13 @@ def test_recover_on_a_file_declaring_too_many_layers_is_a_size_guard(tmp_path, c
     assert code == 3 and err.startswith("size guard:")
 
 
+def test_recover_local_search_on_an_odd_layer_count_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "odd.edges"
+    write_graph(path, complete_graph(6, 3))
+    code, _, err = run(capsys, "recover", "--in", str(path), "--method", "mle-local-search")
+    assert code == 2 and "mle_local_search_multistart needs even n >= 2 and even T" in err
+
+
 def test_recover_unknown_method_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["recover", "--n", "8", "--T", "4", "--rho", "0.3",

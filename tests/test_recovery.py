@@ -32,6 +32,7 @@ from mlsbm import (
     top_two_eigenpairs,
 )
 from mlsbm import recovery
+from mlsbm.model import _from_table
 from mlsbm.recovery import _edge_arrays, _tau_for_sigma, to_json_record
 
 from conftest import fresh, parity_even_graph
@@ -226,6 +227,11 @@ def assert_matches_reference(graph, init):
     assert got == reference_local_search(graph, init)
 
 
+def random_starts(draw, rng, n):
+    return [Assignment(tuple(int(b) for b in rng.permutation([0] * (n // 2) + [1] * (n // 2))))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
 @st.composite
 def ascent_cases(draw):
     """Even n in 4..40, T in {2, 4, 6}, some layers empty, density up to 0.6."""
@@ -240,17 +246,39 @@ def ascent_cases(draw):
             layers.append([])
         else:
             layers.append([p for p, keep in zip(pairs, rng.random(len(pairs)) < rho) if keep])
-    graph = MultiLayerGraph(n=n, T=T, layers=layers)
-    randoms = [Assignment(tuple(int(b) for b in rng.permutation([0] * (n // 2) + [1] * (n // 2))))
-               for _ in range(draw(st.integers(1, 3)))]
-    return graph, randoms
+    return MultiLayerGraph(n=n, T=T, layers=layers), random_starts(draw, rng, n)
 
 
-@given(case=ascent_cases())
-@settings(max_examples=60, deadline=None)
+@st.composite
+def tie_heavy_cases(draw):
+    """Even n in 4..32, T in {2, 4, 6, 8}, complete and near-complete layers.
+
+    The signed aggregate of such layers is nearly constant, so most swap gains
+    tie and the ascent's tie-break decides which swap is taken.
+    """
+    n = 2 * draw(st.integers(2, 16))
+    T = draw(st.sampled_from([2, 4, 6, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    layers = []
+    for _ in range(T):
+        rho = draw(st.sampled_from([1.0, 0.99, 0.95, 0.9]))
+        layers.append([p for p, keep in zip(pairs, rng.random(len(pairs)) < rho) if keep])
+    return MultiLayerGraph(n=n, T=T, layers=layers), random_starts(draw, rng, n)
+
+
+@given(case=st.one_of(ascent_cases(), tie_heavy_cases()))
+@settings(max_examples=100, deadline=None)
 def test_local_search_matches_rebuild_every_swap_reference(case):
     graph, randoms = case
     for init in default_start_battery(graph) + randoms:
+        assert_matches_reference(graph, init)
+
+
+def test_local_search_matches_reference_at_the_benchmark_cell():
+    # The local-search benchmark's cell: hundreds of swaps over its start battery.
+    graph = sample_planted(MlsbmParams(n=256, T=8, rho=0.01), seed=0).graph
+    for init in default_start_battery(graph):
         assert_matches_reference(graph, init)
 
 
@@ -471,6 +499,17 @@ def test_dense_materialization_cap():
         aggregate_bias_adjusted(empty_graph(4098, 2))
 
 
+def peak_while_refusing(call, graph, match=None) -> int:
+    """Peak traced bytes while call(graph) raises SizeGuardError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=match):
+            call(graph)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -483,16 +522,30 @@ def test_dense_materialization_cap():
     ids=["bias-adjusted", "layer-sum", "signed", "local-search", "local-multistart"],
 )
 def test_dense_cap_refuses_before_allocating(call):
-    graph = empty_graph(4098, 2)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardError):
-            call(graph)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # one 4098 x 4098 float64 matrix would take 134 MB
-    assert peak < 2**20
+    assert peak_while_refusing(call, empty_graph(4098, 2)) < 2**20
+
+
+@pytest.mark.parametrize("n, T", [(5, 2), (4, 3)], ids=["odd-n", "odd-T"])
+def test_multistart_refuses_odd_sizes_before_the_start_battery(monkeypatch, n, T):
+    def battery_ran(graph):
+        raise AssertionError("the start battery ran before the size check")
+
+    monkeypatch.setattr(recovery, "aggregate_bias_adjusted", battery_ran)
+    with pytest.raises(ValidationError, match="mle_local_search_multistart needs even n >= 2 and even T"):
+        mle_local_search_multistart(empty_graph(n, T))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda graph: mle_local_search(graph, Assignment((0, 1))), mle_local_search_multistart],
+    ids=["local-search", "local-multistart"],
+)
+def test_swap_score_guard_refuses_before_allocating(call):
+    # 2^62 empty layers: swap scores could overflow int64, and any T-sized array
+    # would take 2^65 bytes.
+    graph = _from_table(2, 2**62, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert peak_while_refusing(call, graph, match="overflow int64") < 2**20
 
 
 @st.composite
