@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -134,17 +134,6 @@ def _check_size(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _layer_rows(layer, t: int) -> np.ndarray:
-    """One input layer as an (m, 2) int64 array; its contents are checked later."""
-    try:
-        rows = np.asarray(layer, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValidationError(f"layer {t + 1}: node index outside the int64 range") from exc
-    if rows.size and (rows.ndim != 2 or rows.shape[1] != 2):
-        raise ValidationError(f"layer {t + 1}: edge array must have shape (m, 2)")
-    return rows.reshape(-1, 2)
-
-
 def _check_table(n: int, edges: np.ndarray, layer_ids: np.ndarray) -> None:
     """The one edge validator: 1 <= i < j <= n, rows strictly increasing in (t, i, j).
 
@@ -172,6 +161,29 @@ def _check_table(n: int, edges: np.ndarray, layer_ids: np.ndarray) -> None:
             raise ValidationError(f"layer {layer + 1}: {message}")
 
 
+def _edge_table(n: int, layers: Iterable[tuple[int, object]]) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (edges, layer_ids) table of (0-based layer, (i, j) rows) pairs in layer order.
+
+    The first faulty layer is reported, as a layer-by-layer check would: an
+    int64 overflow in layer t is reported only once the layers before t pass.
+    """
+    ids, rows = [], []
+    for t, layer in layers:
+        try:
+            layer_rows = np.asarray(layer, dtype=np.int64)
+        except OverflowError as exc:
+            _edge_table(n, zip(ids, rows))  # raises the first fault of an earlier layer, if any
+            raise ValidationError(f"layer {t + 1}: node index outside the int64 range") from exc
+        if layer_rows.size and (layer_rows.ndim != 2 or layer_rows.shape[1] != 2):
+            raise ValidationError(f"layer {t + 1}: edge array must have shape (m, 2)")
+        ids.append(t)
+        rows.append(layer_rows.reshape(-1, 2))
+    edges = np.concatenate([np.empty((0, 2), dtype=np.int64), *rows])
+    layer_ids = np.repeat(np.array(ids, dtype=np.int64), [len(r) for r in rows])
+    _check_table(n, edges, layer_ids)
+    return edges, layer_ids
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class MultiLayerGraph:
     """T simple undirected layers over n shared nodes, stored as one edge table.
@@ -193,11 +205,7 @@ class MultiLayerGraph:
         n, T = _check_size(n, "n", 2), _check_size(T, "T", 1)
         if len(layers) != T:
             raise ValidationError(f"expected {T} layers, got {len(layers)}")
-        rows = [_layer_rows(layer, t) for t, layer in enumerate(layers)]
-        edges = np.concatenate(rows)
-        layer_ids = np.repeat(np.arange(T), [len(r) for r in rows])
-        _check_table(n, edges, layer_ids)
-        _from_table(n, T, edges, layer_ids, self)
+        _from_table(n, T, *_edge_table(n, enumerate(layers)), self)
 
     def __eq__(self, other):
         if not isinstance(other, MultiLayerGraph):
@@ -265,14 +273,15 @@ class PlantedInstance:
     tau: Assignment
 
     def __post_init__(self):
-        if self.sigma.size != self.graph.n:
-            raise ValidationError(
-                f"sigma has {self.sigma.size} labels but the graph has {self.graph.n} nodes"
-            )
-        if self.tau.size != self.graph.T:
-            raise ValidationError(
-                f"tau has {self.tau.size} labels but the graph has {self.graph.T} layers"
-            )
+        _check_label_sizes(self.graph, sigma=self.sigma, tau=self.tau)
+
+
+def _check_label_sizes(graph: MultiLayerGraph, **labels: Assignment) -> None:
+    """Refuse labels whose length is not the graph's: tau labels layers, any other name nodes."""
+    for name, a in labels.items():
+        size, unit = (graph.T, "layers") if name == "tau" else (graph.n, "nodes")
+        if a.size != size:
+            raise ValidationError(f"{name} has {a.size} labels but the graph has {size} {unit}")
 
 
 def edge_probability(sigma_i: int, sigma_j: int, tau_t: int, rho: float) -> float:
@@ -580,8 +589,7 @@ def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance
     except ValueError as exc:
         raise ValidationError(f"{path}: bad header numbers") from exc
     _check_substream_count(T)  # the samplers' cap, before any edge is read
-    layer_numbers: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    layers: list[tuple[int, list[tuple[int, int]]]] = []  # only the layers with edges
     footers: dict[str, str] = {}
     last_t = 0
     for ln in lines[1:]:
@@ -603,21 +611,12 @@ def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance
             raise ValidationError(f"{path}: layer index {t} outside [1, {T}]")
         if t < last_t:
             raise ValidationError(f"{path}: edges must be sorted by layer")
-        last_t = t
-        layer_numbers.append(t)
-        pairs.append((i, j))
+        if t > last_t:
+            layers.append((t - 1, []))
+            last_t = t
+        layers[-1][1].append((i, j))
     n, T = _check_size(n, "n", 2), _check_size(T, "T", 1)
-    layer_ids = np.array(layer_numbers, dtype=np.int64) - 1
-    try:
-        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError as exc:
-        # Reported after any fault of an earlier layer, as a layer-by-layer check would.
-        t = next(t for t, p in zip(layer_numbers, pairs) if not -(2**63) <= min(p) <= max(p) < 2**63)
-        first = layer_numbers.index(t)
-        _check_table(n, np.array(pairs[:first], dtype=np.int64).reshape(-1, 2), layer_ids[:first])
-        raise ValidationError(f"layer {t}: node index outside the int64 range") from exc
-    _check_table(n, edges, layer_ids)
-    graph = _from_table(n, T, edges, layer_ids)
+    graph = _from_table(n, T, *_edge_table(n, layers))
     if len(footers) == 1:
         raise ValidationError(f"{path}: sigma and tau footers must appear together")
     if footers:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 from .model import _ENUM_MAX_ITEMS, Assignment, MultiLayerGraph, enumerate_assignments
+from .model import _check_label_sizes
 
 # Dense n x n matrices are materialized only below this size.
 _DENSE_MAX_NODES = 4096
@@ -73,6 +74,15 @@ class AggregateMatrix:
         if self.kind == "bias-adjusted" and np.any(np.diag(m) != 0.0):
             raise ValidationError("bias-adjusted aggregate must have a zero diagonal")
         object.__setattr__(self, "matrix", m)
+
+
+def _check_even_sizes(graph: MultiLayerGraph, method: str, min_n: int = 2, even_T: bool = True):
+    """Refuse an odd n or one below min_n, and (with even_T) an odd T."""
+    n, T = graph.n, graph.T
+    if even_T and (n < min_n or n % 2 != 0 or T % 2 != 0):
+        raise ValidationError(f"{method} needs even n >= {min_n} and even T, got n={n}, T={T}")
+    if n < min_n or n % 2 != 0:
+        raise ValidationError(f"{method} needs even n >= {min_n}, got n={n}")
 
 
 def _check_dense_size(n: int) -> None:
@@ -143,8 +153,7 @@ def aggregate_layer_sum(graph: MultiLayerGraph) -> AggregateMatrix:
 def aggregate_signed(graph: MultiLayerGraph, tau: Assignment) -> AggregateMatrix:
     """Type-signed sum: layers with tau_t = 1 enter with weight -1."""
     _check_dense_size(graph.n)
-    if tau.size != graph.T:
-        raise ValidationError(f"tau has {tau.size} labels but the graph has {graph.T} layers")
+    _check_label_sizes(graph, tau=tau)
     weights = 1.0 - 2.0 * tau.as_array()
     return AggregateMatrix(_weighted_layer_sum(graph, weights), "signed")
 
@@ -216,22 +225,19 @@ def _spectral_round(agg: AggregateMatrix, method: str, pick_smaller_mean: bool) 
 
 def bias_adjusted_spectral(graph: MultiLayerGraph) -> RecoveryResult:
     """Spectral clustering on the debiased squared-adjacency sum."""
-    if graph.n < 4 or graph.n % 2 != 0:
-        raise ValidationError(f"bias_adjusted_spectral needs even n >= 4, got n={graph.n}")
+    _check_even_sizes(graph, "bias_adjusted_spectral", min_n=4, even_T=False)
     return _spectral_round(aggregate_bias_adjusted(graph), "bias-adjusted", True)
 
 
 def aggregate_sum_spectral(graph: MultiLayerGraph) -> RecoveryResult:
     """Spectral clustering on the plain layer sum (type-blind baseline)."""
-    if graph.n < 2 or graph.n % 2 != 0:
-        raise ValidationError(f"aggregate_sum_spectral needs even n >= 2, got n={graph.n}")
+    _check_even_sizes(graph, "aggregate_sum_spectral", even_T=False)
     return _spectral_round(aggregate_layer_sum(graph), "sum-aggregate", True)
 
 
 def oracle_tau_spectral(graph: MultiLayerGraph, tau: Assignment) -> RecoveryResult:
     """Spectral clustering on the type-signed sum, using the true tau."""
-    if graph.n < 2 or graph.n % 2 != 0:
-        raise ValidationError(f"oracle_tau_spectral needs even n >= 2, got n={graph.n}")
+    _check_even_sizes(graph, "oracle_tau_spectral", even_T=False)
     agg = aggregate_signed(graph, tau)
     # The signed sum cancels the density direction, so the top eigenvector
     # itself carries the community signal.
@@ -240,30 +246,52 @@ def oracle_tau_spectral(graph: MultiLayerGraph, tau: Assignment) -> RecoveryResu
 
 def mle_objective(graph: MultiLayerGraph, sigma: Assignment, tau: Assignment) -> int:
     """Count edges sitting on parity-even slots under (sigma, tau)."""
-    if sigma.size != graph.n:
-        raise ValidationError(f"sigma has {sigma.size} labels but the graph has {graph.n} nodes")
-    if tau.size != graph.T:
-        raise ValidationError(f"tau has {tau.size} labels but the graph has {graph.T} layers")
-    sig = sigma.as_array().astype(np.int64)
-    return _even_count(sig, tau.as_array().astype(np.int64), *_edge_arrays(graph))
+    _check_label_sizes(graph, sigma=sigma, tau=tau)
+    margins = _layer_margins(graph, sigma.as_array())
+    return (graph.total_edges + int(margins @ (1 - 2 * tau.as_array()))) // 2
 
 
-def _even_count(sig: np.ndarray, tau: np.ndarray, e_i, e_j, e_t) -> int:
-    """Number of edges whose parity sigma_i + sigma_j + tau_t is even."""
-    parity = (sig[e_i] + sig[e_j] + tau[e_t]) % 2
-    return int(len(e_i) - parity.sum())
+def _layer_margins(graph: MultiLayerGraph, sig: np.ndarray) -> np.ndarray:
+    """Every layer's even minus odd edge count under sigma: the one parity count.
+
+    sig is one labelling (n,) or a batch (k, n); the result is (T,) or (k, T)
+    int64. The table is in layer order, so a layer's odd count is the rise of
+    one running sum across its rows. The objective under (sigma, tau) is
+    (E + sum_t (1 - 2 tau_t) margin_t) / 2.
+    """
+    e_i, e_j, e_t = _edge_arrays(graph)
+    bounds = np.searchsorted(e_t, np.arange(graph.T + 1))
+    odd = np.zeros(sig.shape[:-1] + (len(e_t) + 1,), dtype=np.int64)
+    np.cumsum(sig[..., e_i] != sig[..., e_j], axis=-1, out=odd[..., 1:])
+    return np.diff(bounds) - 2 * np.diff(odd[..., bounds], axis=-1)
+
+
+def _tau_for_sigma(graph: MultiLayerGraph, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced tau maximizing the objective for fixed sigma, and that maximum.
+
+    For fixed sigma the objective separates over layers, so the T/2 layers
+    with the largest margins get tau_t = 0; a stable sort gives tied layers
+    tau_t = 0 in index order, which makes tau the lexicographically smallest
+    optimum. sig is one labelling (n,) or a batch (k, n), as in _layer_margins.
+    """
+    margins = _layer_margins(graph, sig)
+    order = np.argsort(-margins, axis=-1, kind="stable")
+    tau = np.ones_like(margins)
+    np.put_along_axis(tau, order[..., : graph.T // 2], 0, axis=-1)
+    return tau, (graph.total_edges + (margins * (1 - 2 * tau)).sum(axis=-1)) // 2
 
 
 def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
     """Global maximizer of the parity-even edge count over balanced (sigma, tau).
 
-    Ties break by enumeration order (sigma-major); the reported sigma_hat is
-    canonicalized so its first entry is 0, which never changes the objective
-    because flipping sigma preserves every pair parity.
+    Only sigma is enumerated; each sigma is scored with its best tau from
+    _tau_for_sigma, the rule the local search uses. Flipping sigma preserves
+    every pair parity, so only the first half of enumerate_assignments(n), the
+    sigma with sigma_1 = 0, is searched. sigma_hat is the first maximizer in
+    that order and tau_hat the lexicographically smallest optimal tau for it.
     """
     n, T = graph.n, graph.T
-    if n % 2 != 0 or T % 2 != 0:
-        raise ValidationError("mle_exhaustive needs even n and T")
+    _check_even_sizes(graph, "mle_exhaustive")
     if n > _ENUM_MAX_ITEMS or T > _ENUM_MAX_ITEMS:
         raise SizeGuardError(
             f"mle_exhaustive enumeration is capped at {_ENUM_MAX_ITEMS} items per axis"
@@ -274,56 +302,17 @@ def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
         raise SizeGuardError(
             f"mle_exhaustive candidate count {n_sigma * n_tau} exceeds {_EXHAUSTIVE_GUARD}"
         )
-    sigmas = enumerate_assignments(n)
-    taus = enumerate_assignments(T)
-    tau_mat = np.array([a.labels for a in taus], dtype=np.int64)
-    e_i, e_j, e_t = _edge_arrays(graph)
-    layer_totals = np.bincount(e_t, minlength=T).astype(np.int64)
-    onehot = (e_t[:, None] == np.arange(T)[None, :]).astype(np.int64)
-
-    best_val = -1
-    best_sigma_idx = 0
-    best_tau_idx = 0
-    chunk = 2048
-    for start in range(0, n_sigma, chunk):
-        block = sigmas[start : start + chunk]
-        sig_mat = np.array([a.labels for a in block], dtype=np.int64)
-        parity = (sig_mat[:, e_i] + sig_mat[:, e_j]) % 2
-        odd_per_layer = parity @ onehot
-        even_per_layer = layer_totals[None, :] - odd_per_layer
-        # objective(sigma, tau) = sum_t (tau_t ? odd_t : even_t)
-        objs = even_per_layer @ (1 - tau_mat.T) + odd_per_layer @ tau_mat.T
-        flat = int(np.argmax(objs))
-        val = int(objs.flat[flat])
-        if val > best_val:
-            best_val = val
-            best_sigma_idx = start + flat // n_tau
-            best_tau_idx = flat % n_tau
-    sigma_hat = sigmas[best_sigma_idx]
-    if sigma_hat.labels[0] == 1:
-        sigma_hat = sigma_hat.flipped()
+    sigmas = enumerate_assignments(n)[: n_sigma // 2]
+    best = -1
+    for start in range(0, len(sigmas), 2048):
+        block = sigmas[start : start + 2048]
+        taus, objs = _tau_for_sigma(graph, np.array([a.labels for a in block], dtype=np.int8))
+        k = int(np.argmax(objs))
+        if objs[k] > best:
+            best, sigma_hat, tau_hat = int(objs[k]), block[k], taus[k]
     return RecoveryResult(
-        sigma_hat,
-        "mle-exhaustive",
-        tau_hat=taus[best_tau_idx],
-        objective=best_val,
+        sigma_hat, "mle-exhaustive", tau_hat=Assignment(tuple(tau_hat.tolist())), objective=best
     )
-
-
-def _tau_for_sigma(sig: np.ndarray, e_i, e_j, e_t, layer_totals: np.ndarray) -> np.ndarray:
-    """Balanced tau maximizing the objective for fixed sigma.
-
-    Layers ranked by margin (even-count minus odd-count); the T/2 largest
-    margins get tau_t = 0, ties resolved by layer index.
-    """
-    T = len(layer_totals)
-    parity = (sig[e_i] + sig[e_j]) % 2
-    odd = np.bincount(e_t, weights=parity.astype(np.float64), minlength=T)
-    margin = (layer_totals - odd) - odd
-    order = np.argsort(-margin, kind="stable")
-    tau = np.ones(T, dtype=np.int64)
-    tau[order[: T // 2]] = 0
-    return tau
 
 
 def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
@@ -359,8 +348,7 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
 def _check_ascent(graph: MultiLayerGraph, method: str) -> None:
     """Refuse what the swap ascent cannot run on, before anything is allocated."""
     n, T = graph.n, graph.T
-    if n < 2 or n % 2 != 0 or T % 2 != 0:
-        raise ValidationError(f"{method} needs even n >= 2 and even T, got n={n}, T={T}")
+    _check_even_sizes(graph, method)
     _check_dense_size(n)
     # |gain| <= 2E + 2T, so below this bound every swap score and partial sum fits.
     if n * n * (2 * graph.total_edges + 2 * T + 2) >= 2**63:
@@ -412,12 +400,9 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
     break ties toward the smallest (u, v), as a row-major argmax over
     index-sorted zeros and ones would.
     """
-    n, T = graph.n, graph.T
-    if init.size != n:
-        raise ValidationError(f"init has {init.size} labels but the graph has {n} nodes")
+    n = graph.n
+    _check_label_sizes(graph, init=init)
     _check_ascent(graph, "mle_local_search")
-    edges = _edge_arrays(graph)
-    layer_totals = np.bincount(edges[2], minlength=T).astype(np.float64)
     K = n * n
 
     sig = init.as_array().astype(np.int64)
@@ -426,14 +411,13 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
     tau, trace = None, []
     # Each accepted swap raises obj, an integer in [0, E], by at least 1, so a
     # correct ascent makes at most E swaps; more means the gains are corrupt.
-    swaps_left = len(edges[0])
+    swaps_left = graph.total_edges
 
     for _ in range(_MAX_ROUNDS):
-        new_tau = _tau_for_sigma(sig, *edges, layer_totals)
+        new_tau, new_obj = _tau_for_sigma(graph, sig)
         changed = tau is not None and not np.array_equal(new_tau, tau)
         if tau is None or changed:
-            tau = new_tau
-            obj = _even_count(sig, tau, *edges)
+            tau, obj = new_tau, int(new_obj)
             trace.append(obj)
             W = _weighted_layer_sum(graph, 1.0 - 2.0 * tau)
             kg = K * (W @ (1.0 - 2.0 * sig)).astype(np.int64)

@@ -133,6 +133,24 @@ def test_recover_local_search_on_an_odd_layer_count_is_a_validation_error(tmp_pa
     assert code == 2 and "mle_local_search_multistart needs even n >= 2 and even T" in err
 
 
+def test_recover_exhaustive_on_an_odd_layer_count_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "odd.edges"
+    write_graph(path, complete_graph(6, 3))
+    code, _, err = run(capsys, "recover", "--in", str(path), "--method", "mle-exhaustive")
+    assert code == 2 and "mle_exhaustive needs even n >= 2 and even T, got n=6, T=3" in err
+
+
+def test_recover_exhaustive_at_twenty_layers_prints_the_pinned_record(capsys):
+    # An admitted large-T cell: C(6, 3) x C(20, 10) = 3,695,120 candidates under the guard.
+    code, out, _ = run(capsys, "recover", "--n", "6", "--T", "20", "--rho", "0.4",
+                       "--seed", "1", "--method", "mle-exhaustive")
+    assert code == 0
+    assert out == (
+        '{\n  "degenerate_flag": false,\n  "loss_vs_truth": 0.0,\n  "method": "mle-exhaustive",\n'
+        '  "objective": 103,\n  "sigma_hat": "010011",\n  "tau_hat": "10110111000000110110"\n}\n'
+    )
+
+
 def test_recover_unknown_method_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["recover", "--n", "8", "--T", "4", "--rho", "0.3",

@@ -224,6 +224,28 @@ def test_the_table_validator_reports_the_first_faulty_layer(layers, message):
         MultiLayerGraph(n=4, T=len(layers), layers=layers)
 
 
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([[(1, 9)], [], [(1, 2**70)]], "layer 1: node indices must lie in [1, 4]"),
+        ([[(2, 1)], [(1, 2**70)]], "layer 1: edges must satisfy i < j (no self-loops)"),
+        ([[(1, 3), (1, 2)], [(-(2**70), 2)]], "layer 1: edges must be sorted by (i, j)"),
+        ([[(1, 2)], [], [(1, 2**70)]], "layer 3: node index outside the int64 range"),
+    ],
+    ids=["earlier-range", "earlier-self-loop", "earlier-unsorted", "lone-overflow"],
+)
+def test_constructor_and_reader_report_the_same_first_fault(tmp_path, layers, message):
+    with pytest.raises(ValidationError) as built:
+        MultiLayerGraph(n=4, T=len(layers), layers=layers)
+    path = tmp_path / "faulty.edges"
+    lines = [f"{t} {i} {j}" for t, layer in enumerate(layers, 1) for i, j in layer]
+    path.write_text("\n".join([f"mlsbm-edges v1 n=4 T={len(layers)}", *lines]) + "\n")
+    with pytest.raises(ValidationError) as read:
+        read_graph(path)
+    assert str(built.value) == str(read.value)
+    assert str(built.value).startswith(message)
+
+
 def test_layer_slice_and_permute():
     g = MultiLayerGraph(n=4, T=3, layers=[[(1, 2)], [(3, 4)], [(1, 3), (2, 4)]])
     assert g.layer_slice(1, 3).layers[0].tolist() == [[3, 4]]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_exhaustive_recovers_noiseless_fixture(six_edge_instance):
 def test_exhaustive_empty_graph_ties_to_first_candidate():
     result = mle_exhaustive(empty_graph(4, 2))
     assert result.objective == 0
-    assert result.sigma_hat.labels[0] == 0  # canonicalized
+    assert result.sigma_hat.labels[0] == 0  # only sigma with sigma_1 = 0 are searched
     assert result.sigma_hat == list(enumerate_assignments(4))[0]
 
 
@@ -117,6 +118,98 @@ def test_exhaustive_dominates_planted_truth(seed):
 def test_exhaustive_size_guard():
     with pytest.raises(SizeGuardError):
         mle_exhaustive(empty_graph(22, 2))
+
+
+def reference_exhaustive(graph):
+    """Every balanced (sigma, tau) pair scored at once, against an E x T one-hot matrix.
+
+    The oracle for mle_exhaustive, which enumerates sigma alone and takes tau
+    from the balanced per-layer margin rule. Ties break by enumeration order,
+    sigma-major, and sigma_hat is flipped to start with 0 (flipping sigma keeps
+    every pair parity).
+    """
+    n, T = graph.n, graph.T
+    sigmas = enumerate_assignments(n)
+    taus = enumerate_assignments(T)
+    tau_mat = np.array([a.labels for a in taus], dtype=np.int64)
+    e_i, e_j, e_t = _edge_arrays(graph)
+    layer_totals = np.bincount(e_t, minlength=T).astype(np.int64)
+    onehot = (e_t[:, None] == np.arange(T)[None, :]).astype(np.int64)
+    best_val, best_sigma_idx, best_tau_idx = -1, 0, 0
+    for start in range(0, len(sigmas), 2048):
+        sig_mat = np.array([a.labels for a in sigmas[start : start + 2048]], dtype=np.int64)
+        odd_per_layer = ((sig_mat[:, e_i] + sig_mat[:, e_j]) % 2) @ onehot
+        even_per_layer = layer_totals[None, :] - odd_per_layer
+        # objective(sigma, tau) = sum_t (tau_t ? odd_t : even_t)
+        objs = even_per_layer @ (1 - tau_mat.T) + odd_per_layer @ tau_mat.T
+        flat = int(np.argmax(objs))
+        if int(objs.flat[flat]) > best_val:
+            best_val = int(objs.flat[flat])
+            best_sigma_idx, best_tau_idx = start + flat // len(taus), flat % len(taus)
+    sigma_hat = sigmas[best_sigma_idx]
+    if sigma_hat.labels[0] == 1:
+        sigma_hat = sigma_hat.flipped()
+    return sigma_hat, taus[best_tau_idx], best_val
+
+
+def graph_of_kind(kind, n, T, rho, seed):
+    """A planted or null sample, layers of density 0.9 to 1.0 (most scores tie), or no edges."""
+    if kind == "planted":
+        return sample_planted(MlsbmParams(n, T, rho), seed).graph
+    if kind == "null":
+        return sample_null(MlsbmParams(n, T, rho), seed)
+    if kind == "empty":
+        return empty_graph(n, T)
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    layers = []
+    for _ in range(T):
+        density = rng.choice([1.0, 0.99, 0.95, 0.9])
+        layers.append([p for p, keep in zip(pairs, rng.random(len(pairs)) < density) if keep])
+    return MultiLayerGraph(n=n, T=T, layers=layers)
+
+
+def candidates(n, T):
+    return math.comb(n, n // 2) * math.comb(T, T // 2)
+
+
+# Every shape mle_exhaustive admits; the oracle's cost grows with the candidates.
+ADMITTED_SHAPES = [
+    (n, T) for n in range(2, 21, 2) for T in range(2, 21, 2) if candidates(n, T) <= 10**7
+]
+
+
+def assert_exhaustive_matches_reference(graph):
+    result = mle_exhaustive(graph)
+    assert (result.sigma_hat, result.tau_hat, result.objective) == reference_exhaustive(graph)
+    assert result.objective == mle_objective(graph, result.sigma_hat, result.tau_hat)
+
+
+@given(
+    shape=st.sampled_from([s for s in ADMITTED_SHAPES if candidates(*s) <= 10**5]),
+    kind=st.sampled_from(["planted", "null", "dense", "empty"]),
+    rho=st.floats(0.01, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_exhaustive_matches_the_double_enumeration(shape, kind, rho, seed):
+    assert_exhaustive_matches_reference(graph_of_kind(kind, *shape, rho, seed))
+
+
+@pytest.mark.parametrize(
+    "n, T, kind",
+    [(20, 2, "planted"), (6, 20, "dense"), (10, 16, "planted"), (12, 12, "dense")],
+)
+def test_exhaustive_matches_the_double_enumeration_at_the_caps(n, T, kind):
+    assert_exhaustive_matches_reference(graph_of_kind(kind, n, T, 0.3, seed=n * T))
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_the_first_half_of_the_enumeration_is_the_sigma_starting_with_zero(n):
+    sigmas = enumerate_assignments(n)
+    half = len(sigmas) // 2
+    assert all(s.labels[0] == 0 for s in sigmas[:half])
+    assert all(s.labels[0] == 1 for s in sigmas[half:])
 
 
 # ---------------------------------------------------------- mle_local_search
@@ -165,9 +258,8 @@ def reference_local_search(graph, init, max_rounds=50):
     Oracle for mle_local_search, which keeps the gains up to date
     incrementally: both must take the same swaps and report the same result.
     """
-    n, T = graph.n, graph.T
+    n = graph.n
     e_i, e_j, e_t = _edge_arrays(graph)
-    layer_totals = np.bincount(e_t, minlength=T).astype(np.float64)
 
     def objective_of(sig, tau) -> int:
         if len(e_i) == 0:
@@ -176,13 +268,13 @@ def reference_local_search(graph, init, max_rounds=50):
         return int(len(e_i) - parity.sum())
 
     sig = init.as_array().astype(np.int64)
-    tau = _tau_for_sigma(sig, e_i, e_j, e_t, layer_totals)
+    tau, _ = _tau_for_sigma(graph, sig)
     obj = objective_of(sig, tau)
     trace = [obj]
 
     for _ in range(max_rounds):
         changed = False
-        new_tau = _tau_for_sigma(sig, e_i, e_j, e_t, layer_totals)
+        new_tau, _ = _tau_for_sigma(graph, sig)
         if not np.array_equal(new_tau, tau):
             tau = new_tau
             obj = objective_of(sig, tau)
