@@ -165,17 +165,22 @@ def _edge_table(n: int, layers: Iterable[tuple[int, object]]) -> tuple[np.ndarra
     """The checked (edges, layer_ids) table of (0-based layer, (i, j) rows) pairs in layer order.
 
     The first faulty layer is reported, as a layer-by-layer check would: an
-    int64 overflow in layer t is reported only once the layers before t pass.
+    int64 overflow or a bad shape in layer t is reported only once the layers
+    before t pass.
     """
     ids, rows = [], []
+
+    def fault(t: int, message: str) -> ValidationError:
+        _edge_table(n, zip(ids, rows))  # raises the first fault of an earlier layer, if any
+        return ValidationError(f"layer {t + 1}: {message}")
+
     for t, layer in layers:
         try:
             layer_rows = np.asarray(layer, dtype=np.int64)
         except OverflowError as exc:
-            _edge_table(n, zip(ids, rows))  # raises the first fault of an earlier layer, if any
-            raise ValidationError(f"layer {t + 1}: node index outside the int64 range") from exc
+            raise fault(t, "node index outside the int64 range") from exc
         if layer_rows.size and (layer_rows.ndim != 2 or layer_rows.shape[1] != 2):
-            raise ValidationError(f"layer {t + 1}: edge array must have shape (m, 2)")
+            raise fault(t, "edge array must have shape (m, 2)")
         ids.append(t)
         rows.append(layer_rows.reshape(-1, 2))
     edges = np.concatenate([np.empty((0, 2), dtype=np.int64), *rows])
@@ -359,18 +364,45 @@ def _dense_sampler(n: int, types: np.ndarray, slot_probs: Sequence) -> _LayerSam
     return _LayerSampler(types, draw, lambda codes: pairs[codes])
 
 
+def _checked_one_slot(gen: np.random.Generator, count: int) -> int:
+    """gen.integers(count), checked to equal gen.choice(count, size=1, replace=False).
+
+    Both make one bounded draw on [0, count): Floyd's loop runs once and the
+    shuffle of one item draws nothing. Raises RuntimeError unless the value
+    and the generator state after it agree.
+    """
+    bitgen = gen.bit_generator
+    before = bitgen.state
+    expected = int(gen.choice(count, size=1, replace=False)[0])
+    after = bitgen.state
+    bitgen.state = before
+    slot = int(gen.integers(count))
+    if slot != expected or bitgen.state != after:
+        raise RuntimeError("a one-slot block drew differently through integers than through choice")
+    return slot
+
+
 def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, decode):
     """Per block of counts[b] slots, a binomial number k of them, then k distinct slot ranks.
 
-    probs[type][b] is block b's slot probability in a layer of that type.
+    probs[type][b] is block b's slot probability in a layer of that type. A
+    block with k = 1 draws its rank through `integers`, ≈5x cheaper than
+    numpy's `choice` and the same draw; the first such block of each sampler
+    is checked against `choice`.
     """
     offsets = np.cumsum([0, *counts[:-1]]).tolist()
+    unchecked = True
 
     def draw(t: int, gen: np.random.Generator, codes: array) -> None:
+        nonlocal unchecked
         for count, offset, prob in zip(counts, offsets, probs[types[t]]):
             if count:
                 k = int(gen.binomial(count, prob))
-                if k:
+                if k == 1:
+                    slot = _checked_one_slot(gen, count) if unchecked else int(gen.integers(count))
+                    codes.append(slot + offset)
+                    unchecked = False
+                elif k:
                     codes.extend((gen.choice(count, size=k, replace=False) + offset).tolist())
 
     bounds = np.array([[_empty_bound(c, p[b]) for p in probs] for b, c in enumerate(counts)])
@@ -453,10 +485,23 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
 
 
 def _graph_from_edges(n: int, edges: np.ndarray, sizes: np.ndarray) -> MultiLayerGraph:
-    """Sort decoded (i, j) rows, grouped by layer, into the graph's (t, i, j) table."""
-    layer_ids = np.repeat(np.arange(len(sizes)), sizes)
-    table = np.take(edges, np.lexsort((edges[:, 1], edges[:, 0], layer_ids)), axis=0)
-    return _from_table(n, len(sizes), table, layer_ids)
+    """Sort decoded (i, j) rows, grouped by layer, into the graph's (t, i, j) table.
+
+    The rows sort on one unique int64 key (t*n + i - 1)*n + j <= T*n**2,
+    5-10x faster than a three-key lexsort, which is kept for T*n**2 >= 2**63.
+    """
+    T = len(sizes)
+    layer_ids = np.repeat(np.arange(T), sizes)
+    if T * n * n < 2**63:
+        key = layer_ids * n
+        key += edges[:, 0]
+        key -= 1
+        key *= n
+        key += edges[:, 1]
+        order = np.argsort(key)
+    else:
+        order = np.lexsort((edges[:, 1], edges[:, 0], layer_ids))
+    return _from_table(n, T, np.take(edges, order, axis=0), layer_ids)
 
 
 def sample_conditional(
@@ -516,24 +561,31 @@ def sample_null(params: MlsbmParams, seed: int) -> MultiLayerGraph:
     return _sample_layers(params.n, params.T, seed, _null_sampler(params.n, params.T, params.rho))
 
 
-def enumerate_assignments(m: int) -> list[Assignment]:
-    """All balanced assignments of m items, ascending in label-tuple order.
+def _balanced_rows(m: int) -> np.ndarray:
+    """All balanced labellings of m items as a (C(m, m/2), m) int8 array, rows ascending.
 
-    Guarded at m <= 20 (binom(20, 10) = 184756 vectors); the order is pinned
+    Guarded at m <= 20 (binom(20, 10) = 184756 rows); the order is pinned
     because MLE tie-breaking references it.
     """
     m = _check_even(m, "m", 2)
     if m > _ENUM_MAX_ITEMS:
         raise SizeGuardError(f"enumerate_assignments is capped at m={_ENUM_MAX_ITEMS}, got {m}")
-    out = []
-    # Zero positions chosen in lexicographic order produce label tuples in
-    # ascending lexicographic order (zeros early = smaller tuple).
-    for zero_positions in itertools.combinations(range(m), m // 2):
-        labels = [1] * m
-        for p in zero_positions:
-            labels[p] = 0
-        out.append(Assignment(tuple(labels)))
-    return out
+    # Zero positions chosen in lexicographic order produce label rows in
+    # ascending lexicographic order (zeros early = smaller row).
+    count = math.comb(m, m // 2)
+    zeros = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), m // 2)),
+        dtype=np.int64,
+        count=count * (m // 2),
+    ).reshape(count, m // 2)
+    rows = np.ones((count, m), dtype=np.int8)
+    np.put_along_axis(rows, zeros, 0, axis=1)
+    return rows
+
+
+def enumerate_assignments(m: int) -> list[Assignment]:
+    """All balanced assignments of m items, ascending in label-tuple order (see _balanced_rows)."""
+    return [Assignment(tuple(row)) for row in _balanced_rows(m).tolist()]
 
 
 def write_graph(

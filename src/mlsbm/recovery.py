@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .model import _ENUM_MAX_ITEMS, Assignment, MultiLayerGraph, enumerate_assignments
+from .model import _ENUM_MAX_ITEMS, Assignment, MultiLayerGraph, _balanced_rows
 from .model import _check_label_sizes
 
 # Dense n x n matrices are materialized only below this size.
@@ -286,7 +286,7 @@ def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
 
     Only sigma is enumerated; each sigma is scored with its best tau from
     _tau_for_sigma, the rule the local search uses. Flipping sigma preserves
-    every pair parity, so only the first half of enumerate_assignments(n), the
+    every pair parity, so only the first half of _balanced_rows(n), the
     sigma with sigma_1 = 0, is searched. sigma_hat is the first maximizer in
     that order and tau_hat the lexicographically smallest optimal tau for it.
     """
@@ -302,16 +302,19 @@ def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
         raise SizeGuardError(
             f"mle_exhaustive candidate count {n_sigma * n_tau} exceeds {_EXHAUSTIVE_GUARD}"
         )
-    sigmas = enumerate_assignments(n)[: n_sigma // 2]
+    sigmas = _balanced_rows(n)[: n_sigma // 2]
     best = -1
     for start in range(0, len(sigmas), 2048):
         block = sigmas[start : start + 2048]
-        taus, objs = _tau_for_sigma(graph, np.array([a.labels for a in block], dtype=np.int8))
+        taus, objs = _tau_for_sigma(graph, block)
         k = int(np.argmax(objs))
         if objs[k] > best:
             best, sigma_hat, tau_hat = int(objs[k]), block[k], taus[k]
     return RecoveryResult(
-        sigma_hat, "mle-exhaustive", tau_hat=Assignment(tuple(tau_hat.tolist())), objective=best
+        Assignment(tuple(sigma_hat.tolist())),
+        "mle-exhaustive",
+        tau_hat=Assignment(tuple(tau_hat.tolist())),
+        objective=best,
     )
 
 

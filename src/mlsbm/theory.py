@@ -41,10 +41,10 @@ from .model import (
     Assignment,
     MlsbmParams,
     _as_bits,
+    _balanced_rows,
     _check_even,
     _check_rho,
     _check_size,
-    enumerate_assignments,
 )
 
 # Hard enumeration caps (errors, never silent truncation).
@@ -191,7 +191,7 @@ def _parity_table(name: str, n: int, T: int, slots: Optional[Sequence[Slot]] = N
                   tau=None, tensors: bool = False) -> np.ndarray:
     """(labellings x slots) int8 table of (sigma_i + sigma_j + tau_t) mod 2.
 
-    Rows run over balanced sigma in `enumerate_assignments` order for a fixed
+    Rows run over balanced sigma in `_balanced_rows` order for a fixed
     tau (T bits, or an Assignment), else sigma-major over balanced (sigma,
     tau). `slots` defaults to every slot of (n, T). The guard counts this
     table's cells and, with `tensors`, the 2^slots x labellings likelihood
@@ -210,12 +210,12 @@ def _parity_table(name: str, n: int, T: int, slots: Optional[Sequence[Slot]] = N
             raise ValidationError(f"tau has {len(tau)} entries but T={T}")
     slots = _slot_list(n, T) if slots is None else slots
     i, j, t = np.array(slots, dtype=np.int64).reshape(-1, 3).T - 1
-    sigmas = np.array([s.labels for s in enumerate_assignments(n)], dtype=np.int8)
+    sigmas = _balanced_rows(n)
     node_part = sigmas[:, i] + sigmas[:, j]
     if tau is not None:
         table = node_part + np.asarray(tau, dtype=np.int8)[t]
     else:
-        taus = np.array([s.labels for s in enumerate_assignments(T)], dtype=np.int8)
+        taus = _balanced_rows(T)
         table = (node_part[:, None, :] + taus[None, :, t]).reshape(labellings, n_slots)
     table %= 2
     return table

@@ -104,6 +104,15 @@ def test_enumerate_assignments_counts(m, count):
     assert all(sum(a.labels) == m // 2 for a in assignments)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+def test_balanced_rows_are_every_balanced_labelling_in_ascending_order(m):
+    rows = model._balanced_rows(m)
+    expected = [b for b in itertools.product((0, 1), repeat=m) if sum(b) == m // 2]
+    assert rows.dtype == np.int8 and rows.shape == (len(expected), m)
+    assert [tuple(r) for r in rows.tolist()] == expected
+    assert [a.labels for a in enumerate_assignments(m)] == expected
+
+
 def test_enumerate_assignments_guards():
     with pytest.raises(ValidationError):
         list(enumerate_assignments(3))
@@ -244,6 +253,24 @@ def test_constructor_and_reader_report_the_same_first_fault(tmp_path, layers, me
         read_graph(path)
     assert str(built.value) == str(read.value)
     assert str(built.value).startswith(message)
+
+
+_LAYER_FAULTS = {
+    "shape": ([1, 2, 3], "edge array must have shape (m, 2)"),
+    "overflow": ([(1, 2**70)], "node index outside the int64 range"),
+    "range": ([(1, 9)], "node indices must lie in [1, 4]"),
+    "self-loop": ([(2, 1)], "edges must satisfy i < j (no self-loops)"),
+    "order": ([(1, 3), (1, 2)], "edges must be sorted by (i, j) without duplicates"),
+}
+
+
+@pytest.mark.parametrize("later", _LAYER_FAULTS)
+@pytest.mark.parametrize("first", _LAYER_FAULTS)
+def test_the_constructor_reports_the_first_faulty_layer_whatever_the_faults(first, later):
+    layers = [[(1, 2)], _LAYER_FAULTS[first][0], [], _LAYER_FAULTS[later][0]]
+    with pytest.raises(ValidationError) as raised:
+        MultiLayerGraph(n=4, T=len(layers), layers=layers)
+    assert str(raised.value) == f"layer 2: {_LAYER_FAULTS[first][1]}"
 
 
 def test_layer_slice_and_permute():
@@ -541,6 +568,116 @@ def test_a_corrupted_screen_bound_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="screened as empty"):
         sample_planted(params, seed=1)
     with pytest.raises(RuntimeError, match="screened as empty"):
+        sample_null(params, seed=1)
+
+
+@pytest.mark.parametrize("T", [1, 2], ids=["one-key", "lexsort"])
+def test_sampled_rows_sort_by_layer_and_pair_on_both_sides_of_the_key_bound(monkeypatch, T):
+    n = math.isqrt(2**63 - 1)  # T * n**2 < 2**63 only for T = 1
+    lexsorts, lexsort = [], np.lexsort
+
+    def counting(keys):
+        lexsorts.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    layer = [(n - 1, n), (1, n), (2, 3), (1, 2), (n - 2, n - 1)]
+    edges = np.array(layer * T, dtype=np.int64)
+    graph = model._graph_from_edges(n, edges, np.full(T, len(layer)))
+    assert graph == MultiLayerGraph(n, T, [sorted(layer)] * T)
+    assert lexsorts == [3] * (T - 1)
+
+
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    count=st.one_of(st.integers(2, 10**6), st.integers(2, 2**33), st.integers(2**32 - 2, 2**62)),
+    before=st.sampled_from(["nothing", "binomial", "uint32"]),
+)
+@example(seed=0, count=2, before="uint32")
+@example(seed=1, count=2**32 - 1, before="uint32")
+@example(seed=2, count=2**32, before="uint32")
+@example(seed=3, count=2**32 + 1, before="nothing")
+@settings(max_examples=300, deadline=None)
+def test_integers_makes_the_draw_of_a_one_item_choice(seed, count, before):
+    gens = [np.random.default_rng(seed) for _ in range(2)]
+    for gen in gens:
+        if before == "binomial":
+            gen.binomial(4950, 5e-5)
+        elif before == "uint32":
+            gen.integers(3)  # leaves half a uint64 buffered (has_uint32 = 1)
+    expected = gens[0].choice(count, size=1, replace=False)[0]
+    assert gens[1].integers(count) == expected
+    assert gens[1].bit_generator.state == gens[0].bit_generator.state
+
+
+class _RecordingGenerator:
+    """Forwards the sampler's numpy calls to gen, recording each; `corrupt` may alter integers."""
+
+    def __init__(self, gen, corrupt=None):
+        self.gen, self.corrupt, self.calls = gen, corrupt, []
+
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
+
+    def binomial(self, count, prob):
+        k = self.gen.binomial(count, prob)
+        self.calls.append(("binomial", int(k)))
+        return k
+
+    def choice(self, count, size, replace):
+        self.calls.append(("choice", size))
+        return self.gen.choice(count, size=size, replace=replace)
+
+    def integers(self, count):
+        self.calls.append(("integers",))
+        value = self.gen.integers(count)
+        return value if self.corrupt is None else self.corrupt(self.gen, count, value)
+
+
+def _record_layer_generators(monkeypatch, corrupt=None):
+    made, bulk = [], model._bulk_substreams
+
+    def recording(seed, tag, count):
+        gen, blocks = bulk(seed, tag, count)
+        made.append(_RecordingGenerator(gen, corrupt))
+        return made[-1], blocks
+
+    monkeypatch.setattr(model, "_bulk_substreams", recording)
+    return made
+
+
+def test_one_slot_blocks_draw_through_integers_at_a_gap_cell(monkeypatch):
+    made = _record_layer_generators(monkeypatch)
+    params = MlsbmParams(n=100, T=4000, rho=5e-5)
+    inst = sample_planted(params, seed=1)
+    null = sample_null(params, seed=1)
+    assert (inst.graph, inst.sigma, inst.tau) == reference_sample_planted(params, 1)
+    assert null == reference_sample_null(params, 1)
+    for gen in made:
+        one_slot = gen.calls.count(("binomial", 1))
+        # One integers draw per one-slot block; the one size-1 choice is the
+        # per-call check, which precedes the first integers draw.
+        assert one_slot > 100
+        assert gen.calls.count(("integers",)) == one_slot
+        assert gen.calls.count(("choice", 1)) == 1
+        assert gen.calls.index(("choice", 1)) + 1 == gen.calls.index(("integers",))
+
+
+def _one_draw_late(gen, count, value):
+    gen.random()  # the right value, but the generator state moves on
+    return value
+
+
+@pytest.mark.parametrize(
+    "corrupt", [lambda gen, count, value: (value + 1) % count, _one_draw_late], ids=["value", "state"]
+)
+def test_a_corrupted_one_slot_draw_raises(monkeypatch, corrupt):
+    _record_layer_generators(monkeypatch, corrupt)
+    params = MlsbmParams(n=100, T=4000, rho=5e-5)
+    with pytest.raises(RuntimeError, match="one-slot block"):
+        sample_planted(params, seed=1)
+    with pytest.raises(RuntimeError, match="one-slot block"):
         sample_null(params, seed=1)
 
 
