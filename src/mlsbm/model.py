@@ -23,9 +23,11 @@ import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 from .seeding import (
+    _M32,
     _bulk_substreams,
     _check_substream_count,
-    _pcg64_doubles,
+    _joined,
+    _pcg64_outputs,
     _reseed_each,
     substream,
 )
@@ -44,8 +46,8 @@ _LAYER_STREAM = 2
 
 _ENUM_MAX_ITEMS = 20
 
-# A first draw within this relative distance below numpy's empty-layer bound
-# still goes to numpy (see _empty_bound).
+# A binomial draw within this relative distance of a replayed inversion
+# threshold still goes to numpy (see _replay_plan).
 _SCREEN_MARGIN = 1e-9
 
 def _check_even(value, name: str, minimum: int) -> int:
@@ -324,18 +326,113 @@ def _unrank_within(ranks: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.column_stack([members[a], members[b]])
 
 
-def _empty_bound(count: int, prob: float) -> float:
-    """Largest first double for which binomial(count, prob) surely draws 0, or -1.
+class _ReplayPlan(NamedTuple):
+    """How numpy would draw each block with slots, per layer type, for _replay.
 
-    numpy's inversion branch (0 < p <= 0.5 and p * count <= 30) draws one
-    double U and returns 0 iff U <= (1 - p) ** count, computed as
-    exp(count * log(1 - p)). The margin leaves ulp-level doubt to numpy. A
-    zero-slot block draws nothing, BTPE (p * count > 30) draws a varying
-    number of doubles and p > 0.5 inverts 1 - p, so none of them is screened.
+    numpy's binomial(count, p) takes its inversion branch when 0 < p <= 0.5
+    and p * count <= 30: with qn = exp(count * log(1 - p)) and one double U,
+    it returns 0 if U <= qn, 1 if U - qn <= px1 = (count * p * qn) / (1 * q),
+    q = 1 - p, and more otherwise. `integers(count)`, count < 2**32, then
+    makes Lemire's bounded draw m = u32 * count from one uint32 word, and
+    retries when m mod 2**32 < (2**32 - count) mod count. A layer type with
+    a block outside that branch (BTPE, p > 0.5, count = 1, whose inversion
+    may restart, or count >= 2**32) is not replayable. The float operations
+    are numpy's own, in its order.
     """
-    if count == 0 or not 0.0 < prob <= 0.5 or prob * count > 30.0:
-        return -1.0
-    return math.exp(count * math.log(1.0 - prob)) * (1.0 - _SCREEN_MARGIN)
+
+    counts: tuple[int, ...]
+    offsets: tuple[int, ...]
+    qn: np.ndarray  # (blocks, types); 2.0 where not replayable, so U never passes it
+    px1: np.ndarray  # (blocks, types)
+    thresholds: tuple[int, ...]  # Lemire's rejection bound per block
+    replayable: np.ndarray  # (types,) bool
+
+
+def _replay_plan(counts: Sequence[int], probs: Sequence) -> _ReplayPlan | None:
+    """The _ReplayPlan of blocks counts[b] under probs[type][b]; None if no type replays.
+
+    Zero-slot blocks draw nothing, so they are left out.
+    """
+    offsets = np.cumsum([0, *counts[:-1]]).tolist()
+    blocks = [b for b, count in enumerate(counts) if count]
+    qn = np.full((len(blocks), len(probs)), 2.0)
+    px1 = np.zeros_like(qn)
+    replayable = np.ones(len(probs), dtype=bool)
+    for row, b in enumerate(blocks):
+        count = counts[b]
+        for kind, p in enumerate(probs):
+            prob = p[b]
+            if 1 < count < 2**32 and 0.0 < prob <= 0.5 and prob * count <= 30.0:
+                q = 1.0 - prob
+                qn[row, kind] = math.exp(count * math.log(q))
+                px1[row, kind] = (count * prob * qn[row, kind]) / (1 * q)
+            else:
+                replayable[kind] = False
+    if not replayable.any():
+        return None
+    return _ReplayPlan(
+        tuple(counts[b] for b in blocks),
+        tuple(offsets[b] for b in blocks),
+        qn,
+        px1,
+        tuple((2**32 - counts[b]) % counts[b] for b in blocks),
+        replayable,
+    )
+
+
+class _Replayed(NamedTuple):
+    """numpy's draws for each layer of a state block, replayed from its PCG64 outputs.
+
+    Layers with `to_numpy` set must be drawn through numpy; for the others,
+    codes[k, b] is the slot code block b draws in layer k, or -1 if it draws
+    none, and `outputs`, `has_uint32` and `uinteger` are the generator's
+    state after the layer: PCG64 outputs consumed and the buffered uint32.
+    """
+
+    to_numpy: np.ndarray
+    codes: np.ndarray
+    outputs: np.ndarray
+    has_uint32: np.ndarray
+    uinteger: np.ndarray
+
+
+def _replay(states: tuple[np.ndarray, ...], types: np.ndarray, plan: _ReplayPlan) -> _Replayed:
+    """Replay every layer of a state block whose blocks each draw 0 or 1 slots.
+
+    A block's binomial reads one double from a fresh PCG64 output. A block
+    with one slot then reads a uint32 word: the low half of a fresh output,
+    whose high half stays buffered, or that buffered half. A layer goes to
+    numpy if its type is not replayable, a block draws 2 or more slots, a
+    Lemire draw is rejected, or a double lies within _SCREEN_MARGIN of a
+    threshold, which leaves ulp-level doubt about exp and log to numpy.
+    """
+    L = len(types)
+    raw = _pcg64_outputs(states, 2 * len(plan.counts))
+    cols = np.arange(L)
+    outputs = np.zeros(L, dtype=np.intp)
+    has_uint32 = np.zeros(L, dtype=bool)
+    uinteger = np.zeros(L, dtype=np.uint64)
+    to_numpy = ~plan.replayable[types]
+    codes = np.full((L, len(plan.counts)), -1, dtype=np.int64)
+    for b, (count, offset, threshold) in enumerate(zip(plan.counts, plan.offsets, plan.thresholds)):
+        qn, px1 = plan.qn[b][types], plan.px1[b][types]
+        u = (raw[outputs, cols] >> np.uint64(11)) * 2.0**-53
+        outputs += 1
+        one = u > qn
+        rest = u - qn  # numpy's U -= px on its way to X = 1
+        to_numpy |= np.abs(rest) <= _SCREEN_MARGIN * qn
+        to_numpy |= one & (np.abs(rest - px1) <= _SCREEN_MARGIN * (qn + px1))
+        to_numpy |= one & (rest > px1)
+        fresh = one & ~has_uint32
+        word = raw[outputs, cols]
+        u32 = np.where(has_uint32, uinteger, word & _M32)
+        uinteger = np.where(fresh, word >> np.uint64(32), uinteger)
+        outputs += fresh
+        has_uint32 ^= one
+        m = u32 * np.uint64(count % 2**32)  # count >= 2**32 is never replayed
+        to_numpy |= one & ((m & _M32) < threshold)
+        codes[one, b] = (m[one] >> np.uint64(32)).astype(np.int64) + offset
+    return _Replayed(to_numpy, codes, outputs, has_uint32, uinteger)
 
 
 class _LayerSampler(NamedTuple):
@@ -344,14 +441,14 @@ class _LayerSampler(NamedTuple):
     A slot code ranks a node pair among the layer's slots, with the blocks
     laid end to end in draw order. `draw(t, gen, codes)` makes layer t's
     numpy calls and appends its codes, and `decode(codes)` maps any codes
-    to (i, j) rows in one pass. `bounds[b][types[t]]` is block b's
-    _empty_bound for layer t; None means no layer is screened.
+    to (i, j) rows in one pass. With a `plan`, _replay draws the layers it
+    can in bulk; None means every layer goes through numpy.
     """
 
     types: np.ndarray
     draw: Callable[[int, np.random.Generator, array], None]
     decode: Callable[[np.ndarray], np.ndarray]
-    bounds: np.ndarray | None = None
+    plan: _ReplayPlan | None = None
 
 
 def _dense_sampler(n: int, types: np.ndarray, slot_probs: Sequence) -> _LayerSampler:
@@ -388,7 +485,8 @@ def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, de
     probs[type][b] is block b's slot probability in a layer of that type. A
     block with k = 1 draws its rank through `integers`, ≈5x cheaper than
     numpy's `choice` and the same draw; the first such block of each sampler
-    is checked against `choice`.
+    is checked against `choice`. Layers whose blocks draw 0 or 1 slots are
+    replayed in bulk instead (see _replay).
     """
     offsets = np.cumsum([0, *counts[:-1]]).tolist()
     unchecked = True
@@ -405,8 +503,7 @@ def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, de
                 elif k:
                     codes.extend((gen.choice(count, size=k, replace=False) + offset).tolist())
 
-    bounds = np.array([[_empty_bound(c, p[b]) for p in probs] for b, c in enumerate(counts)])
-    return _LayerSampler(types, draw, decode, bounds)
+    return _LayerSampler(types, draw, decode, _replay_plan(counts, probs))
 
 
 def _planted_sampler(n: int, rho: float, sigma: np.ndarray, tau: np.ndarray) -> _LayerSampler:
@@ -451,37 +548,98 @@ def _null_sampler(n: int, T: int, rho: float) -> _LayerSampler:
 def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLayerGraph:
     """Draw layer t with substream (seed, layer-tag, t) for every t.
 
-    A layer whose first PCG64 doubles fall under every block's empty bound
-    draws nothing, so it skips numpy; the first such layer of each call is
-    drawn through numpy anyway and must come out empty. Every other layer
-    re-seeds one generator and appends its slot codes. One pass then decodes
-    and sorts all codes into the graph's table, which skips re-validation.
+    Without a replay plan every layer re-seeds one generator and draws
+    through numpy; with one, _replay_block draws each state block. One pass
+    then decodes and sorts all codes into the graph's table, which skips
+    re-validation.
     """
     gen, blocks = _bulk_substreams(seed, _LAYER_STREAM, T)
     codes = array("q")
     sizes = np.zeros(T, dtype=np.int64)
-    unchecked = True
+    unprobed = [True, True]  # the call's first replayed layer without / with an edge
     for start, states in blocks:
-        drawn = np.arange(len(states[0]))
-        if sampler.bounds is not None:
-            types = sampler.types[start : start + len(drawn)]
-            doubles = _pcg64_doubles(states, len(sampler.bounds))
-            empty = np.logical_and.reduce([d <= b[types] for d, b in zip(doubles, sampler.bounds)])
-            if unchecked and empty.any():
-                probe = array("q")
-                for k in _reseed_each(gen, states, np.flatnonzero(empty)[:1]):
-                    sampler.draw(start + k, gen, probe)
-                if probe:
-                    raise RuntimeError("a layer screened as empty drew edges through numpy")
-                unchecked = False
-            drawn = drawn[~empty]
-        for k in _reseed_each(gen, states, drawn):
-            before = len(codes)
-            sampler.draw(start + k, gen, codes)
-            sizes[start + k] = len(codes) - before
+        if sampler.plan is None:
+            _draw_each(sampler, gen, states, start, np.arange(len(states[0])), codes, sizes)
+        else:
+            _replay_block(sampler, gen, states, start, codes, sizes, unprobed)
     edges = sampler.decode(np.frombuffer(codes, dtype=np.int64))
     del codes  # freed before the sort allocates
     return _graph_from_edges(n, edges, sizes)
+
+
+def _draw_each(
+    sampler: _LayerSampler,
+    gen: np.random.Generator,
+    states: tuple[np.ndarray, ...],
+    start: int,
+    picks: np.ndarray,
+    codes: array,
+    sizes: np.ndarray,
+) -> None:
+    """Draw layers start + picks through numpy, appending their codes and sizes."""
+    for k in _reseed_each(gen, states, picks):
+        before = len(codes)
+        sampler.draw(start + k, gen, codes)
+        sizes[start + k] = len(codes) - before
+
+
+def _replay_block(
+    sampler: _LayerSampler,
+    gen: np.random.Generator,
+    states: tuple[np.ndarray, ...],
+    start: int,
+    codes: array,
+    sizes: np.ndarray,
+    unprobed: list[bool],
+) -> None:
+    """Replay one state block, draw the layers it leaves through numpy, and append all codes.
+
+    While unprobed[has_edge], the block's first replayed layer with (or
+    without) an edge is drawn through numpy as well, and must match its
+    replay. The replayed and numpy codes are merged in layer order. A
+    function of its own, so that its temporaries are freed block by block.
+    """
+    L = len(states[0])
+    replay = _replay(states, sampler.types[start : start + L], sampler.plan)
+    block_sizes = sizes[start : start + L]
+    block_sizes[:] = (replay.codes >= 0).sum(axis=1)
+    for has_edge in (False, True):
+        if unprobed[has_edge]:
+            found = np.flatnonzero(~replay.to_numpy & ((block_sizes > 0) == has_edge))
+            if len(found):
+                _probe(sampler, gen, states, start, found[0], replay)
+                unprobed[has_edge] = False
+    drawn = array("q")
+    _draw_each(sampler, gen, states, start, np.flatnonzero(replay.to_numpy), drawn, sizes)
+    from_numpy = np.repeat(replay.to_numpy, block_sizes)
+    merged = np.empty(len(from_numpy), dtype=np.int64)
+    merged[from_numpy] = np.frombuffer(drawn, dtype=np.int64)
+    replayed = replay.codes[~replay.to_numpy]
+    merged[~from_numpy] = replayed[replayed >= 0]
+    codes.frombytes(merged.view(np.uint8))
+
+
+def _probe(
+    sampler: _LayerSampler,
+    gen: np.random.Generator,
+    states: tuple[np.ndarray, ...],
+    start: int,
+    k: int,
+    replay: _Replayed,
+) -> None:
+    """Draw replayed layer start + k through numpy; it must match the replay."""
+    drawn = array("q")
+    for _ in _reseed_each(gen, states, np.array([k])):
+        sampler.draw(start + k, gen, drawn)
+    expected = {
+        "bit_generator": "PCG64",
+        "state": _joined(states, k, int(replay.outputs[k])),
+        "has_uint32": int(replay.has_uint32[k]),
+        "uinteger": int(replay.uinteger[k]),
+    }
+    codes = replay.codes[k]
+    if drawn.tolist() != codes[codes >= 0].tolist() or gen.bit_generator.state != expected:
+        raise RuntimeError(f"layer {start + k + 1} drew differently through numpy than its replay")
 
 
 def _graph_from_edges(n: int, edges: np.ndarray, sizes: np.ndarray) -> MultiLayerGraph:

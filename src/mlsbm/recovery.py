@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -369,8 +369,9 @@ def mle_local_search_multistart(graph: MultiLayerGraph) -> RecoveryResult:
     """
     _check_ascent(graph, "mle_local_search_multistart")
     best: Optional[RecoveryResult] = None
+    signed_sums = _signed_sums(graph)  # shared by the starts, which reach few distinct tau
     for init in default_start_battery(graph):
-        result = mle_local_search(graph, init)
+        result = _ascent(graph, init, signed_sums)
         if best is None or result.objective > best.objective:
             best = result
     assert best is not None
@@ -394,18 +395,48 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
 
     With x = 1 - 2 sigma in {+1, -1}^n and the signed aggregate
     W = sum_t (1 - 2 tau_t) A_t, swapping a 0-node u with a 1-node v changes
-    the objective by g[v] - g[u] - 2 W[u, v], where g = W x. W, g and a
+    the objective by g[v] - g[u] - 2 W[u, v], where g = W x. g and a
     contiguous zeros x ones block of -2W are built only when tau changes
-    (O(E + n^2), at most once per round). An accepted swap updates
+    (O(n^2), at most once per round), and W once per tau (O(E + n^2); the
+    multistart's starts share these builds). An accepted swap updates
     g += 2 (W[:, v] - W[:, u]) and the block's row and column at u's and v's
     positions in O(n), so each step costs two broadcast passes and one argmax
     over the n^2 / 4 block. Its int64 scores K gain - (u n + v), K = n^2,
     break ties toward the smallest (u, v), as a row-major argmax over
     index-sorted zeros and ones would.
     """
-    n = graph.n
     _check_label_sizes(graph, init=init)
     _check_ascent(graph, "mle_local_search")
+    return _ascent(graph, init, _signed_sums(graph))
+
+
+def _signed_sums(graph: MultiLayerGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """tau -> -2 K W as int64, W = sum_t (1 - 2 tau_t) A_t and K = n^2, each W built once.
+
+    A flipped tau gives exactly -W, so tau and 1 - tau share one build. Each
+    W is kept in the smallest signed integer type holding +-T, which bounds
+    every entry, so a battery's few builds cost little memory.
+    """
+    K = graph.n * graph.n
+    entries = np.min_scalar_type(-graph.T - 1)
+    built: dict[bytes, np.ndarray] = {}
+
+    def signed_sum(tau: np.ndarray) -> np.ndarray:
+        flip = int(tau[0])
+        canonical = tau ^ flip
+        key = canonical.tobytes()
+        if key not in built:
+            built[key] = _weighted_layer_sum(graph, 1.0 - 2.0 * canonical).astype(entries)
+        return (2 * K if flip else -2 * K) * built[key].astype(np.int64)
+
+    return signed_sum
+
+
+def _ascent(
+    graph: MultiLayerGraph, init: Assignment, signed_sums: Callable[[np.ndarray], np.ndarray]
+) -> RecoveryResult:
+    """mle_local_search's ascent from init, reading -2 K W from signed_sums(tau)."""
+    n = graph.n
     K = n * n
 
     sig = init.as_array().astype(np.int64)
@@ -422,9 +453,8 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
         if tau is None or changed:
             tau, obj = new_tau, int(new_obj)
             trace.append(obj)
-            W = _weighted_layer_sum(graph, 1.0 - 2.0 * tau)
-            kg = K * (W @ (1.0 - 2.0 * sig)).astype(np.int64)
-            W = (-2 * K) * W.astype(np.int64)  # from here on, W holds -2 K W
+            W = signed_sums(tau)  # W holds -2 K W
+            kg = (W @ (1 - 2 * sig)) // -2
             # Swapping u for v scores W[u, v] - terms[0, u] + terms[1, v].
             terms = kg + np.outer([n, -1], np.arange(n))
             block[...] = W[np.ix_(zeros, ones)]

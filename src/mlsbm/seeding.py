@@ -138,21 +138,20 @@ def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
     return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
 
 
-def _pcg64_doubles(states: tuple[np.ndarray, ...], count: int) -> list[np.ndarray]:
-    """The first `count` values `Generator.random()` draws from each PCG64 state.
+def _pcg64_outputs(states: tuple[np.ndarray, ...], count: int) -> np.ndarray:
+    """The first `count` raw uint64 outputs of each PCG64 state, as a (count, L) array.
 
     `states` is (state_hi, state_lo, inc_hi, inc_lo) as _pcg64_states returns
     it. PCG64 steps, then outputs XSL-RR: hi ^ lo rotated right by the top
-    six state bits; next_double keeps the top 53 output bits.
+    six state bits. Row r is what `bit_generator.random_raw()` returns r-th.
     """
     hi, lo, inc_hi, inc_lo = states
-    doubles = []
-    for _ in range(count):
+    outputs = np.empty((count, len(hi)), dtype=np.uint64)
+    for row in outputs:
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
         xored, rot = hi ^ lo, hi >> np.uint64(58)
-        output = xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
-        doubles.append((output >> np.uint64(11)) * 2.0**-53)
-    return doubles
+        row[...] = xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
+    return outputs
 
 
 def _check_substream_count(count: int) -> None:
@@ -187,9 +186,13 @@ def _state_blocks(gen: np.random.Generator, pool: list[int], hash_a: int, count:
         yield start, states
 
 
-def _joined(states: tuple[np.ndarray, ...], k: int) -> dict:
+def _joined(states: tuple[np.ndarray, ...], k: int, steps: int = 0) -> dict:
+    """states' k-th entry as numpy's PCG64 {"state", "inc"} ints, `steps` outputs on."""
     hi, lo, inc_hi, inc_lo = (int(half[k]) for half in states)
-    return {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+    state, inc = hi << 64 | lo, inc_hi << 64 | inc_lo
+    for _ in range(steps):
+        state = (state * _PCG64_MULT + inc) & (2**128 - 1)
+    return {"state": state, "inc": inc}
 
 
 def _reseed_each(gen: np.random.Generator, states: tuple[np.ndarray, ...], picks: np.ndarray):

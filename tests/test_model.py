@@ -24,7 +24,13 @@ from mlsbm import (
     write_graph,
 )
 from mlsbm import model
-from mlsbm.seeding import MAX_SUBSTREAMS, _STATE_BLOCK
+from mlsbm.seeding import (
+    _PCG64_MULT,
+    MAX_SUBSTREAMS,
+    _STATE_BLOCK,
+    _bulk_substreams,
+    _joined,
+)
 
 
 # ---------------------------------------------------------------- parameters
@@ -497,7 +503,7 @@ _REGIME_EDGE_BUDGET = 150_000
     T=st.integers(1, 5000),
     log_rho=st.floats(math.log(1e-6), math.log(0.6)),
 )
-# One example per regime: screened-empty layers across the 4096-layer block
+# One example per regime: replayed empty layers across the 4096-layer block
 # edge, inversion draws with edges, BTPE, p > 0.5, and one-community sigma
 # (a zero-slot cross block) on either side.
 @example(seed=3, n=100, ones=50, T=4500, log_rho=math.log(5e-5))
@@ -506,6 +512,14 @@ _REGIME_EDGE_BUDGET = 150_000
 @example(seed=6, n=64, ones=32, T=6, log_rho=math.log(0.5))
 @example(seed=7, n=100, ones=0, T=4200, log_rho=math.log(5e-5))
 @example(seed=8, n=100, ones=100, T=300, log_rho=math.log(0.01))
+# The sparse null cell at n = 64 in numpy's inversion branch.
+@example(seed=9, n=64, ones=32, T=3000, log_rho=math.log(1e-4))
+# One community, with many replayed one-slot layers.
+@example(seed=10, n=100, ones=0, T=600, log_rho=math.log(2e-4))
+# Many layers whose two blocks draw one slot each, across the block edge.
+@example(seed=11, n=100, ones=50, T=4500, log_rho=math.log(4e-4))
+# 1.5 rho > 0.5: numpy inverts 1 - p on the 63-slot cross block; no replay.
+@example(seed=12, n=64, ones=63, T=4, log_rho=math.log(0.35))
 @settings(max_examples=20, deadline=None)
 def test_screened_sampler_matches_per_layer_reference_in_every_regime(seed, n, ones, T, log_rho):
     rho = math.exp(log_rho)
@@ -522,52 +536,201 @@ def test_screened_sampler_matches_per_layer_reference_in_every_regime(seed, n, o
     assert sample_null(params, seed) == reference_sample_null(params, seed)
 
 
+def _uint32_words(before, after):
+    """uint32 words a draw took between two PCG64 states: two per output, net of the buffer."""
+    state, inc = before["state"]["state"], before["state"]["inc"]
+    for steps in range(64):
+        if state == after["state"]["state"]:
+            return 2 * steps + before["has_uint32"] - after["has_uint32"]
+        state = (state * _PCG64_MULT + inc) % 2**128
+    raise AssertionError("the draw took more than 64 PCG64 outputs")
+
+
+def _numpy_layer(seed, t, counts, probs):
+    """Layer t's slot codes through numpy's own binomial and integers calls.
+
+    Returns the codes, the generator state after them, and every reason the
+    replay must leave the layer to numpy: a block outside numpy's inversion
+    branch (or with one slot), a double within the margin of a threshold,
+    a draw of two or more slots, or a rejected bounded draw.
+    """
+    gen = substream(seed, 2, t)
+    bitgen = gen.bit_generator
+    codes, reasons, offset = [], set(), 0
+    for count, p in zip(counts, probs):
+        if count:
+            if not (1 < count < 2**32 and 0 < p <= 0.5 and p * count <= 30):
+                reasons.add("not replayable")
+            peek = np.random.Generator(np.random.PCG64())
+            peek.bit_generator.state = bitgen.state
+            u, q = peek.random(), 1.0 - p
+            qn = math.exp(count * math.log(q))
+            px1 = (count * p * qn) / q
+            margin = model._SCREEN_MARGIN
+            if abs(u - qn) <= margin * qn or (u > qn and abs(u - qn - px1) <= margin * (qn + px1)):
+                reasons.add("margin")
+            k = int(gen.binomial(count, p))
+            if k >= 2:
+                reasons.add("k >= 2")
+            elif k == 1:
+                before = bitgen.state
+                codes.append(int(gen.integers(count)) + offset)
+                if _uint32_words(before, bitgen.state) > 1:
+                    reasons.add("rejected")
+        offset += count
+    return codes, bitgen.state, reasons
+
+
+REPLAY_COUNTS = st.one_of(
+    st.integers(0, 3), st.integers(2, 10**5), st.integers(2**31 - 3, 2**32 + 3)
+)
+# Expected slots per block, p = mean / count (capped at 0.6): mostly k in {0, 1}.
+REPLAY_MEANS = st.one_of(st.floats(1e-3, 2.0), st.floats(2.0, 40.0))
+
+
 @given(
     seed=st.integers(0, 2**63 - 1),
-    count=st.integers(0, 10**6),
-    log_p=st.floats(math.log(1e-9), math.log(0.6)),
+    counts=st.lists(REPLAY_COUNTS, min_size=1, max_size=2),
+    means=st.lists(REPLAY_MEANS, min_size=4, max_size=4),
+    types=st.lists(st.integers(0, 1), min_size=1, max_size=6),
 )
-@settings(max_examples=200, deadline=None)
-def test_empty_bound_agrees_with_numpys_binomial(seed, count, log_p):
-    p = math.exp(log_p)
-    bound = model._empty_bound(count, p)
-    if count == 0 or p > 0.5 or p * count > 30:
-        assert bound == -1.0  # no slots, p > 0.5 and BTPE are never screened
-        return
-    first = substream(seed, 2, 0).random()
-    k = substream(seed, 2, 0).binomial(count, p)
-    if first <= bound:
-        assert k == 0
-    if first > math.exp(count * math.log(1.0 - p)):
-        assert k > 0
+# Both blocks draw one slot: the second reads the first's buffered high word.
+@example(seed=5, counts=[4950, 4950], means=[1.0] * 4, types=[0])
+# count just above 2**31: half of all bounded draws are rejected, this one too.
+@example(seed=5, counts=[2**31 + 1], means=[1.0] * 4, types=[0])
+# p * count = 30 exactly is still numpy's inversion branch (and draws k >= 2).
+@example(seed=1, counts=[2**20], means=[30.0] * 4, types=[0, 1])
+# The first double lies within the margin of qn.
+@example(seed=0, counts=[4950], means=[1.3267069996139969] * 4, types=[0])
+# count = 1 is never replayed; a zero-slot block draws nothing.
+@example(seed=2, counts=[1, 4950], means=[0.5] * 4, types=[0, 1])
+@example(seed=3, counts=[0, 4950], means=[0.5] * 4, types=[1, 0, 1])
+@settings(max_examples=300, deadline=None)
+def test_replay_makes_numpys_binomial_and_integers_draws(seed, counts, means, types):
+    probs = [
+        [min(0.6, mean / count) if count else 0.25 for mean, count in zip(means[2 * kind :], counts)]
+        for kind in (0, 1)
+    ]
+    plan = model._replay_plan(counts, probs)
+    _, blocks = _bulk_substreams(seed, 2, len(types))
+    _, states = next(blocks)
+    replay = plan and model._replay(states, np.array(types), plan)
+    for t, kind in enumerate(types):
+        codes, state, reasons = _numpy_layer(seed, t, counts, probs[kind])
+        if plan is None:  # no layer type replays
+            assert "not replayable" in reasons
+            continue
+        assert bool(replay.to_numpy[t]) == bool(reasons), reasons
+        if not reasons:
+            got = replay.codes[t]
+            assert got[got >= 0].tolist() == codes
+            assert _joined(states, t, int(replay.outputs[t])) == state["state"]
+            assert int(replay.has_uint32[t]) == state["has_uint32"]
+            assert int(replay.uinteger[t]) == state["uinteger"]
 
 
-def test_the_screen_sends_only_nonempty_layers_to_numpy(monkeypatch):
-    drawn, reseed_each = [], model._reseed_each
+def _record_numpy_layers(monkeypatch):
+    """The layer index of every draw the block samplers make through numpy, probes included."""
+    drawn, block_sampler = [], model._block_sampler
 
-    def counting(gen, states, picks):
-        drawn.append(len(picks))
-        return reseed_each(gen, states, picks)
+    def recording(*args):
+        sampler = block_sampler(*args)
 
-    monkeypatch.setattr(model, "_reseed_each", counting)
+        def draw(t, gen, codes):
+            drawn.append(t)
+            sampler.draw(t, gen, codes)
+
+        return sampler._replace(draw=draw)
+
+    monkeypatch.setattr(model, "_block_sampler", recording)
+    return drawn
+
+
+def test_only_layers_the_replay_cannot_draw_reach_numpy(monkeypatch):
+    drawn = _record_numpy_layers(monkeypatch)
     params = MlsbmParams(n=100, T=_STATE_BLOCK + 904, rho=5e-5)
-    for sample in (lambda: sample_planted(params, seed=1).graph, lambda: sample_null(params, 1)):
+    inst = sample_planted(params, seed=1)
+    sigma, tau = inst.sigma.as_array(), inst.tau.as_array()
+    n1 = int(sigma.sum())
+    n0 = params.n - n1
+    within = (1.5 * params.rho, 0.5 * params.rho)
+    planted = (
+        inst.graph,
+        (n0 * (n0 - 1) // 2 + n1 * (n1 - 1) // 2, n0 * n1),
+        [(within[bit], within[1 - bit]) for bit in tau],
+        lambda rows: [
+            sum(sigma[i - 1] == sigma[j - 1] for i, j in rows),
+            sum(sigma[i - 1] != sigma[j - 1] for i, j in rows),
+        ],
+    )
+    drawn_planted = drawn[:]
+    drawn.clear()
+    null = (
+        sample_null(params, seed=1),
+        (math.comb(params.n, 2),),
+        [(params.rho,)] * params.T,
+        lambda rows: [len(rows)],
+    )
+    for got, (graph, counts, probs, block_sizes) in zip((drawn_planted, drawn[:]), (planted, null)):
+        reasons = [_numpy_layer(1, t, counts, probs[t])[2] for t in range(params.T)]
+        routed = {t for t in range(params.T) if reasons[t]}
+        sizes = [block_sizes(layer) for layer in graph.layers]
+        # Every layer with a block of two or more edges, and no other but a
+        # rejected draw or a margin hit.
+        assert {t for t in routed if "k >= 2" in reasons[t]} == {
+            t for t in range(params.T) if max(sizes[t]) >= 2
+        }
+        # Plus the call's two probes: its first replayed layers with and without an edge.
+        probes = [
+            next(t for t in range(params.T) if t not in routed and (sum(sizes[t]) > 0) == edge)
+            for edge in (False, True)
+        ]
+        assert sorted(got) == sorted(routed | set(probes))
+        assert len(got) == len(routed) + 2 < params.T // 5
+
+
+def test_at_most_a_fortieth_of_the_gap_cell_reaches_numpy(monkeypatch):
+    drawn = _record_numpy_layers(monkeypatch)
+    params = MlsbmParams(n=100, T=40_000, rho=5e-5)
+    for seed in range(3):
         drawn.clear()
-        graph = sample()
-        nonempty = sum(1 for layer in graph.layers if len(layer))
-        # Every non-empty layer, plus the one screened layer checked per call.
-        assert sum(drawn) == nonempty + 1
-        assert nonempty < params.T // 2
+        graph = sample_planted(params, seed).graph
+        assert len(drawn) <= 1000
+        assert len(set(drawn)) == len(drawn)
+        assert sum(1 for layer in graph.layers if len(layer)) > 5 * len(drawn)
 
 
-def test_a_corrupted_screen_bound_raises(monkeypatch):
-    # Every layer passes the screen, so the per-call check draws layer 0
-    # through numpy and finds edges.
-    monkeypatch.setattr(model, "_empty_bound", lambda count, prob: 1.0)
-    params = MlsbmParams(n=100, T=8, rho=0.05)
-    with pytest.raises(RuntimeError, match="screened as empty"):
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda r: r._replace(codes=np.where(r.codes >= 0, r.codes + 1, -1)),
+        lambda r: r._replace(outputs=r.outputs + 1),
+        lambda r: r._replace(has_uint32=~r.has_uint32),
+        lambda r: r._replace(uinteger=r.uinteger ^ np.uint64(1)),
+    ],
+    ids=["slot", "outputs", "has_uint32", "uinteger"],
+)
+def test_a_corrupted_replay_raises(monkeypatch, corrupt):
+    replay = model._replay
+    monkeypatch.setattr(model, "_replay", lambda *args: corrupt(replay(*args)))
+    params = MlsbmParams(n=100, T=4000, rho=5e-5)
+    with pytest.raises(RuntimeError, match="than its replay"):
         sample_planted(params, seed=1)
-    with pytest.raises(RuntimeError, match="screened as empty"):
+    with pytest.raises(RuntimeError, match="than its replay"):
+        sample_null(params, seed=1)
+
+
+def test_a_corrupted_inversion_threshold_raises(monkeypatch):
+    # qn = 1 replays every layer as empty, so the probe draws layer 0
+    # through numpy and finds edges.
+    plan = model._replay_plan
+    monkeypatch.setattr(
+        model, "_replay_plan", lambda *args: plan(*args)._replace(qn=np.ones_like(plan(*args).qn))
+    )
+    params = MlsbmParams(n=100, T=8, rho=0.005)
+    with pytest.raises(RuntimeError, match="layer 1 drew differently"):
+        sample_planted(params, seed=1)
+    with pytest.raises(RuntimeError, match="layer 1 drew differently"):
         sample_null(params, seed=1)
 
 
@@ -656,9 +819,10 @@ def test_one_slot_blocks_draw_through_integers_at_a_gap_cell(monkeypatch):
     assert null == reference_sample_null(params, 1)
     for gen in made:
         one_slot = gen.calls.count(("binomial", 1))
-        # One integers draw per one-slot block; the one size-1 choice is the
-        # per-call check, which precedes the first integers draw.
-        assert one_slot > 100
+        # The layers drawn through numpy (the ones the replay leaves, and the
+        # probe with an edge) draw each one-slot block through integers; the
+        # one size-1 choice is the per-call check, just before the first.
+        assert one_slot >= 1
         assert gen.calls.count(("integers",)) == one_slot
         assert gen.calls.count(("choice", 1)) == 1
         assert gen.calls.index(("choice", 1)) + 1 == gen.calls.index(("integers",))

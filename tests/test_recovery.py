@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsbm import (
@@ -372,6 +372,36 @@ def test_local_search_matches_reference_at_the_benchmark_cell():
     graph = sample_planted(MlsbmParams(n=256, T=8, rho=0.01), seed=0).graph
     for init in default_start_battery(graph):
         assert_matches_reference(graph, init)
+
+
+# W[0, 1] = W[2, 3] = 128 under the planted tau: past int8, so W must be kept wider.
+@example(case=(MultiLayerGraph(4, 256, [[(1, 2), (3, 4)]] * 128 + [[(1, 3), (2, 4)]] * 128), []))
+@given(case=st.one_of(ascent_cases(), tie_heavy_cases()))
+@settings(max_examples=50, deadline=None)
+def test_multistart_builds_each_signed_sum_once_and_ascends_as_the_reference(case):
+    graph, _ = case
+    battery = default_start_battery(graph)
+    # The battery's best under the rebuild-every-swap reference, ties to the earliest.
+    expected = max(
+        (reference_local_search(graph, init) for init in battery), key=lambda result: result[2]
+    )
+    weights_seen, aggregate = [], recovery._weighted_layer_sum
+
+    def recording(graph, weights):
+        weights_seen.append(tuple(weights))
+        return aggregate(graph, weights)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "_weighted_layer_sum", recording)
+        for init in battery:
+            mle_local_search(graph, init)
+        # Every tau the starts reach, identified with its flip.
+        taus = {min(w, tuple(-x for x in w)) for w in weights_seen}
+        weights_seen.clear()
+        result = mle_local_search_multistart(graph)
+    assert (result.sigma_hat, result.tau_hat, result.objective, result.objective_trace) == expected
+    # One layer sum for the start battery, then one signed sum per tau.
+    assert len(weights_seen) == 1 + len(taus)
 
 
 def test_local_search_rebuilds_gains_when_tau_changes(monkeypatch):

@@ -13,8 +13,9 @@ from mlsbm.seeding import (
     _STATE_BLOCK,
     _bulk_substreams,
     derive_seed,
+    _joined,
     _mixing_point,
-    _pcg64_doubles,
+    _pcg64_outputs,
     _pcg64_states,
     _reseed_each,
 )
@@ -60,14 +61,15 @@ def test_bulk_states_at_the_largest_layer_indices(seed, tag, back):
 
 @given(seed=SEEDS, tag=TAGS, count=st.integers(1, _STATE_BLOCK + 3), draws=st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
-def test_bulk_doubles_equal_the_generators_first_draws(seed, tag, count, draws):
+def test_bulk_outputs_and_stepped_states_equal_the_generators(seed, tag, count, draws):
     gen, blocks = _bulk_substreams(seed, tag, count)
     for start, states in blocks:
-        doubles = np.stack(_pcg64_doubles(states, draws), axis=1)
-        picks = np.unique([0, len(doubles) - 1, len(doubles) // 2])
-        for k in picks:
-            fresh = substream(seed, tag, start + k).random(draws)
-            assert doubles[k].tolist() == fresh.tolist(), start + k
+        outputs = _pcg64_outputs(states, draws)
+        assert outputs.shape == (draws, len(states[0]))
+        for k in np.unique([0, len(states[0]) - 1, len(states[0]) // 2]):
+            fresh = substream(seed, tag, start + k).bit_generator
+            assert outputs[:, k].tolist() == fresh.random_raw(draws).tolist(), start + k
+            assert _joined(states, k, draws) == fresh.state["state"], start + k
 
 
 def test_reseeded_generator_draws_like_a_fresh_substream():
