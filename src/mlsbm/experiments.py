@@ -32,6 +32,7 @@ from .model import (
     MlsbmParams,
     MultiLayerGraph,
     _check_even,
+    _check_real,
     _check_size,
     sample_null,
     sample_planted,
@@ -416,7 +417,7 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
     and yields empty graphs: both methods flag degenerate and the gap is
     reported undefined. n past the dense cap is refused before sampling.
     """
-    n, T, rho = _check_even(n, "n", 4), _check_even(T, "T", 2), float(rho)
+    n, T, rho = _check_even(n, "n", 4), _check_even(T, "T", 2), _check_real(rho, "rho")
     if not (0.0 <= rho < MAX_DENSITY):
         raise ValidationError(f"rho must lie in [0, {MAX_DENSITY:.6g}), got {rho}")
     trials = _check_size(trials, "trials", 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,8 +60,15 @@ def _check_even(value, name: str, minimum: int) -> int:
     return value
 
 
+def _check_real(value, name: str) -> float:
+    """value as a float; anything but a real number (a bool, str, bytes or None) is refused."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_rho(rho) -> float:
-    rho = float(rho)
+    rho = _check_real(rho, "rho")
     if not (0.0 < rho < MAX_DENSITY):
         raise ValidationError(f"rho must lie strictly inside (0, {MAX_DENSITY:.6g}), got {rho}")
     return rho
@@ -332,12 +340,13 @@ class _ReplayPlan(NamedTuple):
     numpy's binomial(count, p) takes its inversion branch when 0 < p <= 0.5
     and p * count <= 30: with qn = exp(count * log(1 - p)) and one double U,
     it returns 0 if U <= qn, 1 if U - qn <= px1 = (count * p * qn) / (1 * q),
-    q = 1 - p, and more otherwise. `integers(count)`, count < 2**32, then
-    makes Lemire's bounded draw m = u32 * count from one uint32 word, and
-    retries when m mod 2**32 < (2**32 - count) mod count. A layer type with
-    a block outside that branch (BTPE, p > 0.5, count = 1, whose inversion
-    may restart, or count >= 2**32) is not replayable. The float operations
-    are numpy's own, in its order.
+    q = 1 - p, and more otherwise. `choice(count, size=1, replace=False)`,
+    count < 2**32, then runs Floyd's loop once, and its shuffle of one item
+    draws nothing: Lemire's bounded draw m = u32 * count from one uint32
+    word, retried when m mod 2**32 < (2**32 - count) mod count. A layer
+    type with a block outside that branch (BTPE, p > 0.5, count = 1, whose
+    inversion may restart, or count >= 2**32) is not replayable. The float
+    operations are numpy's own, in its order.
     """
 
     counts: tuple[int, ...]
@@ -461,46 +470,20 @@ def _dense_sampler(n: int, types: np.ndarray, slot_probs: Sequence) -> _LayerSam
     return _LayerSampler(types, draw, lambda codes: pairs[codes])
 
 
-def _checked_one_slot(gen: np.random.Generator, count: int) -> int:
-    """gen.integers(count), checked to equal gen.choice(count, size=1, replace=False).
-
-    Both make one bounded draw on [0, count): Floyd's loop runs once and the
-    shuffle of one item draws nothing. Raises RuntimeError unless the value
-    and the generator state after it agree.
-    """
-    bitgen = gen.bit_generator
-    before = bitgen.state
-    expected = int(gen.choice(count, size=1, replace=False)[0])
-    after = bitgen.state
-    bitgen.state = before
-    slot = int(gen.integers(count))
-    if slot != expected or bitgen.state != after:
-        raise RuntimeError("a one-slot block drew differently through integers than through choice")
-    return slot
-
-
 def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, decode):
     """Per block of counts[b] slots, a binomial number k of them, then k distinct slot ranks.
 
-    probs[type][b] is block b's slot probability in a layer of that type. A
-    block with k = 1 draws its rank through `integers`, ≈5x cheaper than
-    numpy's `choice` and the same draw; the first such block of each sampler
-    is checked against `choice`. Layers whose blocks draw 0 or 1 slots are
-    replayed in bulk instead (see _replay).
+    probs[type][b] is block b's slot probability in a layer of that type.
+    Layers whose blocks draw 0 or 1 slots are replayed in bulk instead (see
+    _replay).
     """
     offsets = np.cumsum([0, *counts[:-1]]).tolist()
-    unchecked = True
 
     def draw(t: int, gen: np.random.Generator, codes: array) -> None:
-        nonlocal unchecked
         for count, offset, prob in zip(counts, offsets, probs[types[t]]):
             if count:
                 k = int(gen.binomial(count, prob))
-                if k == 1:
-                    slot = _checked_one_slot(gen, count) if unchecked else int(gen.integers(count))
-                    codes.append(slot + offset)
-                    unchecked = False
-                elif k:
+                if k:
                     codes.extend((gen.choice(count, size=k, replace=False) + offset).tolist())
 
     return _LayerSampler(types, draw, decode, _replay_plan(counts, probs))
@@ -727,7 +710,7 @@ def _balanced_rows(m: int) -> np.ndarray:
     """
     m = _check_even(m, "m", 2)
     if m > _ENUM_MAX_ITEMS:
-        raise SizeGuardError(f"enumerate_assignments is capped at m={_ENUM_MAX_ITEMS}, got {m}")
+        raise SizeGuardError(f"balanced labellings are enumerated up to m={_ENUM_MAX_ITEMS}, got {m}")
     # Zero positions chosen in lexicographic order produce label rows in
     # ascending lexicographic order (zeros early = smaller row).
     count = math.comb(m, m // 2)
@@ -739,11 +722,6 @@ def _balanced_rows(m: int) -> np.ndarray:
     rows = np.ones((count, m), dtype=np.int8)
     np.put_along_axis(rows, zeros, 0, axis=1)
     return rows
-
-
-def enumerate_assignments(m: int) -> list[Assignment]:
-    """All balanced assignments of m items, ascending in label-tuple order (see _balanced_rows)."""
-    return [Assignment(tuple(row)) for row in _balanced_rows(m).tolist()]
 
 
 def write_graph(

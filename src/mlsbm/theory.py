@@ -43,6 +43,7 @@ from .model import (
     _as_bits,
     _balanced_rows,
     _check_even,
+    _check_real,
     _check_rho,
     _check_size,
 )
@@ -334,29 +335,6 @@ def chi_alpha_expectation_bruteforce(alpha, n: int, T: int, rho: float) -> float
     return kappa(rho) ** len(alpha) * sign_total / count
 
 
-def _colex_combinations(total: int, size: int):
-    """Yield size-subsets of range(total) in colexicographic order."""
-    if size == 0:
-        yield ()
-        return
-    if size > total:
-        return
-    combo = list(range(size))
-    while True:
-        yield tuple(combo)
-        idx = 0
-        while True:
-            limit = combo[idx + 1] if idx + 1 < size else total
-            if combo[idx] + 1 < limit:
-                break
-            idx += 1
-            if idx == size:
-                return
-        combo[idx] += 1
-        for lower in range(idx):
-            combo[lower] = lower
-
-
 def _check_subset_guard(n: int, T: int, a: int) -> int:
     n_slots = math.comb(n, 2) * T
     if n_slots > _SLOT_GUARD:
@@ -379,7 +357,7 @@ def _lambda_table(n: int, T: int, a: int) -> tuple[tuple[tuple[tuple[int, int], 
     """Exact parity-class sizes for slot subsets of size a.
 
     Returns (((r, k), count), ...), the odd-layer-parity subset count, and the
-    total subset count. One colex sweep classifies every subset by the sizes
+    total subset count. One sweep classifies every subset by the sizes
     of its odd-appearance node and layer sets.
     """
     n_slots = _check_subset_guard(n, T, a)
@@ -388,7 +366,7 @@ def _lambda_table(n: int, T: int, a: int) -> tuple[tuple[tuple[tuple[int, int], 
     layer_masks = [1 << (t - 1) for (i, j, t) in slots]
     counts: dict[tuple[int, int], int] = {}
     odd_v = 0
-    for combo in _colex_combinations(n_slots, a):
+    for combo in itertools.combinations(range(n_slots), a):
         nm = 0
         lm = 0
         for s in combo:
@@ -527,13 +505,13 @@ def ldlr_norm_bruteforce(n: int, T: int, rho: float, D: int) -> float:
     # sign of each slot under each (sigma, tau): +1 on even parity
     signs = 1 - 2 * _parity_table("ldlr_norm_bruteforce", n, T)
     kap = kappa(rho)
-    total = 0.0
+    terms = []
     for a in sizes:
         scale = kap ** (2 * a)
-        for combo in _colex_combinations(signs.shape[1], a):
+        for combo in itertools.combinations(range(signs.shape[1]), a):
             mean_sign = float(signs[:, combo].prod(axis=1, dtype=np.int64).mean())
-            total += scale * mean_sign * mean_sign
-    return total
+            terms.append(scale * mean_sign * mean_sign)
+    return math.fsum(terms)
 
 
 def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
@@ -549,14 +527,14 @@ def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
     for a in sizes:
         _check_subset_guard(n, T, a)
     parity = _parity_table("ldlr_projection_oracle", n, T, tensors=True)
-    combos = [c for a in sizes for c in _colex_combinations(parity.shape[1], a)]
+    combos = [c for a in sizes for c in itertools.combinations(range(parity.shape[1]), a)]
     coeffs = np.zeros(len(combos))
     for bits, log_p1, log_p0 in _tensor_chunks(parity, rho):
         weight = np.exp(log_p0) * np.exp(log_p1 - log_p0)  # P0 times the likelihood ratio
         std = (bits - rho) / math.sqrt(rho * (1.0 - rho))
         for idx, combo in enumerate(combos):
             coeffs[idx] += np.sum(weight * std[:, combo].prod(axis=1))
-    return float(np.sum(coeffs * coeffs))
+    return math.fsum((coeffs * coeffs).tolist())
 
 
 def ldlr_upper_bound(n: int, T: int, rho: float, D: int, strengthened: bool = False) -> float:
@@ -568,7 +546,7 @@ def ldlr_upper_bound(n: int, T: int, rho: float, D: int, strengthened: bool = Fa
     rho = 0 is allowed here (the bound degenerates to 0).
     """
     n, T, D = _check_size(n, "n", 1), _check_size(T, "T", 1), _check_size(D, "D", 1)
-    rho = float(rho)
+    rho = _check_real(rho, "rho")
     if rho < 0 or not math.isfinite(rho):
         raise ValidationError(f"rho must be a finite non-negative real, got {rho}")
     power = float(D) if strengthened else float(D) ** (4.0 / 3.0)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -14,6 +15,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def fresh(name):
     """One scripts/calibrate.py protocol, run once per session, in its fixture form."""
     return json.loads(json.dumps(PROTOCOLS[name]()))
+
+
+def balanced_assignments(m):
+    """Every balanced labelling of m items, ascending in label order.
+
+    Zero positions chosen in lexicographic order give the label rows in
+    ascending order.
+    """
+    return [
+        Assignment(tuple(0 if k in zeros else 1 for k in range(m)))
+        for zeros in itertools.combinations(range(m), m // 2)
+    ]
 
 
 def parity_even_graph(n, T, sigma_bits, tau_bits):

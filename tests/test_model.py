@@ -15,8 +15,9 @@ from mlsbm import (
     SizeGuardError,
     ValidationError,
     edge_probability,
-    enumerate_assignments,
+    ldlr_upper_bound,
     read_graph,
+    run_gap_demo,
     sample_conditional,
     sample_null,
     sample_planted,
@@ -32,6 +33,7 @@ from mlsbm.seeding import (
     _joined,
 )
 
+from conftest import balanced_assignments
 
 # ---------------------------------------------------------------- parameters
 
@@ -47,6 +49,26 @@ def test_params_reject_odd_sizes():
 def test_params_reject_rho_outside_open_interval(rho):
     with pytest.raises(ValidationError):
         MlsbmParams(n=4, T=2, rho=rho)
+
+
+RHO_ENTRY_POINTS = {
+    "params": lambda rho: MlsbmParams(4, 2, rho),
+    "gap-demo": lambda rho: run_gap_demo(8, 4, rho, 1),
+    "upper-bound": lambda rho: ldlr_upper_bound(4, 2, rho, 1),
+}
+
+
+@pytest.mark.parametrize("rho", ["0.1", "abc", b"0.1", None, True])
+@pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
+def test_rho_of_a_non_number_type_is_refused(entry, rho):
+    with pytest.raises(ValidationError, match="rho must be a real number"):
+        RHO_ENTRY_POINTS[entry](rho)
+
+
+def test_rho_accepts_numpy_floats():
+    assert MlsbmParams(4, 2, np.float32(0.25)).rho == 0.25
+    assert type(MlsbmParams(4, 2, np.float64(0.1)).rho) is float
+    assert ldlr_upper_bound(4, 2, np.float64(0.01), 1) == ldlr_upper_bound(4, 2, 0.01, 1)
 
 
 def test_assignment_must_be_balanced():
@@ -93,21 +115,7 @@ def test_edge_probability_is_parity_rule(si, sj, tt, rho):
     assert edge_probability(si, sj, tt, rho) == pytest.approx(expected)
 
 
-# ------------------------------------------------------ enumerate_assignments
-
-
-def test_enumerate_assignments_m2_order():
-    got = [a.labels for a in enumerate_assignments(2)]
-    assert got == [(0, 1), (1, 0)]
-
-
-@pytest.mark.parametrize("m,count", [(2, 2), (4, 6), (6, 20)])
-def test_enumerate_assignments_counts(m, count):
-    assignments = list(enumerate_assignments(m))
-    assert len(assignments) == count == math.comb(m, m // 2)
-    labels = {a.labels for a in assignments}
-    assert len(labels) == count  # no duplicates
-    assert all(sum(a.labels) == m // 2 for a in assignments)
+# ------------------------------------------------------ balanced labellings
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
@@ -116,14 +124,14 @@ def test_balanced_rows_are_every_balanced_labelling_in_ascending_order(m):
     expected = [b for b in itertools.product((0, 1), repeat=m) if sum(b) == m // 2]
     assert rows.dtype == np.int8 and rows.shape == (len(expected), m)
     assert [tuple(r) for r in rows.tolist()] == expected
-    assert [a.labels for a in enumerate_assignments(m)] == expected
+    assert [a.labels for a in balanced_assignments(m)] == expected
 
 
-def test_enumerate_assignments_guards():
+def test_balanced_rows_guards():
     with pytest.raises(ValidationError):
-        list(enumerate_assignments(3))
+        model._balanced_rows(3)
     with pytest.raises(SizeGuardError):
-        list(enumerate_assignments(22))
+        model._balanced_rows(22)
 
 
 # ----------------------------------------------------------------- sampling
@@ -547,7 +555,7 @@ def _uint32_words(before, after):
 
 
 def _numpy_layer(seed, t, counts, probs):
-    """Layer t's slot codes through numpy's own binomial and integers calls.
+    """Layer t's slot codes through numpy's own binomial and one-item choice calls.
 
     Returns the codes, the generator state after them, and every reason the
     replay must leave the layer to numpy: a block outside numpy's inversion
@@ -574,7 +582,7 @@ def _numpy_layer(seed, t, counts, probs):
                 reasons.add("k >= 2")
             elif k == 1:
                 before = bitgen.state
-                codes.append(int(gen.integers(count)) + offset)
+                codes.append(int(gen.choice(count, size=1, replace=False)[0]) + offset)
                 if _uint32_words(before, bitgen.state) > 1:
                     reasons.add("rejected")
         offset += count
@@ -606,7 +614,7 @@ REPLAY_MEANS = st.one_of(st.floats(1e-3, 2.0), st.floats(2.0, 40.0))
 @example(seed=2, counts=[1, 4950], means=[0.5] * 4, types=[0, 1])
 @example(seed=3, counts=[0, 4950], means=[0.5] * 4, types=[1, 0, 1])
 @settings(max_examples=300, deadline=None)
-def test_replay_makes_numpys_binomial_and_integers_draws(seed, counts, means, types):
+def test_replay_makes_numpys_binomial_and_one_item_choice_draws(seed, counts, means, types):
     probs = [
         [min(0.6, mean / count) if count else 0.25 for mean, count in zip(means[2 * kind :], counts)]
         for kind in (0, 1)
@@ -751,33 +759,11 @@ def test_sampled_rows_sort_by_layer_and_pair_on_both_sides_of_the_key_bound(monk
     assert lexsorts == [3] * (T - 1)
 
 
-@given(
-    seed=st.integers(0, 2**63 - 1),
-    count=st.one_of(st.integers(2, 10**6), st.integers(2, 2**33), st.integers(2**32 - 2, 2**62)),
-    before=st.sampled_from(["nothing", "binomial", "uint32"]),
-)
-@example(seed=0, count=2, before="uint32")
-@example(seed=1, count=2**32 - 1, before="uint32")
-@example(seed=2, count=2**32, before="uint32")
-@example(seed=3, count=2**32 + 1, before="nothing")
-@settings(max_examples=300, deadline=None)
-def test_integers_makes_the_draw_of_a_one_item_choice(seed, count, before):
-    gens = [np.random.default_rng(seed) for _ in range(2)]
-    for gen in gens:
-        if before == "binomial":
-            gen.binomial(4950, 5e-5)
-        elif before == "uint32":
-            gen.integers(3)  # leaves half a uint64 buffered (has_uint32 = 1)
-    expected = gens[0].choice(count, size=1, replace=False)[0]
-    assert gens[1].integers(count) == expected
-    assert gens[1].bit_generator.state == gens[0].bit_generator.state
-
-
 class _RecordingGenerator:
-    """Forwards the sampler's numpy calls to gen, recording each; `corrupt` may alter integers."""
+    """Forwards the sampler's binomial and choice calls to gen, recording each; no other draw."""
 
-    def __init__(self, gen, corrupt=None):
-        self.gen, self.corrupt, self.calls = gen, corrupt, []
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
 
     @property
     def bit_generator(self):
@@ -792,57 +778,39 @@ class _RecordingGenerator:
         self.calls.append(("choice", size))
         return self.gen.choice(count, size=size, replace=replace)
 
-    def integers(self, count):
-        self.calls.append(("integers",))
-        value = self.gen.integers(count)
-        return value if self.corrupt is None else self.corrupt(self.gen, count, value)
 
-
-def _record_layer_generators(monkeypatch, corrupt=None):
+def _record_layer_generators(monkeypatch):
     made, bulk = [], model._bulk_substreams
 
     def recording(seed, tag, count):
         gen, blocks = bulk(seed, tag, count)
-        made.append(_RecordingGenerator(gen, corrupt))
+        made.append(_RecordingGenerator(gen))
         return made[-1], blocks
 
     monkeypatch.setattr(model, "_bulk_substreams", recording)
     return made
 
 
-def test_one_slot_blocks_draw_through_integers_at_a_gap_cell(monkeypatch):
+def test_layers_drawn_through_numpy_make_the_reference_samplers_calls(monkeypatch):
     made = _record_layer_generators(monkeypatch)
+    drawn = _record_numpy_layers(monkeypatch)
     params = MlsbmParams(n=100, T=4000, rho=5e-5)
     inst = sample_planted(params, seed=1)
+    planted_layers = len(drawn)
     null = sample_null(params, seed=1)
     assert (inst.graph, inst.sigma, inst.tau) == reference_sample_planted(params, 1)
     assert null == reference_sample_null(params, 1)
-    for gen in made:
-        one_slot = gen.calls.count(("binomial", 1))
-        # The layers drawn through numpy (the ones the replay leaves, and the
-        # probe with an edge) draw each one-slot block through integers; the
-        # one size-1 choice is the per-call check, just before the first.
-        assert one_slot >= 1
-        assert gen.calls.count(("integers",)) == one_slot
-        assert gen.calls.count(("choice", 1)) == 1
-        assert gen.calls.index(("choice", 1)) + 1 == gen.calls.index(("integers",))
-
-
-def _one_draw_late(gen, count, value):
-    gen.random()  # the right value, but the generator state moves on
-    return value
-
-
-@pytest.mark.parametrize(
-    "corrupt", [lambda gen, count, value: (value + 1) % count, _one_draw_late], ids=["value", "state"]
-)
-def test_a_corrupted_one_slot_draw_raises(monkeypatch, corrupt):
-    _record_layer_generators(monkeypatch, corrupt)
-    params = MlsbmParams(n=100, T=4000, rho=5e-5)
-    with pytest.raises(RuntimeError, match="one-slot block"):
-        sample_planted(params, seed=1)
-    with pytest.raises(RuntimeError, match="one-slot block"):
-        sample_null(params, seed=1)
+    # Layers drawn through numpy: the ones the replay leaves, and the probes.
+    # Each makes one binomial per non-empty block (two planted, one null),
+    # then a choice of k slots when k >= 1; the generator has no other draw.
+    for gen, layers, blocks in zip(made, (planted_layers, len(drawn) - planted_layers), (2, 1)):
+        calls = iter(gen.calls)
+        for name, k in calls:
+            assert name == "binomial"
+            if k:
+                assert next(calls) == ("choice", k)
+        assert sum(name == "binomial" for name, _ in gen.calls) == layers * blocks
+        assert ("choice", 1) in gen.calls
 
 
 def test_more_than_two_to_the_32_layers_are_refused_before_allocating():

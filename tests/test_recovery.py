@@ -20,7 +20,6 @@ from mlsbm import (
     bias_adjusted_spectral,
     default_start_battery,
     edge_probability,
-    enumerate_assignments,
     hamming_loss,
     mle_exhaustive,
     mle_local_search,
@@ -33,10 +32,10 @@ from mlsbm import (
     top_two_eigenpairs,
 )
 from mlsbm import recovery
-from mlsbm.model import _from_table
+from mlsbm.model import _balanced_rows, _from_table
 from mlsbm.recovery import _edge_arrays, _tau_for_sigma, to_json_record
 
-from conftest import fresh, parity_even_graph
+from conftest import balanced_assignments, fresh, parity_even_graph
 
 
 def empty_graph(n, T):
@@ -67,8 +66,8 @@ def test_objective_dimension_mismatch(six_edge_instance):
 @settings(max_examples=30, deadline=None)
 def test_objective_parity_complement_and_flip(seed, si, ti):
     inst = sample_planted(MlsbmParams(n=4, T=2, rho=0.4), seed=seed)
-    sigma = list(enumerate_assignments(4))[si]
-    tau = list(enumerate_assignments(2))[ti]
+    sigma = balanced_assignments(4)[si]
+    tau = balanced_assignments(2)[ti]
     total = inst.graph.total_edges
     assert mle_objective(inst.graph, sigma, tau) + mle_objective(
         inst.graph, sigma, tau.flipped()
@@ -92,7 +91,7 @@ def test_exhaustive_empty_graph_ties_to_first_candidate():
     result = mle_exhaustive(empty_graph(4, 2))
     assert result.objective == 0
     assert result.sigma_hat.labels[0] == 0  # only sigma with sigma_1 = 0 are searched
-    assert result.sigma_hat == list(enumerate_assignments(4))[0]
+    assert result.sigma_hat == balanced_assignments(4)[0]
 
 
 def test_exhaustive_complete_tensor_objective_constant():
@@ -100,8 +99,8 @@ def test_exhaustive_complete_tensor_objective_constant():
     graph = MultiLayerGraph(n=4, T=2, layers=layers)
     values = {
         mle_objective(graph, sigma, tau)
-        for sigma in enumerate_assignments(4)
-        for tau in enumerate_assignments(2)
+        for sigma in balanced_assignments(4)
+        for tau in balanced_assignments(2)
     }
     assert values == {6}
     assert mle_exhaustive(graph).objective == 6
@@ -129,8 +128,8 @@ def reference_exhaustive(graph):
     every pair parity).
     """
     n, T = graph.n, graph.T
-    sigmas = enumerate_assignments(n)
-    taus = enumerate_assignments(T)
+    sigmas = balanced_assignments(n)
+    taus = balanced_assignments(T)
     tau_mat = np.array([a.labels for a in taus], dtype=np.int64)
     e_i, e_j, e_t = _edge_arrays(graph)
     layer_totals = np.bincount(e_t, minlength=T).astype(np.int64)
@@ -206,10 +205,9 @@ def test_exhaustive_matches_the_double_enumeration_at_the_caps(n, T, kind):
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
 def test_the_first_half_of_the_enumeration_is_the_sigma_starting_with_zero(n):
-    sigmas = enumerate_assignments(n)
-    half = len(sigmas) // 2
-    assert all(s.labels[0] == 0 for s in sigmas[:half])
-    assert all(s.labels[0] == 1 for s in sigmas[half:])
+    rows = _balanced_rows(n)
+    half = len(rows) // 2
+    assert (rows[:half, 0] == 0).all() and (rows[half:, 0] == 1).all()
 
 
 # ---------------------------------------------------------- mle_local_search
@@ -233,7 +231,7 @@ def test_local_search_empty_graph_keeps_init():
 @settings(max_examples=25, deadline=None)
 def test_local_search_trace_is_monotone(seed, init_idx):
     inst = sample_planted(MlsbmParams(n=6, T=4, rho=0.4), seed=seed)
-    init = list(enumerate_assignments(6))[init_idx]
+    init = balanced_assignments(6)[init_idx]
     result = mle_local_search(inst.graph, init)
     trace = result.objective_trace
     assert trace is not None and len(trace) >= 1

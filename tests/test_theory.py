@@ -32,8 +32,10 @@ from mlsbm import (
     signed_vandermonde_closed_form,
 )
 from mlsbm import theory
-from mlsbm.model import edge_probability, enumerate_assignments
-from mlsbm.theory import _colex_combinations, _parity_table, _slot_list
+from mlsbm.model import edge_probability
+from mlsbm.theory import _parity_table, _slot_list
+
+from conftest import balanced_assignments
 
 
 def logsumexp(values):
@@ -153,8 +155,8 @@ def test_chi_square_tau_independence_exhaustive():
 @settings(max_examples=25, deadline=None)
 def test_parity_table_cells_are_the_model_edge_probabilities(n, T, rho, data):
     slots = _slot_list(n, T)
-    sigmas = [s.labels for s in enumerate_assignments(n)]
-    taus = [t.labels for t in enumerate_assignments(T)]
+    sigmas = [s.labels for s in balanced_assignments(n)]
+    taus = [t.labels for t in balanced_assignments(T)]
     fixed_tau = tuple(data.draw(st.lists(st.integers(0, 1), min_size=T, max_size=T)))
     layouts = (
         (_parity_table("test", n, T, slots, fixed_tau), [(s, fixed_tau) for s in sigmas]),
@@ -273,19 +275,6 @@ def test_lambda_guard():
         lambda_count_enumerate(40, 40, 9, 1, 1)
 
 
-def test_colex_enumeration_order_pinned():
-    assert list(_colex_combinations(4, 2)) == [
-        (0, 1),
-        (0, 2),
-        (1, 2),
-        (0, 3),
-        (1, 3),
-        (2, 3),
-    ]
-    assert list(_colex_combinations(3, 3)) == [(0, 1, 2)]
-    assert list(_colex_combinations(3, 0)) == [()]
-
-
 def sweep_bound_violations(n, T, max_a, strengthened=False):
     violations = []
     for a in range(1, max_a + 1):
@@ -352,6 +341,22 @@ def test_ldlr_projection_oracle_agrees():
     exact = ldlr_norm_exact(4, 2, 0.5, 2).value
     projected = ldlr_projection_oracle(4, 2, 0.5, 2)
     assert abs(exact - projected) <= 1e-9 * max(1.0, exact)
+
+
+@pytest.mark.parametrize("n,T", [(2, 2), (4, 2), (2, 4), (4, 4), (6, 2), (2, 6)])
+def test_ldlr_oracles_track_the_exact_route_to_rounding(n, T):
+    # Each oracle sums its terms exactly rounded, so the brute force sits
+    # within 1e-15 relative of the exact route; the projection's chunked
+    # coefficients within 1e-13 (its degree-1 zero within 1e-20 absolute).
+    for rho in (0.1, 0.3, 0.5):
+        for D in range(1, 5):
+            exact = ldlr_norm_exact(n, T, rho, D).value
+            assert abs(ldlr_norm_bruteforce(n, T, rho, D) - exact) <= 1e-15 * exact
+            try:
+                projected = ldlr_projection_oracle(n, T, rho, D)
+            except SizeGuardError:  # 2^slots tensors past the guard: (4, 4) and (6, 2)
+                continue
+            assert projected == pytest.approx(exact, rel=1e-13, abs=1e-20)
 
 
 def test_ldlr_monotone_in_degree_and_density():
