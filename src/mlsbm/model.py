@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 from .seeding import (
+    MAX_SUBSTREAMS,
     _M32,
     _bulk_substreams,
     _check_substream_count,
@@ -48,7 +49,7 @@ _LAYER_STREAM = 2
 _ENUM_MAX_ITEMS = 20
 
 # A binomial draw within this relative distance of a replayed inversion
-# threshold still goes to numpy (see _replay_plan).
+# threshold still goes to numpy (see _replay).
 _SCREEN_MARGIN = 1e-9
 
 def _check_even(value, name: str, minimum: int) -> int:
@@ -118,12 +119,28 @@ class Assignment:
             )
         object.__setattr__(self, "labels", bits)
 
+    @classmethod
+    def _from_array(cls, bits: np.ndarray) -> "Assignment":
+        """The labelling of a balanced int8 0/1 array, taken as it is: no per-item re-check."""
+        labels = object.__new__(cls)
+        object.__setattr__(labels, "labels", tuple(bits.tolist()))
+        bits.setflags(write=False)
+        labels.__dict__["_array"] = bits
+        return labels
+
     @property
     def size(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        bits = np.array(self.labels, dtype=np.int8)
+        bits.setflags(write=False)
+        return bits
+
     def as_array(self) -> np.ndarray:
-        return np.array(self.labels, dtype=np.int8)
+        """The labels as one read-only int8 array, built once."""
+        return self._array
 
     def flipped(self) -> "Assignment":
         return Assignment(tuple(1 - b for b in self.labels))
@@ -136,6 +153,13 @@ class Assignment:
         if not text or any(c not in "01" for c in text):
             raise ValidationError(f"bitstring must be non-empty over {{0,1}}, got {text!r}")
         return cls(tuple(int(c) for c in text))
+
+
+def _check_caps(n: int, T: int) -> None:
+    """Refuse a sampler more than 2**32 nodes or layers before anything of that size exists."""
+    if n > MAX_SUBSTREAMS:
+        raise SizeGuardError(f"node counts are capped at {MAX_SUBSTREAMS}, got {n}")
+    _check_substream_count(T)
 
 
 def _check_size(value, name: str, minimum: int) -> int:
@@ -338,22 +362,20 @@ class _ReplayPlan(NamedTuple):
     """How numpy would draw each block with slots, per layer type, for _replay.
 
     numpy's binomial(count, p) takes its inversion branch when 0 < p <= 0.5
-    and p * count <= 30: with qn = exp(count * log(1 - p)) and one double U,
-    it returns 0 if U <= qn, 1 if U - qn <= px1 = (count * p * qn) / (1 * q),
-    q = 1 - p, and more otherwise. `choice(count, size=1, replace=False)`,
-    count < 2**32, then runs Floyd's loop once, and its shuffle of one item
-    draws nothing: Lemire's bounded draw m = u32 * count from one uint32
-    word, retried when m mod 2**32 < (2**32 - count) mod count. A layer
-    type with a block outside that branch (BTPE, p > 0.5, count = 1, whose
-    inversion may restart, or count >= 2**32) is not replayable. The float
-    operations are numpy's own, in its order.
+    and p * count <= 30. With q = 1 - p, px = qn = exp(count * log(q)) and
+    one double U, it returns X = 0 if U <= px; otherwise it sets X += 1,
+    U -= px, px = ((count - X + 1) * p * px) / (X * q) and compares again,
+    restarting from a fresh double once X > bound = (int64) min(count,
+    count * p + 10 * sqrt(count * p * q + 1)). A layer type with a block
+    outside that branch (BTPE, p > 0.5, count = 1, or count >= 2**32) is
+    not replayable. The float operations are numpy's own, in its order.
     """
 
     counts: tuple[int, ...]
     offsets: tuple[int, ...]
     qn: np.ndarray  # (blocks, types); 2.0 where not replayable, so U never passes it
-    px1: np.ndarray  # (blocks, types)
-    thresholds: tuple[int, ...]  # Lemire's rejection bound per block
+    probs: np.ndarray  # (blocks, types)
+    bounds: np.ndarray  # (blocks, types)
     replayable: np.ndarray  # (types,) bool
 
 
@@ -365,16 +387,18 @@ def _replay_plan(counts: Sequence[int], probs: Sequence) -> _ReplayPlan | None:
     offsets = np.cumsum([0, *counts[:-1]]).tolist()
     blocks = [b for b, count in enumerate(counts) if count]
     qn = np.full((len(blocks), len(probs)), 2.0)
-    px1 = np.zeros_like(qn)
+    prob_table = np.zeros_like(qn)
+    bounds = np.zeros(qn.shape, dtype=np.int64)
     replayable = np.ones(len(probs), dtype=bool)
     for row, b in enumerate(blocks):
         count = counts[b]
         for kind, p in enumerate(probs):
             prob = p[b]
             if 1 < count < 2**32 and 0.0 < prob <= 0.5 and prob * count <= 30.0:
-                q = 1.0 - prob
+                q, mean = 1.0 - prob, count * prob
                 qn[row, kind] = math.exp(count * math.log(q))
-                px1[row, kind] = (count * prob * qn[row, kind]) / (1 * q)
+                prob_table[row, kind] = prob
+                bounds[row, kind] = int(min(count, mean + 10.0 * math.sqrt(mean * q + 1)))
             else:
                 replayable[kind] = False
     if not replayable.any():
@@ -383,65 +407,157 @@ def _replay_plan(counts: Sequence[int], probs: Sequence) -> _ReplayPlan | None:
         tuple(counts[b] for b in blocks),
         tuple(offsets[b] for b in blocks),
         qn,
-        px1,
-        tuple((2**32 - counts[b]) % counts[b] for b in blocks),
+        prob_table,
+        bounds,
         replayable,
     )
 
 
-class _Replayed(NamedTuple):
-    """numpy's draws for each layer of a state block, replayed from its PCG64 outputs.
+class _Words:
+    """numpy's PCG64 reads for many layers at once, replayed from a table of raw outputs.
 
-    Layers with `to_numpy` set must be drawn through numpy; for the others,
-    codes[k, b] is the slot code block b draws in layer k, or -1 if it draws
-    none, and `outputs`, `has_uint32` and `uinteger` are the generator's
-    state after the layer: PCG64 outputs consumed and the buffered uint32.
+    Row k's generator starts at states' k-th entry. `outputs` counts the
+    outputs each row has consumed; `has_uint32` and `uinteger` are the high
+    half numpy's next_uint32 keeps buffered. Each read takes an index array
+    of the rows that read. A read past the table's depth derives a table
+    twice as deep.
+    """
+
+    def __init__(self, states: tuple[np.ndarray, ...], depth: int):
+        self.states = states
+        self.outputs = np.zeros(len(states[0]), dtype=np.intp)
+        self.has_uint32 = np.zeros(len(states[0]), dtype=bool)
+        self.uinteger = np.zeros(len(states[0]), dtype=np.uint64)
+        self._derive(depth)
+
+    def _derive(self, depth: int) -> None:
+        # One flat table, read at output * L + row: faster than 2-D fancy indexing.
+        self.depth, self.raw = depth, _pcg64_outputs(self.states, depth).reshape(-1)
+
+    def _next(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = self.outputs[rows]
+        if len(at) and at.max() >= self.depth:
+            self._derive(2 * int(at.max()) + 2)
+        return at, self.raw[at * len(self.outputs) + rows]
+
+    def double(self, rows: np.ndarray) -> np.ndarray:
+        """next_double: a fresh output's top 53 bits."""
+        at, word = self._next(rows)
+        self.outputs[rows] = at + 1
+        return (word >> np.uint64(11)) * 2.0**-53
+
+    def bounded(self, rows: np.ndarray, high, to_numpy: np.ndarray) -> np.ndarray:
+        """Lemire's draw on [0, high] (high < 2**32 - 1, scalar or per row), as numpy makes it.
+
+        The uint32 word is the low half of a fresh output, whose high half
+        stays buffered, or that buffered half. high = 0 reads no word and
+        gives 0. A rejected draw, which numpy would retry, sets to_numpy.
+        """
+        span = np.asarray(high, dtype=np.uint64) + np.uint64(1)
+        reads = span > 1
+        buffered = self.has_uint32[rows]
+        at, word = self._next(rows)
+        u32 = np.where(buffered, self.uinteger[rows], word & _M32)
+        fresh = ~buffered & reads
+        self.uinteger[rows[fresh]] = word[fresh] >> np.uint64(32)
+        self.outputs[rows[fresh]] = at[fresh] + 1
+        self.has_uint32[rows] = buffered ^ reads
+        m = u32 * span
+        to_numpy[rows[(m & _M32) < (np.uint64(2**32) - span) % span]] = True
+        return (m >> np.uint64(32)).astype(np.int64)
+
+
+class _Replayed(NamedTuple):
+    """numpy's draws for each layer of a set of generators, replayed from their PCG64 outputs.
+
+    Layers with `to_numpy` set must be drawn through numpy, and layers with
+    `deferred` set (a block of more than `most` slots) by a later replay
+    without `most`. For the others,
+    codes[k] holds layer k's slot codes in draw order, -1 where it draws
+    none, `largest` the most slots one of its blocks draws, and `outputs`,
+    `has_uint32` and `uinteger` the generator's state after the layer.
     """
 
     to_numpy: np.ndarray
+    deferred: np.ndarray
+    largest: np.ndarray
     codes: np.ndarray
     outputs: np.ndarray
     has_uint32: np.ndarray
     uinteger: np.ndarray
 
 
-def _replay(states: tuple[np.ndarray, ...], types: np.ndarray, plan: _ReplayPlan) -> _Replayed:
-    """Replay every layer of a state block whose blocks each draw 0 or 1 slots.
+def _replay(
+    states: tuple[np.ndarray, ...], types: np.ndarray, plan: _ReplayPlan, most: int | None = None
+) -> _Replayed:
+    """Replay numpy's binomial and choice(count, size=k, replace=False) draws for every layer.
 
-    A block's binomial reads one double from a fresh PCG64 output. A block
-    with one slot then reads a uint32 word: the low half of a fresh output,
-    whose high half stays buffered, or that buffered half. A layer goes to
-    numpy if its type is not replayable, a block draws 2 or more slots, a
-    Lemire draw is rejected, or a double lies within _SCREEN_MARGIN of a
-    threshold, which leaves ulp-level doubt about exp and log to numpy.
+    Each block reads one double and runs numpy's inversion loop. Its k slots
+    then come from Floyd's loop, a Lemire draw on [0, j] for j = count - k
+    .. count - 1 that takes j instead of a value already chosen, and a
+    shuffle, a draw on [0, i] swapping items i and that draw for i = k - 1
+    .. 1. (choice's tail shuffle needs k > count // 50 with count > 10000,
+    which bound <= 85 rules out.) A layer goes to numpy if its type is not
+    replayable, the loop restarts, a Lemire draw is rejected, or a double
+    lies within _SCREEN_MARGIN of a threshold it is compared with, which
+    leaves ulp-level doubt about exp and log to numpy. A layer with a block
+    of more than `most` slots is deferred.
     """
     L = len(types)
-    raw = _pcg64_outputs(states, 2 * len(plan.counts))
-    cols = np.arange(L)
-    outputs = np.zeros(L, dtype=np.intp)
-    has_uint32 = np.zeros(L, dtype=bool)
-    uinteger = np.zeros(L, dtype=np.uint64)
-    to_numpy = ~plan.replayable[types]
-    codes = np.full((L, len(plan.counts)), -1, dtype=np.int64)
-    for b, (count, offset, threshold) in enumerate(zip(plan.counts, plan.offsets, plan.thresholds)):
-        qn, px1 = plan.qn[b][types], plan.px1[b][types]
-        u = (raw[outputs, cols] >> np.uint64(11)) * 2.0**-53
-        outputs += 1
-        one = u > qn
-        rest = u - qn  # numpy's U -= px on its way to X = 1
-        to_numpy |= np.abs(rest) <= _SCREEN_MARGIN * qn
-        to_numpy |= one & (np.abs(rest - px1) <= _SCREEN_MARGIN * (qn + px1))
-        to_numpy |= one & (rest > px1)
-        fresh = one & ~has_uint32
-        word = raw[outputs, cols]
-        u32 = np.where(has_uint32, uinteger, word & _M32)
-        uinteger = np.where(fresh, word >> np.uint64(32), uinteger)
-        outputs += fresh
-        has_uint32 ^= one
-        m = u32 * np.uint64(count % 2**32)  # count >= 2**32 is never replayed
-        to_numpy |= one & ((m & _M32) < threshold)
-        codes[one, b] = (m[one] >> np.uint64(32)).astype(np.int64) + offset
-    return _Replayed(to_numpy, codes, outputs, has_uint32, uinteger)
+    words = _Words(states, 2 * len(plan.counts))
+    kinds = types.astype(np.intp)
+    to_numpy = ~plan.replayable[kinds]
+    deferred = np.zeros(L, dtype=bool)
+    largest = np.zeros(L, dtype=np.int64)
+    codes = [np.empty((L, 0), dtype=np.int64)]
+    for b, (count, offset) in enumerate(zip(plan.counts, plan.offsets)):
+        rows = np.flatnonzero(~(to_numpy | deferred))
+        kind = kinds[rows]
+        u = words.double(rows)
+        px = plan.qn[b][kind]
+        total = px.copy()  # every px compared so far: the scale of U's rounding
+        k = np.zeros(L, dtype=np.int64)
+        for X in itertools.count():
+            near = np.abs(u - px) <= _SCREEN_MARGIN * total
+            to_numpy[rows[near]] = True
+            going = ~near & (u > px)
+            if X == most:
+                deferred[rows[going]] = True
+                break
+            restart = going & (X >= plan.bounds[b][kind])  # numpy would draw a fresh double
+            to_numpy[rows[restart]] = True
+            going &= ~restart
+            if not going.any():
+                break
+            rows, kind, u, px, total = (a[going] for a in (rows, kind, u, px, total))
+            p = plan.probs[b][kind]
+            k[rows] = X + 1
+            u -= px
+            px = ((count - X) * p * px) / ((X + 1) * (1.0 - p))
+            total += px
+        k[to_numpy | deferred] = 0
+        largest = np.maximum(largest, k)
+        chosen = np.full((L, int(k.max(initial=0))), -1, dtype=np.int64)
+        for s in range(chosen.shape[1]):
+            rows = np.flatnonzero(k > s)
+            j = count - k[rows] + s
+            drawn = words.bounded(rows, j, to_numpy)
+            taken = (chosen[rows, :s] == drawn[:, None]).any(axis=1)
+            chosen[rows, s] = np.where(taken, j, drawn)
+        for i in range(chosen.shape[1] - 1, 0, -1):
+            rows = np.flatnonzero(k > i)
+            swap = words.bounded(rows, i, to_numpy)
+            chosen[rows, i], chosen[rows, swap] = chosen[rows, swap], chosen[rows, i]
+        codes.append(np.where(chosen >= 0, chosen + offset, -1))
+    return _Replayed(
+        to_numpy,
+        deferred,
+        largest,
+        np.concatenate(codes, axis=1),
+        words.outputs,
+        words.has_uint32,
+        words.uinteger,
+    )
 
 
 class _LayerSampler(NamedTuple):
@@ -474,8 +590,8 @@ def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, de
     """Per block of counts[b] slots, a binomial number k of them, then k distinct slot ranks.
 
     probs[type][b] is block b's slot probability in a layer of that type.
-    Layers whose blocks draw 0 or 1 slots are replayed in bulk instead (see
-    _replay).
+    Layers of a type whose blocks all lie in numpy's inversion branch are
+    replayed in bulk instead (see _replay).
     """
     offsets = np.cumsum([0, *counts[:-1]]).tolist()
 
@@ -532,116 +648,128 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
     """Draw layer t with substream (seed, layer-tag, t) for every t.
 
     Without a replay plan every layer re-seeds one generator and draws
-    through numpy; with one, _replay_block draws each state block. One pass
-    then decodes and sorts all codes into the graph's table, which skips
-    re-validation.
+    through numpy. With one, _replay_layers replays each state block's
+    layers whose blocks draw 0 or 1 slots, then, in one pass, the layers of
+    every block it deferred. One pass then decodes and sorts all codes into
+    the graph's table, which skips re-validation.
     """
     gen, blocks = _bulk_substreams(seed, _LAYER_STREAM, T)
-    codes = array("q")
-    sizes = np.zeros(T, dtype=np.int64)
-    unprobed = [True, True]  # the call's first replayed layer without / with an edge
+    drawn: list[tuple[np.ndarray, ...]] = []  # (codes, layers, their code counts), any order
+    deferred = []
+    unprobed = [True, True, True]  # see _replay_layers
     for start, states in blocks:
+        layers = np.arange(start, start + len(states[0]))
         if sampler.plan is None:
-            _draw_each(sampler, gen, states, start, np.arange(len(states[0])), codes, sizes)
+            drawn.append(_draw_each(sampler, gen, states, layers, layers - start))
         else:
-            _replay_block(sampler, gen, states, start, codes, sizes, unprobed)
-    edges = sampler.decode(np.frombuffer(codes, dtype=np.int64))
+            later = _replay_layers(sampler, gen, states, layers, 1, drawn, unprobed)
+            deferred.append((layers[later], *(half[later] for half in states)))
+    if deferred:
+        layers, *states = (np.concatenate(column) for column in zip(*deferred))
+        _replay_layers(sampler, gen, tuple(states), layers, None, drawn, unprobed)
+    codes, layers, sizes = (np.concatenate(column) for column in zip(*drawn))
+    del drawn
+    edges = sampler.decode(codes)
     del codes  # freed before the sort allocates
-    return _graph_from_edges(n, edges, sizes)
+    return _graph_from_edges(n, T, edges, np.repeat(layers, sizes))
 
 
 def _draw_each(
     sampler: _LayerSampler,
     gen: np.random.Generator,
     states: tuple[np.ndarray, ...],
-    start: int,
+    layers: np.ndarray,
     picks: np.ndarray,
-    codes: array,
-    sizes: np.ndarray,
-) -> None:
-    """Draw layers start + picks through numpy, appending their codes and sizes."""
-    for k in _reseed_each(gen, states, picks):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw layers[picks], whose generators are states[picks], through numpy.
+
+    Returns the codes, and the layers with codes beside their code counts.
+    """
+    codes = array("q")
+    sizes = np.zeros(len(picks), dtype=np.int64)
+    for row, k in enumerate(_reseed_each(gen, states, picks)):
         before = len(codes)
-        sampler.draw(start + k, gen, codes)
-        sizes[start + k] = len(codes) - before
+        sampler.draw(int(layers[k]), gen, codes)
+        sizes[row] = len(codes) - before
+    return np.frombuffer(codes, dtype=np.int64), layers[picks][sizes > 0], sizes[sizes > 0]
 
 
-def _replay_block(
+def _replay_layers(
     sampler: _LayerSampler,
     gen: np.random.Generator,
     states: tuple[np.ndarray, ...],
-    start: int,
-    codes: array,
-    sizes: np.ndarray,
+    layers: np.ndarray,
+    most: int | None,
+    drawn: list,
     unprobed: list[bool],
-) -> None:
-    """Replay one state block, draw the layers it leaves through numpy, and append all codes.
+) -> np.ndarray:
+    """Replay layers (generators `states`), draw those it refuses through numpy, and add all to drawn.
 
-    While unprobed[has_edge], the block's first replayed layer with (or
-    without) an edge is drawn through numpy as well, and must match its
-    replay. The replayed and numpy codes are merged in layer order. A
-    function of its own, so that its temporaries are freed block by block.
+    Returns the mask of the layers with a block of more than `most` slots,
+    which the replay defers. While unprobed[c], the first replayed layer
+    whose largest block draws c slots (c = 2 meaning 2 or more) is drawn
+    through numpy as well, and must match its replay. A function of its
+    own, so that its temporaries are freed block by block.
     """
-    L = len(states[0])
-    replay = _replay(states, sampler.types[start : start + L], sampler.plan)
-    block_sizes = sizes[start : start + L]
-    block_sizes[:] = (replay.codes >= 0).sum(axis=1)
-    for has_edge in (False, True):
-        if unprobed[has_edge]:
-            found = np.flatnonzero(~replay.to_numpy & ((block_sizes > 0) == has_edge))
+    replay = _replay(states, sampler.types[layers], sampler.plan, most)
+    done = ~(replay.to_numpy | replay.deferred)
+    for c in range(3):
+        if unprobed[c]:
+            found = np.flatnonzero(done & (np.minimum(replay.largest, 2) == c))
             if len(found):
-                _probe(sampler, gen, states, start, found[0], replay)
-                unprobed[has_edge] = False
-    drawn = array("q")
-    _draw_each(sampler, gen, states, start, np.flatnonzero(replay.to_numpy), drawn, sizes)
-    from_numpy = np.repeat(replay.to_numpy, block_sizes)
-    merged = np.empty(len(from_numpy), dtype=np.int64)
-    merged[from_numpy] = np.frombuffer(drawn, dtype=np.int64)
-    replayed = replay.codes[~replay.to_numpy]
-    merged[~from_numpy] = replayed[replayed >= 0]
-    codes.frombytes(merged.view(np.uint8))
+                _probe(sampler, gen, states, layers, found[0], replay)
+                unprobed[c] = False
+    if replay.to_numpy.any():
+        drawn.append(_draw_each(sampler, gen, states, layers, np.flatnonzero(replay.to_numpy)))
+    replayed = replay.codes >= 0
+    replayed[~done] = False
+    sizes = replayed.sum(axis=1)
+    drawn.append((replay.codes[replayed], layers[sizes > 0], sizes[sizes > 0]))
+    return replay.deferred
 
 
 def _probe(
     sampler: _LayerSampler,
     gen: np.random.Generator,
     states: tuple[np.ndarray, ...],
-    start: int,
+    layers: np.ndarray,
     k: int,
     replay: _Replayed,
 ) -> None:
-    """Draw replayed layer start + k through numpy; it must match the replay."""
-    drawn = array("q")
-    for _ in _reseed_each(gen, states, np.array([k])):
-        sampler.draw(start + k, gen, drawn)
+    """Draw replayed layer layers[k] through numpy; it must match the replay."""
+    codes, *_ = _draw_each(sampler, gen, states, layers, np.array([k]))
     expected = {
         "bit_generator": "PCG64",
         "state": _joined(states, k, int(replay.outputs[k])),
         "has_uint32": int(replay.has_uint32[k]),
         "uinteger": int(replay.uinteger[k]),
     }
-    codes = replay.codes[k]
-    if drawn.tolist() != codes[codes >= 0].tolist() or gen.bit_generator.state != expected:
-        raise RuntimeError(f"layer {start + k + 1} drew differently through numpy than its replay")
+    replayed = replay.codes[k]
+    if codes.tolist() != replayed[replayed >= 0].tolist() or gen.bit_generator.state != expected:
+        raise RuntimeError(f"layer {layers[k] + 1} drew differently through numpy than its replay")
 
 
-def _graph_from_edges(n: int, edges: np.ndarray, sizes: np.ndarray) -> MultiLayerGraph:
-    """Sort decoded (i, j) rows, grouped by layer, into the graph's (t, i, j) table.
+def _graph_from_edges(n: int, T: int, edges: np.ndarray, layer_ids: np.ndarray) -> MultiLayerGraph:
+    """Sort decoded (i, j) rows of layers layer_ids, in any order, into the graph's (t, i, j) table.
 
     The rows sort on one unique int64 key (t*n + i - 1)*n + j <= T*n**2,
     5-10x faster than a three-key lexsort, which is kept for T*n**2 >= 2**63.
+    The key is built in layer_ids' own memory (the caller's temporary), and
+    the sorted layer column is key // n**2, since (i - 1)*n + j < n**2.
     """
-    T = len(sizes)
-    layer_ids = np.repeat(np.arange(T), sizes)
     if T * n * n < 2**63:
-        key = layer_ids * n
+        key = layer_ids
+        key *= n
         key += edges[:, 0]
         key -= 1
         key *= n
         key += edges[:, 1]
         order = np.argsort(key)
+        layer_ids = np.take(key, order)
+        layer_ids //= n * n
     else:
         order = np.lexsort((edges[:, 1], edges[:, 0], layer_ids))
+        layer_ids = layer_ids[order]
     return _from_table(n, T, np.take(edges, order, axis=0), layer_ids)
 
 
@@ -672,7 +800,7 @@ def _sample_balanced(m: int, gen: np.random.Generator) -> Assignment:
     order = gen.permutation(m)
     labels = np.zeros(m, dtype=np.int8)
     labels[order[: m // 2]] = 1
-    return Assignment(tuple(labels.tolist()))
+    return Assignment._from_array(labels)
 
 
 def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
@@ -690,7 +818,8 @@ def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
 
 def sample_planted_empty(n: int, T: int, seed: int) -> PlantedInstance:
     """The rho = 0 limit of sample_planted: its sigma and tau for this seed, and no edges."""
-    _check_substream_count(T)  # before tau's permutation of T items
+    n, T = _check_even(n, "n", 2), _check_even(T, "T", 2)
+    _check_caps(n, T)  # before the permutations of n and T items
     sigma = _sample_balanced(n, substream(seed, _SIGMA_STREAM))
     tau = _sample_balanced(T, substream(seed, _TAU_STREAM))
     graph = _from_table(n, T, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -699,6 +828,7 @@ def sample_planted_empty(n: int, T: int, seed: int) -> PlantedInstance:
 
 def sample_null(params: MlsbmParams, seed: int) -> MultiLayerGraph:
     """Sample the null model: every slot independently Bernoulli(rho)."""
+    _check_caps(params.n, params.T)
     return _sample_layers(params.n, params.T, seed, _null_sampler(params.n, params.T, params.rho))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -76,7 +77,43 @@ def test_assignment_must_be_balanced():
         Assignment((0, 0, 0, 1))
     with pytest.raises(ValidationError):
         Assignment((1,))  # odd length
+    for labels in [(), (0, 2), ("a", "b"), None, (0, 1, 1, 1, 0, 0, 1, 1)]:
+        with pytest.raises(ValidationError):
+            Assignment(labels)
     assert Assignment((1, 0)).labels == (1, 0)
+
+
+def test_assignment_array_is_one_read_only_int8_copy_of_the_labels():
+    a = Assignment((1, 0, 0, 1))
+    bits = a.as_array()
+    assert bits.dtype == np.int8 and bits.tolist() == [1, 0, 0, 1]
+    assert a.as_array() is bits and not bits.flags.writeable
+    inst = sample_planted(MlsbmParams(n=8, T=6, rho=0.1), seed=2)
+    for sampled in (inst.sigma, inst.tau):
+        # Sampled labels skip the per-item re-check; they equal validated ones.
+        assert Assignment(sampled.labels) == sampled
+        assert sampled.as_array() is sampled.as_array()
+        assert sampled.as_array().tolist() == list(sampled.labels)
+        assert not sampled.as_array().flags.writeable
+
+
+@pytest.mark.parametrize(
+    "n, T, message",
+    [
+        (4, -2, "T must be an even integer >= 2, got -2"),
+        (4, 3, "T must be an even integer >= 2, got 3"),
+        (True, 4, "n must be an integer, got True"),
+        (4.0, 4, "n must be an integer, got 4.0"),
+        (0, 4, "n must be an even integer >= 2, got 0"),
+        (4, "4", "T must be an integer, got '4'"),
+    ],
+)
+def test_the_empty_sampler_refuses_what_the_parameters_refuse(n, T, message):
+    with pytest.raises(ValidationError) as empty:
+        model.sample_planted_empty(n, T, seed=1)
+    with pytest.raises(ValidationError) as params:
+        MlsbmParams(n, T, 0.1)
+    assert str(empty.value) == str(params.value) == message
 
 
 # ---------------------------------------------------------- edge_probability
@@ -547,46 +584,75 @@ def test_screened_sampler_matches_per_layer_reference_in_every_regime(seed, n, o
 def _uint32_words(before, after):
     """uint32 words a draw took between two PCG64 states: two per output, net of the buffer."""
     state, inc = before["state"]["state"], before["state"]["inc"]
-    for steps in range(64):
+    for steps in range(1024):
         if state == after["state"]["state"]:
             return 2 * steps + before["has_uint32"] - after["has_uint32"]
         state = (state * _PCG64_MULT + inc) % 2**128
-    raise AssertionError("the draw took more than 64 PCG64 outputs")
+    raise AssertionError("the draw took more than 1024 PCG64 outputs")
 
 
-def _numpy_layer(seed, t, counts, probs):
-    """Layer t's slot codes through numpy's own binomial and one-item choice calls.
+def _numpy_layer(gen, counts, probs):
+    """A layer's slot codes through numpy's own binomial and choice calls on gen.
 
     Returns the codes, the generator state after them, and every reason the
     replay must leave the layer to numpy: a block outside numpy's inversion
-    branch (or with one slot), a double within the margin of a threshold,
-    a draw of two or more slots, or a rejected bounded draw.
+    branch (or with one slot), a double within the margin of a threshold
+    the inversion compares it with, a restart of the inversion, or a
+    rejected bounded draw.
     """
-    gen = substream(seed, 2, t)
     bitgen = gen.bit_generator
     codes, reasons, offset = [], set(), 0
     for count, p in zip(counts, probs):
         if count:
-            if not (1 < count < 2**32 and 0 < p <= 0.5 and p * count <= 30):
+            replayable = 1 < count < 2**32 and 0 < p <= 0.5 and p * count <= 30
+            if not replayable:
                 reasons.add("not replayable")
+            before = bitgen.state
             peek = np.random.Generator(np.random.PCG64())
-            peek.bit_generator.state = bitgen.state
-            u, q = peek.random(), 1.0 - p
-            qn = math.exp(count * math.log(q))
-            px1 = (count * p * qn) / q
-            margin = model._SCREEN_MARGIN
-            if abs(u - qn) <= margin * qn or (u > qn and abs(u - qn - px1) <= margin * (qn + px1)):
-                reasons.add("margin")
+            peek.bit_generator.state = before
             k = int(gen.binomial(count, p))
-            if k >= 2:
-                reasons.add("k >= 2")
-            elif k == 1:
+            if replayable:
+                if _uint32_words(before, bitgen.state) > 2:
+                    reasons.add("restart")  # a second double
+                # U against px(X) = P(k = X) for X = 0 .. k, as numpy compares them.
+                u, q = peek.random(), 1.0 - p
+                px = total = math.exp(count * math.log(q))
+                for x in range(k + 1):
+                    if abs(u - px) <= model._SCREEN_MARGIN * total:
+                        reasons.add("margin")
+                    u -= px
+                    px = ((count - x) * p * px) / ((x + 1) * q)
+                    total += px
+            if k:
                 before = bitgen.state
-                codes.append(int(gen.choice(count, size=1, replace=False)[0]) + offset)
-                if _uint32_words(before, bitgen.state) > 1:
+                codes += (gen.choice(count, size=k, replace=False) + offset).tolist()
+                # Floyd's loop draws k words (none on [0, 0]), the shuffle k - 1.
+                words = 2 * k - 1 - (k == count)
+                if replayable and _uint32_words(before, bitgen.state) > words:
                     reasons.add("rejected")
         offset += count
     return codes, bitgen.state, reasons
+
+
+def _layer_generators(seed, count):
+    """The PCG64 states of `count` layers as _replay takes them, and one numpy generator per layer.
+
+    seed is a substream seed (layer t draws from substream(seed, 2, t)) or a
+    list of explicit (state, inc) pairs, for draws no seed search reaches.
+    """
+    if isinstance(seed, int):
+        _, blocks = _bulk_substreams(seed, 2, count)
+        return next(blocks)[1], [substream(seed, 2, t) for t in range(count)]
+    halves = [(s >> 64, s & 2**64 - 1, inc >> 64, inc & 2**64 - 1) for s, inc in seed]
+    gens = [np.random.Generator(np.random.PCG64()) for _ in seed]
+    for gen, (state, inc) in zip(gens, seed):
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    return tuple(np.array(half, dtype=np.uint64) for half in zip(*halves)), gens
 
 
 REPLAY_COUNTS = st.one_of(
@@ -613,18 +679,33 @@ REPLAY_MEANS = st.one_of(st.floats(1e-3, 2.0), st.floats(2.0, 40.0))
 # count = 1 is never replayed; a zero-slot block draws nothing.
 @example(seed=2, counts=[1, 4950], means=[0.5] * 4, types=[0, 1])
 @example(seed=3, counts=[0, 4950], means=[0.5] * 4, types=[1, 0, 1])
+# Floyd's draw on [0, 3] repeats a value already chosen, so it takes 3 instead.
+@example(seed=1, counts=[6], means=[2.5] * 4, types=[0])
+# Blocks of 2 and 4 slots, at the gap cell's block sizes.
+@example(seed=3, counts=[2450, 2500], means=[3.0] * 4, types=[0])
+# The double lies within the margin of the third threshold, P(k <= 2).
+@example(seed=0, counts=[4950], means=[3.8216678089010054] * 4, types=[0])
+# k = 3, and the shuffle's draw on [0, 2] reads the word 0, which Lemire
+# rejects (probability 2**-32, hence an explicit generator state).
+@example(
+    seed=[(0xB0726B7D46F723F331339C7FE6DB42, 0x5D9DC9F81818E811892F902BD23F0825)],
+    counts=[4950],
+    means=[3.0] * 4,
+    types=[0],
+)
+# Every slot of a block of count 2: Floyd's first draw is on [0, 0] and reads no word.
+@example(seed=0, counts=[2], means=[1.0] * 4, types=[0, 0, 0, 0, 0, 0])
 @settings(max_examples=300, deadline=None)
-def test_replay_makes_numpys_binomial_and_one_item_choice_draws(seed, counts, means, types):
+def test_replay_makes_numpys_binomial_and_choice_draws(seed, counts, means, types):
     probs = [
         [min(0.6, mean / count) if count else 0.25 for mean, count in zip(means[2 * kind :], counts)]
         for kind in (0, 1)
     ]
     plan = model._replay_plan(counts, probs)
-    _, blocks = _bulk_substreams(seed, 2, len(types))
-    _, states = next(blocks)
+    states, gens = _layer_generators(seed, len(types))
     replay = plan and model._replay(states, np.array(types), plan)
-    for t, kind in enumerate(types):
-        codes, state, reasons = _numpy_layer(seed, t, counts, probs[kind])
+    for t, (kind, gen) in enumerate(zip(types, gens)):
+        codes, state, reasons = _numpy_layer(gen, counts, probs[kind])
         if plan is None:  # no layer type replays
             assert "not replayable" in reasons
             continue
@@ -635,6 +716,19 @@ def test_replay_makes_numpys_binomial_and_one_item_choice_draws(seed, counts, me
             assert _joined(states, t, int(replay.outputs[t])) == state["state"]
             assert int(replay.has_uint32[t]) == state["has_uint32"]
             assert int(replay.uinteger[t]) == state["uinteger"]
+    if plan is None:
+        return
+    # The sampler's first pass replays at most one slot per block and defers
+    # the rest; what it does replay, it replays as the full replay does.
+    first = model._replay(states, np.array(types), plan, most=1)
+    assert not (first.to_numpy & first.deferred).any()
+    assert (replay.to_numpy | (replay.largest >= 2))[first.deferred].all()
+    kept = ~first.deferred
+    assert (first.largest[kept] <= 1).all()
+    for name in ("to_numpy", "outputs", "has_uint32", "uinteger"):
+        assert np.array_equal(getattr(first, name)[kept], getattr(replay, name)[kept])
+    for row, full in zip(first.codes[kept & ~first.to_numpy], replay.codes[kept & ~first.to_numpy]):
+        assert row[row >= 0].tolist() == full[full >= 0].tolist()
 
 
 def _record_numpy_layers(monkeypatch):
@@ -680,32 +774,32 @@ def test_only_layers_the_replay_cannot_draw_reach_numpy(monkeypatch):
         lambda rows: [len(rows)],
     )
     for got, (graph, counts, probs, block_sizes) in zip((drawn_planted, drawn[:]), (planted, null)):
-        reasons = [_numpy_layer(1, t, counts, probs[t])[2] for t in range(params.T)]
+        reasons = [
+            _numpy_layer(substream(1, 2, t), counts, probs[t])[2] for t in range(params.T)
+        ]
+        # Only a margin hit, a restart or a rejected draw sends a layer to numpy.
         routed = {t for t in range(params.T) if reasons[t]}
-        sizes = [block_sizes(layer) for layer in graph.layers]
-        # Every layer with a block of two or more edges, and no other but a
-        # rejected draw or a margin hit.
-        assert {t for t in routed if "k >= 2" in reasons[t]} == {
-            t for t in range(params.T) if max(sizes[t]) >= 2
-        }
-        # Plus the call's two probes: its first replayed layers with and without an edge.
+        largest = [min(2, max(block_sizes(layer))) for layer in graph.layers]
+        # Plus the call's three probes: its first replayed layers whose
+        # largest block draws 0, 1, and 2 or more slots.
         probes = [
-            next(t for t in range(params.T) if t not in routed and (sum(sizes[t]) > 0) == edge)
-            for edge in (False, True)
+            next(t for t in range(params.T) if t not in routed and largest[t] == c)
+            for c in range(3)
         ]
         assert sorted(got) == sorted(routed | set(probes))
-        assert len(got) == len(routed) + 2 < params.T // 5
+        assert len(got) == len(routed) + 3 <= 10
 
 
-def test_at_most_a_fortieth_of_the_gap_cell_reaches_numpy(monkeypatch):
+def test_at_most_ten_layers_of_the_gap_cell_reach_numpy(monkeypatch):
     drawn = _record_numpy_layers(monkeypatch)
     params = MlsbmParams(n=100, T=40_000, rho=5e-5)
     for seed in range(3):
         drawn.clear()
         graph = sample_planted(params, seed).graph
-        assert len(drawn) <= 1000
+        assert 3 <= len(drawn) <= 10  # the three probes, and what the replay refuses
         assert len(set(drawn)) == len(drawn)
-        assert sum(1 for layer in graph.layers if len(layer)) > 5 * len(drawn)
+        # Hundreds of layers hold two or more edges; all but those above are replayed.
+        assert np.sum(np.bincount(graph.layer_ids, minlength=params.T) >= 2) > 500
 
 
 @pytest.mark.parametrize(
@@ -715,8 +809,13 @@ def test_at_most_a_fortieth_of_the_gap_cell_reaches_numpy(monkeypatch):
         lambda r: r._replace(outputs=r.outputs + 1),
         lambda r: r._replace(has_uint32=~r.has_uint32),
         lambda r: r._replace(uinteger=r.uinteger ^ np.uint64(1)),
+        # Only the layers with a block of two or more slots, which only the
+        # call's third probe draws.
+        lambda r: r._replace(
+            codes=np.where((r.largest >= 2)[:, None] & (r.codes >= 0), r.codes + 1, r.codes)
+        ),
     ],
-    ids=["slot", "outputs", "has_uint32", "uinteger"],
+    ids=["slot", "outputs", "has_uint32", "uinteger", "multi-slot"],
 )
 def test_a_corrupted_replay_raises(monkeypatch, corrupt):
     replay = model._replay
@@ -754,7 +853,7 @@ def test_sampled_rows_sort_by_layer_and_pair_on_both_sides_of_the_key_bound(monk
     monkeypatch.setattr(np, "lexsort", counting)
     layer = [(n - 1, n), (1, n), (2, 3), (1, 2), (n - 2, n - 1)]
     edges = np.array(layer * T, dtype=np.int64)
-    graph = model._graph_from_edges(n, edges, np.full(T, len(layer)))
+    graph = model._graph_from_edges(n, T, edges, np.repeat(np.arange(T), len(layer)))
     assert graph == MultiLayerGraph(n, T, [sorted(layer)] * T)
     assert lexsorts == [3] * (T - 1)
 
@@ -826,6 +925,103 @@ def test_more_than_two_to_the_32_layers_are_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_more_than_two_to_the_32_nodes_are_refused_before_allocating():
+    params = MlsbmParams(n=2**40, T=2, rho=1e-13)
+    tracemalloc.start()
+    try:
+        # sigma alone would be a permutation of 2**40 items (8 TiB)
+        with pytest.raises(SizeGuardError, match="node counts are capped"):
+            sample_planted(params, seed=1)
+        with pytest.raises(SizeGuardError, match="node counts are capped"):
+            sample_null(params, seed=1)
+        with pytest.raises(SizeGuardError, match="node counts are capped"):
+            model.sample_planted_empty(MAX_SUBSTREAMS + 2, 2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+# sha256 of edges + layer_ids of sample_planted and sample_null, recorded
+# while every layer with a block of two or more slots was drawn through
+# numpy, so their replay must match numpy bit for bit. The golden studies
+# only reach the dense sampler (n < 64).
+SAMPLED_GRAPH_HASHES = {
+    ((100, 40000, 5e-05), 0): (
+        "5b1eccefc7c88e37dbe021fc6a1212cceaecb179adaf30bff41de683c20315fb",
+        "cb1c5cac58f504ddb2a2b7860663d35805a0f91607e01d7d5ea5985dd73185ed",
+    ),
+    ((100, 40000, 5e-05), 1): (
+        "95383fa9b2ca6240e817feb158aaaa37d6e5ecc90ac7fbca9e496a1df82deb0b",
+        "667ee409c9af625e1659bee8fbb3aaf40b9ba862d5442ab6cfc7e4282e6bf85b",
+    ),
+    ((100, 40000, 5e-05), 2): (
+        "581c9c6017a16836433bd78ccbe3e7b4651b893a22ff23f406e6874d22bf88dd",
+        "999c6b2952dcd13b9e584c9845f1ac8d91cf4b155c503284b56ee74fc4c66749",
+    ),
+    ((100, 4000, 0.0005), 0): (
+        "9b48438e3fc4f89e1a7e5e1f7954892b9980d84a2c7dae1afd15e049689f13e0",
+        "97565a15c06cdbebc58f8058194aa65e46b5de6cdb4cd178cef4c6b5e76caedf",
+    ),
+    ((100, 4000, 0.0005), 1): (
+        "00bc6b63168c3ae005f15c6c48d0cc264f6995b330a61d7d32a3a8c042339adc",
+        "9ff041c7c5fc974a3be61094b396a3dad79e4a1a89e4ffd891ff79c6bdbf085a",
+    ),
+    ((100, 4000, 0.0005), 2): (
+        "eadb6f2d15aa351a1c78830b4c76cffc23f4147e8c7ce2f905f1ff1b6a4dac24",
+        "bc0e4e01ddcb910499bf27cd213867e0bc61128228834d34cfcb584576f9bfed",
+    ),
+    ((128, 8198, 0.001), 0): (
+        "6d358ecc713a39efa73e1c6c37cd059ad41c9f4e75354c9339253667e0137c66",
+        "223cb672710ee523ed52efefc809d6e4383d0853bab3dc6941ba063819c12e42",
+    ),
+    ((128, 8198, 0.001), 1): (
+        "17272de55d6321a3aa85bd803317e7b4281228263d89c5899dbe5613991a4fd7",
+        "dcf16e923765897bed11190ced8ed0e3b90ec1ab6a19dc675ae80c7c37c4404c",
+    ),
+    ((128, 8198, 0.001), 2): (
+        "b6ac316bfbf4245a1a79f8739e7409a0341d0808674009146e1621826164fdae",
+        "ff9f4768cb0edc8a32594ede1cac74a90a848f38ce60c3b6a2f628277412b7b7",
+    ),
+    ((200, 64, 0.0075), 0): (
+        "474ff13de2ff448dee9e5f58e541f44d8b9da3083796d6dacb1a958dc0a4d9d0",
+        "7422b10947c0a38a97df20697a3b6c3d0cccfe57990257ab136895813b184691",
+    ),
+    ((200, 64, 0.0075), 1): (
+        "96f66e13887d41461de67081cd1db55d49a4a582fa6f27723eda9792ad6aeeac",
+        "ef5bb194a759b2bfcdc2fd86fd5ee120d09d42b8b8c451f3dce882dfec440269",
+    ),
+    ((200, 64, 0.0075), 2): (
+        "31220a3cc907c064c7cddb8ce51af8d03d65dc594991263a8c62688fca9e7b35",
+        "84f7f8603538df476024fc7400ac9817adba508e09792f88975a6c911e3a0c12",
+    ),
+    ((256, 8, 0.01), 0): (
+        "f99b4c90d63777b370f76c26127197e47b55974adff1d617e12290101063da51",
+        "b186ef438f3ed51be5c9385246befc070924f00c01cf8233171991204ba0c950",
+    ),
+    ((256, 8, 0.01), 1): (
+        "a9ae2cf43982fb963f736aa84e7478d53fec2aa22ea0270c3421ef83a624b2eb",
+        "6baf68ac67d54c0d920bc44dd085a13dbed7ab1137b34bccdbc5c3c209888e21",
+    ),
+    ((256, 8, 0.01), 2): (
+        "01d048a0c380290a19e0ecacfba64383d262b4e7c16fe574f6d6a9b342918c1f",
+        "27ff68c12f0b104836a31e66f86f3a9f5ee2f60842d1b6084513484c9da738bb",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell, seed", list(SAMPLED_GRAPH_HASHES), ids=str)
+def test_sampled_graphs_are_the_pinned_graphs(cell, seed):
+    params = MlsbmParams(*cell)
+
+    def digest(graph):
+        return hashlib.sha256(graph.edges.tobytes() + graph.layer_ids.tobytes()).hexdigest()
+
+    planted, null = SAMPLED_GRAPH_HASHES[cell, seed]
+    assert digest(sample_planted(params, seed).graph) == planted
+    assert digest(sample_null(params, seed)) == null
 
 
 # ----------------------------------------------------------------- file I/O
