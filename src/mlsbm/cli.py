@@ -15,7 +15,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import detection, experiments, metrics, model, recovery, theory
+from . import detection, experiments, metrics, model, recovery, seeding, theory
 from .errors import BoundInapplicableError, SizeGuardError, ValidationError
 
 _REL_TOL_CHI2 = 1e-10
@@ -94,6 +94,10 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    # checked for every method, also those that never shuffle
+    seeding._check_seed(args.shuffle_seed)
+    if args.rounds is not None:
+        model._check_size(args.rounds, "rounds", 1)
     graph, _ = _load_graph_argument(args, allow_null_inline=True)
     outcome = experiments.DETECTION_RUNNERS[args.method](graph, args.rounds, args.shuffle_seed)
     record = detection.to_json_record(outcome, method=args.method, n=graph.n, T=graph.T)
@@ -102,6 +106,9 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_theory_chi2(args) -> int:
+    # a given tau is checked before the brute force's size guard can skip it
+    if args.tau is not None and len(model._as_bits(args.tau, "tau")) != args.T:
+        raise ValidationError(f"tau has {len(args.tau)} entries but T={args.T}")
     closed = theory.chi_square_closed_form(args.n, args.T, args.rho)
     lines = [f"closed form: {closed.value!r}"]
     payload: dict = {"closed_form": closed.value, "per_c_log_terms": list(closed.per_c_terms)}
@@ -300,6 +307,13 @@ def _cmd_gap_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_cell(parser: argparse.ArgumentParser, with_rho: bool = True) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--T", type=int, required=True)
+    if with_rho:
+        parser.add_argument("--rho", type=float, required=True)
+
+
 def _add_inline_sampling(parser: argparse.ArgumentParser, with_null: bool) -> None:
     parser.add_argument("--in", dest="input", metavar="PATH",
                         help="read an mlsbm-edges v1 graph file")
@@ -321,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a graph and write it to a file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    _add_cell(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--planted", action="store_true",
                    help="planted model with sigma/tau footers (default: null model)")
@@ -349,32 +361,25 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="report", required=True)
 
     t = tsub.add_parser("chi2", help="chi-square divergence, closed form vs enumeration")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--T", type=int, required=True)
-    t.add_argument("--rho", type=float, required=True)
+    _add_cell(t)
     t.add_argument("--tau", help="layer-type bits for the brute force (default balanced split)")
     t.add_argument("--json", action="store_true")
     t.set_defaults(handler=_cmd_theory_chi2)
 
     t = tsub.add_parser("ldlr", help="low-degree norm, three computation routes")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--T", type=int, required=True)
-    t.add_argument("--rho", type=float, required=True)
+    _add_cell(t)
     t.add_argument("--D", type=int, required=True)
     t.add_argument("--json", action="store_true")
     t.set_defaults(handler=_cmd_theory_ldlr)
 
     t = tsub.add_parser("lambda", help="parity-class counts and their bounds")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--T", type=int, required=True)
+    _add_cell(t, with_rho=False)
     t.add_argument("--a", type=int, required=True)
     t.add_argument("--json", action="store_true")
     t.set_defaults(handler=_cmd_theory_lambda)
 
     t = tsub.add_parser("bounds", help="norm upper bound applicability and dominance")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--T", type=int, required=True)
-    t.add_argument("--rho", type=float, required=True)
+    _add_cell(t)
     t.add_argument("--D", type=int, required=True)
     t.add_argument("--strengthened", action="store_true")
     t.add_argument("--json", action="store_true")
@@ -394,9 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("gap-demo", help="oracle vs type-blind spectral on paired instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    _add_cell(p)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH", help="write per-trial records CSV here")

@@ -8,20 +8,22 @@ the density estimate; under the planted model it sits near rho/2 or 3*rho/2
 0.3 separates the hypotheses once recovery is reasonably accurate.
 
 The shuffling wrapper reruns the test on uniformly permuted layers and takes
-the maximum decision, which guards against adversarially ordered layers; its
-per-round false-positive cost is why the wrapper is off by default.
+the maximum decision, which guards against adversarially ordered layers. Each
+round adds false-positive risk, which is why the CLI's `detect` runs the plain
+test (`split-test`) unless asked for `shuffled-test`; a sweep config names its
+methods explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import MultiLayerGraph
+from .model import MultiLayerGraph, _check_size
 from .recovery import RecoveryResult
 from .seeding import substream
 
@@ -53,14 +55,7 @@ class DetectionDecision:
 
 
 def to_json_record(decision: DetectionDecision, **metadata) -> dict:
-    record = {
-        "decision": decision.decision,
-        "rho_hat": decision.rho_hat,
-        "cross_block_mean": decision.cross_block_mean,
-        "shuffle_rounds_used": decision.shuffle_rounds_used,
-    }
-    record.update(metadata)
-    return record
+    return {**asdict(decision), **metadata}
 
 
 def estimate_density(layer: np.ndarray, n: int) -> float:
@@ -116,31 +111,21 @@ def shuffled_test(
     Round m permutes layers with the substream (seed, m), so a run with fewer
     rounds is always a prefix of a run with more rounds (monotone decisions).
     With rounds=None the heuristic default based on the unpermuted last
-    layer's density is used.
+    layer's density is used. The result carries the statistics of the first
+    round that decides 1, else those of round 0.
     """
     if graph.T < 3:
         raise ValidationError(f"shuffled_test needs at least 3 layers, got {graph.T}")
     if rounds is None:
         rho_hat = estimate_density(graph.layer_slice(graph.T - 1, graph.T).edges, graph.n)
         rounds = default_shuffle_rounds(graph.n, rho_hat)
-    if rounds < 1:
-        raise ValidationError(f"rounds must be >= 1, got {rounds}")
-    best: Optional[DetectionDecision] = None
-    executed = 0
+    rounds = _check_size(rounds, "rounds", 1)
     for m in range(rounds):
         order = substream(seed, m).permutation(graph.T)
-        permuted = graph.permute_layers(order)
-        outcome = split_layer_test(permuted, recover)
-        executed = m + 1
-        if best is None or outcome.decision > best.decision:
-            best = outcome
-        if best.decision == 1:
+        outcome = split_layer_test(graph.permute_layers(order), recover)
+        if m == 0:
+            first = outcome
+        if outcome.decision == 1:
             # max over rounds is already decided; later rounds cannot flip it
-            break
-    assert best is not None
-    return DetectionDecision(
-        decision=best.decision,
-        rho_hat=best.rho_hat,
-        cross_block_mean=best.cross_block_mean,
-        shuffle_rounds_used=executed,
-    )
+            return replace(outcome, shuffle_rounds_used=m + 1)
+    return replace(first, shuffle_rounds_used=rounds)

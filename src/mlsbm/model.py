@@ -915,6 +915,8 @@ def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance
         if parts[0] in ("sigma", "tau"):
             if len(parts) != 2:
                 raise ValidationError(f"{path}: malformed {parts[0]} footer")
+            if parts[0] in footers:
+                raise ValidationError(f"{path}: repeated {parts[0]} footer")
             footers[parts[0]] = parts[1]
             continue
         if footers:

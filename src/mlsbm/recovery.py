@@ -10,7 +10,7 @@ type-signed sum (an oracle that needs the true tau).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -375,13 +375,7 @@ def mle_local_search_multistart(graph: MultiLayerGraph) -> RecoveryResult:
         if best is None or result.objective > best.objective:
             best = result
     assert best is not None
-    return RecoveryResult(
-        sigma_hat=best.sigma_hat,
-        method="mle-local-multistart",
-        tau_hat=best.tau_hat,
-        objective=best.objective,
-        objective_trace=best.objective_trace,
-    )
+    return replace(best, method="mle-local-multistart")
 
 
 def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult:

@@ -297,6 +297,11 @@ def _parity_sets(alpha: Sequence[Slot]) -> tuple[int, int]:
     return node_mask.bit_count(), layer_mask.bit_count()
 
 
+def _class_weight(n: int, T: int, r: int, k: int) -> float:
+    """Weight of parity class (r, k): C(n/2,r) C(T/2,k) / (C(n,2r) C(T,2k)), one int/int division."""
+    return math.comb(n // 2, r) * math.comb(T // 2, k) / (math.comb(n, 2 * r) * math.comb(T, 2 * k))
+
+
 def chi_alpha_expectation(alpha, n: int, T: int, rho: float) -> float:
     """Planted-model expectation of the standardized edge product over alpha.
 
@@ -312,13 +317,7 @@ def chi_alpha_expectation(alpha, n: int, T: int, rho: float) -> float:
     if v_size % 2 == 1:
         return 0.0
     r, k = u_size // 2, v_size // 2
-    magnitude = (
-        kappa(rho) ** len(alpha)
-        * math.comb(n // 2, r)
-        * math.comb(T // 2, k)
-        / (math.comb(n, u_size) * math.comb(T, v_size))
-    )
-    return float((-1) ** (r + k) * magnitude)
+    return float((-1) ** (r + k) * kappa(rho) ** len(alpha) * _class_weight(n, T, r, k))
 
 
 def chi_alpha_expectation_bruteforce(alpha, n: int, T: int, rho: float) -> float:
@@ -348,8 +347,14 @@ def _check_subset_guard(n: int, T: int, a: int) -> int:
 
 
 def _subset_sizes(n: int, T: int, D: int) -> range:
-    """Subset sizes 1..D, stopped at binom(n,2)*T: no slot subset is larger."""
-    return range(1, min(D, math.comb(n, 2) * T) + 1)
+    """Subset sizes 1..D, stopped at binom(n,2)*T: no slot subset is larger.
+
+    Every size passes the subset guard before any subset is listed.
+    """
+    sizes = range(1, min(D, math.comb(n, 2) * T) + 1)
+    for a in sizes:
+        _check_subset_guard(n, T, a)
+    return sizes
 
 
 @functools.lru_cache(maxsize=256)
@@ -382,32 +387,6 @@ def _lambda_table(n: int, T: int, a: int) -> tuple[tuple[tuple[tuple[int, int], 
             counts[key] = counts.get(key, 0) + 1
     frozen = tuple(sorted(counts.items()))
     return frozen, odd_v, math.comb(n_slots, a)
-
-
-@dataclass(frozen=True)
-class LambdaCount:
-    """One parity-class cardinality next to its combinatorial upper bound."""
-
-    n: int
-    T: int
-    a: int
-    r: int
-    k: int
-    exact: int
-    upper_bound: float
-
-
-def lambda_count_enumerate(n: int, T: int, a: int, r: int, k: int) -> LambdaCount:
-    """Exact size of the (a, r, k) parity class by subset enumeration."""
-    n = _check_even(n, "n", 2)
-    T = _check_even(T, "T", 2)
-    a, r, k = _check_size(a, "a", 1), _check_size(r, "r", 0), _check_size(k, "k", 0)
-    table, _, _ = _lambda_table(n, T, a)
-    return LambdaCount(
-        n=n, T=T, a=a, r=r, k=k,
-        exact=dict(table).get((r, k), 0),
-        upper_bound=lambda_count_bound(n, T, a, r, k),
-    )
 
 
 def lambda_count_partition(n: int, T: int, a: int) -> dict:
@@ -476,11 +455,7 @@ def ldlr_norm_exact(n: int, T: int, rho: float, D: int) -> LdlrReport:
         table, _, _ = _lambda_table(n, T, a)
         term = 0.0
         for (r, k), count in table:
-            ratio = (
-                math.comb(n // 2, r)
-                * math.comb(T // 2, k)
-                / (math.comb(n, 2 * r) * math.comb(T, 2 * k))
-            )
+            ratio = _class_weight(n, T, r, k)
             term += count * ratio * ratio
         terms.append((a, kap ** (2 * a) * term))
     return LdlrReport(
@@ -500,8 +475,6 @@ def ldlr_norm_bruteforce(n: int, T: int, rho: float, D: int) -> float:
     """
     n, T, rho = astuple(MlsbmParams(n, T, rho))
     sizes = _subset_sizes(n, T, _check_size(D, "D", 1))
-    for a in sizes:
-        _check_subset_guard(n, T, a)
     # sign of each slot under each (sigma, tau): +1 on even parity
     signs = 1 - 2 * _parity_table("ldlr_norm_bruteforce", n, T)
     kap = kappa(rho)
@@ -524,8 +497,6 @@ def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
     """
     n, T, rho = astuple(MlsbmParams(n, T, rho))
     sizes = _subset_sizes(n, T, _check_size(D, "D", 1))
-    for a in sizes:
-        _check_subset_guard(n, T, a)
     parity = _parity_table("ldlr_projection_oracle", n, T, tensors=True)
     combos = [c for a in sizes for c in itertools.combinations(range(parity.shape[1]), a)]
     coeffs = np.zeros(len(combos))

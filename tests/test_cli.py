@@ -177,6 +177,14 @@ def test_detect_permutation_invariant_input_accepts_null(tmp_path, capsys):
     assert record["decision"] == 0 and record["shuffle_rounds_used"] == 2
 
 
+@pytest.mark.parametrize("method", list(DETECTION_RUNNERS))
+def test_detect_refuses_zero_rounds_for_every_method(capsys, method):
+    code, out, err = run(capsys, "detect", "--n", "20", "--T", "6", "--rho", "0.3",
+                         "--rounds", "0", "--method", method)
+    assert code == 2 and out == ""
+    assert err == "error: rounds must be an integer >= 1, got 0\n"
+
+
 def test_detect_inline_null_sampling(capsys):
     code, out, _ = run(capsys, "detect", "--n", "8", "--T", "6", "--rho", "0.3",
                        "--seed", "5", "--null")
@@ -229,11 +237,12 @@ def test_theory_chi2_small_case_passes(capsys):
     assert payload["closed_form"] == pytest.approx(payload["brute_force"], rel=1e-10)
 
 
-def test_theory_chi2_rejects_a_malformed_tau(capsys):
-    for tau in ("0a", "02", "011"):
-        code, _, err = run(capsys, "theory", "chi2", "--n", "4", "--T", "2",
-                           "--rho", "0.1", "--tau", tau)
-        assert code == 2 and err.startswith("error: tau ")
+@pytest.mark.parametrize("n, T", [("4", "2"), ("8", "4")], ids=["brute-force-runs", "skipped"])
+def test_theory_chi2_rejects_a_malformed_tau(capsys, n, T):
+    for tau in ("0a", "02", "0x", "0", "011"):
+        code, out, err = run(capsys, "theory", "chi2", "--n", n, "--T", T,
+                             "--rho", "0.1", "--tau", tau)
+        assert code == 2 and err.startswith("error: tau ") and out == ""
 
 
 def test_theory_chi2_skips_brute_force_past_the_guard(capsys):
@@ -460,8 +469,10 @@ def test_sweep_refuses_a_repeated_cell_before_running(tmp_path, capsys):
         ("gap-demo", "--n", "8", "--T", "4", "--rho", "0.1", "--seed", "-1", "--trials", "1"),
         ("detect", "--n", "8", "--T", "4", "--rho", "0.1", "--shuffle-seed", "-1",
          "--method", "shuffled-test"),
+        ("detect", "--n", "8", "--T", "4", "--rho", "0.1", "--shuffle-seed", "-1",
+         "--method", "split-test"),
     ],
-    ids=["generate", "recover", "gap-demo", "detect-shuffle"],
+    ids=["generate", "recover", "gap-demo", "detect-shuffle", "detect-split"],
 )
 def test_negative_seeds_are_validation_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

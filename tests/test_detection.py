@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from mlsbm import (
     shuffled_test,
 )
 from mlsbm.detection import to_json_record
+from mlsbm.seeding import substream
 
 from conftest import fresh, parity_even_graph
 
@@ -115,10 +117,11 @@ def test_default_rounds_formula():
         assert default_shuffle_rounds(n, rho_hat) == expected
 
 
-def test_shuffled_rounds_validation(six_edge_instance):
-    graph, _, _ = six_edge_instance
-    with pytest.raises(ValidationError):
-        shuffled_test(graph, bias_adjusted_spectral, rounds=0)
+def test_shuffled_rounds_validation():
+    graph = sample_null(MlsbmParams(n=20, T=6, rho=0.3), seed=0)
+    for rounds in (0, 2.5, True, "3"):
+        with pytest.raises(ValidationError, match="rounds must be an integer >= 1"):
+            shuffled_test(graph, bias_adjusted_spectral, rounds=rounds)
 
 
 def test_shuffled_null_like_decides_zero():
@@ -150,6 +153,26 @@ def test_shuffled_prefix_monotonicity(seed, graph_seed):
     large = shuffled_test(graph, bias_adjusted_spectral, rounds=5, seed=seed)
     if small.decision == 1:
         assert large.decision == 1
+
+
+def test_shuffled_reports_the_deciding_round_else_round_zero():
+    def round_outcome(graph, m):
+        order = substream(0, m).permutation(graph.T)
+        return split_layer_test(graph.permute_layers(order), bias_adjusted_spectral)
+
+    # No round decides 1: round 0's statistics, with every round counted.
+    graph = sample_null(MlsbmParams(n=40, T=12, rho=0.3), seed=0)
+    per_round = [round_outcome(graph, m) for m in range(4)]
+    assert [r.decision for r in per_round] == [0, 0, 0, 0]
+    assert per_round[0].rho_hat != per_round[-1].rho_hat
+    outcome = shuffled_test(graph, bias_adjusted_spectral, rounds=4, seed=0)
+    assert outcome == replace(per_round[0], shuffle_rounds_used=4)
+    # Round 2 is the first to decide 1: its statistics, and no later round runs.
+    graph = sample_null(MlsbmParams(n=20, T=8, rho=0.3), seed=0)
+    per_round = [round_outcome(graph, m) for m in range(3)]
+    assert [r.decision for r in per_round] == [0, 0, 1]
+    outcome = shuffled_test(graph, bias_adjusted_spectral, rounds=5, seed=0)
+    assert outcome == replace(per_round[2], shuffle_rounds_used=3)
 
 
 def test_shuffled_deterministic_given_seed():

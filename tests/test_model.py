@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -1127,6 +1128,15 @@ def test_read_graph_refuses_non_ascii_bytes_and_int64_overflow(tmp_path):
     path.write_bytes(b"mlsbm-edges v1 n=4 T=2\n1 1 2\n2 1 99999999999999999999\n")
     with pytest.raises(ValidationError, match="layer 2: node index outside the int64 range"):
         read_graph(path)
+
+
+def test_read_graph_refuses_a_repeated_footer(tmp_path):
+    path = tmp_path / "twice.txt"
+    for footers, name in (("sigma 0011\ntau 01\nsigma 0101\n", "sigma"),
+                          ("sigma 0011\ntau 01\ntau 10\n", "tau")):
+        path.write_text("mlsbm-edges v1 n=4 T=2\n1 1 2\n" + footers)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: repeated {name} footer$"):
+            read_graph(path)
 
 
 # Small headers keep each example quick; large T is refused or read in

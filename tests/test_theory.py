@@ -22,7 +22,6 @@ from mlsbm import (
     hypergeometric_tail_check,
     kappa,
     lambda_count_bound,
-    lambda_count_enumerate,
     lambda_count_partition,
     ldlr_norm_bruteforce,
     ldlr_norm_exact,
@@ -250,14 +249,19 @@ def test_alpha_validation():
 # ------------------------------------------------------------- lambda counts
 
 
+def class_count(n, T, a, r, k):
+    """Exact size of the (a, r, k) parity class."""
+    return lambda_count_partition(n, T, a)["counts"].get((r, k), 0)
+
+
 def test_lambda_singletons_all_zero():
     for r in range(0, 3):
         for k in range(0, 2):
-            assert lambda_count_enumerate(4, 2, 1, r, k).exact == 0
+            assert class_count(4, 2, 1, r, k) == 0
 
 
 def test_lambda_paired_slots_count():
-    assert lambda_count_enumerate(4, 2, 2, 0, 1).exact == 6
+    assert class_count(4, 2, 2, 0, 1) == 6
 
 
 def test_lambda_partition_accounts_for_every_subset():
@@ -272,7 +276,7 @@ def test_lambda_partition_accounts_for_every_subset():
 
 def test_lambda_guard():
     with pytest.raises(SizeGuardError):
-        lambda_count_enumerate(40, 40, 9, 1, 1)
+        lambda_count_partition(40, 40, 9)
 
 
 def sweep_bound_violations(n, T, max_a, strengthened=False):
@@ -280,7 +284,7 @@ def sweep_bound_violations(n, T, max_a, strengthened=False):
     for a in range(1, max_a + 1):
         for r in range(0, n // 2 + 1):
             for k in range(0, T // 2 + 1):
-                exact = lambda_count_enumerate(n, T, a, r, k).exact
+                exact = class_count(n, T, a, r, k)
                 bound = lambda_count_bound(n, T, a, r, k, strengthened=strengthened)
                 if exact > bound:
                     violations.append((a, r, k, exact, bound))
@@ -318,7 +322,7 @@ def test_lambda_bound_empty_classes():
     # 2r > n or 2k > T: the class is empty and the bound degenerates to zero
     assert lambda_count_bound(4, 2, 2, 3, 0) == 0.0
     assert lambda_count_bound(4, 2, 2, 0, 2) == 0.0
-    assert lambda_count_enumerate(4, 2, 2, 3, 0).exact == 0
+    assert class_count(4, 2, 2, 3, 0) == 0
 
 
 # ---------------------------------------------------------------- LDLR norm
@@ -399,7 +403,7 @@ def test_ldlr_squared_denominators_adjudicated():
     for a in range(1, D + 1):
         for r in range(0, n // 2 + 1):
             for k in range(0, T // 2 + 1):
-                count = lambda_count_enumerate(n, T, a, r, k).exact
+                count = class_count(n, T, a, r, k)
                 if count == 0:
                     continue
                 numer = math.comb(n // 2, r) * math.comb(T // 2, k)
