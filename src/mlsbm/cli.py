@@ -68,6 +68,13 @@ def _cmd_generate(args) -> int:
 def _load_graph_argument(args, *, allow_null_inline: bool = False):
     """Graph from --in, or sampled inline from --n/--T/--rho/--seed."""
     if args.input:
+        sampling = {"--n": args.n, "--T": args.T, "--rho": args.rho, "--seed": args.seed}
+        ignored = [flag for flag, value in sampling.items() if value is not None]
+        if allow_null_inline and args.null:
+            ignored.append("--null")
+        if ignored:
+            raise ValidationError(f"--in FILE reads the graph from the file; "
+                                  f"drop the sampling flags {' '.join(ignored)}")
         loaded = model.read_graph(args.input)
         if isinstance(loaded, model.PlantedInstance):
             return loaded.graph, loaded
@@ -75,9 +82,10 @@ def _load_graph_argument(args, *, allow_null_inline: bool = False):
     if args.n is None or args.T is None or args.rho is None:
         raise ValidationError("need either --in FILE or all of --n/--T/--rho")
     params = model.MlsbmParams(n=args.n, T=args.T, rho=args.rho)
+    seed = 0 if args.seed is None else args.seed
     if allow_null_inline and args.null:
-        return model.sample_null(params, args.seed), None
-    instance = model.sample_planted(params, args.seed)
+        return model.sample_null(params, seed), None
+    instance = model.sample_planted(params, seed)
     return instance.graph, instance
 
 
@@ -218,6 +226,7 @@ def _cmd_theory_bounds(args) -> int:
 
 
 def _cmd_theory_lemmas(args) -> int:
+    model._check_size(args.m_max, "m-max", 1)
     mismatches = []
     for m in range(1, args.m_max + 1):
         for k in range(0, m + 1):
@@ -320,7 +329,7 @@ def _add_inline_sampling(parser: argparse.ArgumentParser, with_null: bool) -> No
     parser.add_argument("--n", type=int, help="nodes (inline sampling)")
     parser.add_argument("--T", type=int, help="layers (inline sampling)")
     parser.add_argument("--rho", type=float, help="edge density (inline sampling)")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+    parser.add_argument("--seed", type=int, help="sampling seed")
     if with_null:
         parser.add_argument("--null", action="store_true",
                             help="sample from the null model instead of the planted one")

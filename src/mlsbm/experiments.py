@@ -3,10 +3,10 @@
 Every sweep is deterministic given its config: trial seeds derive from
 (base_seed, cell index, trial index, purpose tag) through independent seed
 substreams, methods within a trial run sequentially on the identical
-instance (paired comparisons), and output rows are assembled in cell/trial
-order no matter how the worker pool schedules them. Wall time is measured
-per method call but only written to disk on request, so default output files
-are byte-identical across runs and worker counts.
+instance (paired comparisons), and units run one after another in one loop,
+so output rows come out in cell/trial order. Wall time is measured per
+method call but only written to disk on request, so default output files
+are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import statistics
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
@@ -249,24 +247,13 @@ def _cell_id(n: int, T: int, rho: float) -> str:
 
 
 def resolve_worker_count(n_units: int) -> int:
-    """Worker pool size: MLSBM_WORKERS if set, else 1 (serial), capped at n_units.
+    """Always 1: studies run their units serially, in one loop.
 
-    Units hold the GIL for much of their time and spend the rest in BLAS,
-    so a default thread pool mostly added contention: slower than serial on
-    sampling-heavy studies, and its study times swung with thread
-    interleaving and with other load on the machine.
+    Nothing in the library calls it. perfbench/run.py (for its provenance
+    record) and perfbench/traced.py still import it, so it stays until the
+    benchmark drops those imports.
     """
-    raw = os.environ.get("MLSBM_WORKERS")
-    if raw is not None and raw.strip():
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"MLSBM_WORKERS must be an integer, got {raw!r}") from exc
-        if workers < 1:
-            raise ValidationError(f"MLSBM_WORKERS must be >= 1, got {workers}")
-    else:
-        workers = 1
-    return max(1, min(workers, n_units))
+    return 1
 
 
 def _assert_unique_seeds(records: Sequence[TrialRecord]) -> None:
@@ -282,14 +269,8 @@ def _assert_unique_seeds(records: Sequence[TrialRecord]) -> None:
 
 
 def _run_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]]) -> list[TrialRecord]:
-    """Run unit_fn(0..n_units-1), serially or on a pool; concatenate in unit order."""
-    workers = resolve_worker_count(n_units)
-    if workers == 1:
-        chunks = [unit_fn(u) for u in range(n_units)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(unit_fn, range(n_units)))
-    records = [record for chunk in chunks for record in chunk]
+    """Run unit_fn(0..n_units-1) in order and concatenate their records."""
+    records = [record for u in range(n_units) for record in unit_fn(u)]
     _assert_unique_seeds(records)
     return records
 

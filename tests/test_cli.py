@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 import tracemalloc
 
 import pytest
@@ -151,6 +152,18 @@ def test_recover_exhaustive_at_twenty_layers_prints_the_pinned_record(capsys):
     )
 
 
+def test_recover_from_a_file_refuses_sampling_flags(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    write_graph(path, complete_graph(6, 4))
+    code, out, err = run(capsys, "recover", "--in", str(path), "--n", "999", "--seed", "0",
+                         "--method", "sum-spectral")
+    assert code == 2 and out == ""
+    assert err == ("error: --in FILE reads the graph from the file; "
+                   "drop the sampling flags --n --seed\n")
+    for flag in (("--T", "4"), ("--rho", "0.5")):
+        assert run(capsys, "recover", "--in", str(path), *flag, "--method", "sum-spectral")[0] == 2
+
+
 def test_recover_unknown_method_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["recover", "--n", "8", "--T", "4", "--rho", "0.3",
@@ -183,6 +196,19 @@ def test_detect_refuses_zero_rounds_for_every_method(capsys, method):
                          "--rounds", "0", "--method", method)
     assert code == 2 and out == ""
     assert err == "error: rounds must be an integer >= 1, got 0\n"
+
+
+def test_detect_from_a_file_refuses_sampling_flags(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    write_graph(path, sample_planted(MlsbmParams(n=8, T=6, rho=0.3), 1))
+    code, out, err = run(capsys, "detect", "--in", str(path), "--null", "--n", "999",
+                         "--rho", "5")
+    assert code == 2 and out == ""
+    assert err == ("error: --in FILE reads the graph from the file; "
+                   "drop the sampling flags --n --rho --null\n")
+    for flag in (("--T", "6"), ("--seed", "3"), ("--null",)):
+        assert run(capsys, "detect", "--in", str(path), *flag)[0] == 2
+    assert run(capsys, "detect", "--in", str(path))[0] == 0
 
 
 def test_detect_inline_null_sampling(capsys):
@@ -357,6 +383,13 @@ def test_theory_lemmas_sweeps_pass(capsys):
     code, out, _ = run(capsys, "theory", "lemmas", "--m-max", "12")
     assert code == 0
     assert out.count("PASS") == 2
+
+
+@pytest.mark.parametrize("m_max", ["0", "-3"])
+def test_theory_lemmas_refuses_an_empty_sweep(capsys, m_max):
+    code, out, err = run(capsys, "theory", "lemmas", "--m-max", m_max)
+    assert code == 2 and out == ""
+    assert err == f"error: m-max must be an integer >= 1, got {m_max}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +597,39 @@ def test_gap_demo_past_the_dense_cap_is_a_size_guard_refusal(capsys):
     warning, refusal = err.splitlines()
     assert warning.startswith("warning: gap demo parameters are not between the thresholds: ")
     assert refusal.startswith("size guard")
+
+
+def test_studies_start_no_thread_whatever_mlsbm_workers_holds(tmp_path, monkeypatch, capsys):
+    # Studies run serially by construction: a leftover MLSBM_WORKERS neither
+    # starts a thread nor changes a byte of the output.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(
+        "kind = recovery\ncells = 8:4:0.3, 10:4:0.2\nmethods = sum-spectral\n"
+        "trials = 2\nbase_seed = 13\n"  # 2 cells x 2 trials = 4 units
+    )
+    studies = {
+        "sweep": ("sweep", "--config", "sweep.cfg", "--force", "--out"),
+        "gap": ("gap-demo", "--n", "8", "--T", "4", "--rho", "0.1", "--trials", "4",
+                "--seed", "3", "--force", "--out"),
+    }
+
+    def outputs():
+        result = {}
+        for name, argv in studies.items():
+            code, out, _ = run(capsys, *argv, f"{name}.csv")
+            assert code == 0, name
+            result[name] = (out, (tmp_path / f"{name}.csv").read_bytes())
+        return result
+
+    monkeypatch.delenv("MLSBM_WORKERS", raising=False)
+    unset = outputs()
+
+    def refuse_start(self):
+        raise AssertionError("a study started a thread")
+
+    monkeypatch.setenv("MLSBM_WORKERS", "8")
+    monkeypatch.setattr(threading.Thread, "start", refuse_start)
+    assert outputs() == unset
 
 
 # ---------------------------------------------------------------------------

@@ -164,22 +164,17 @@ def test_csv_schema_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# worker pool and determinism
+# serial runs and determinism
 # ---------------------------------------------------------------------------
 
 
 def test_resolve_worker_count(monkeypatch):
-    monkeypatch.setenv("MLSBM_WORKERS", "3")
-    assert resolve_worker_count(10) == 3
-    assert resolve_worker_count(2) == 2  # capped at the unit count
-    monkeypatch.setenv("MLSBM_WORKERS", "0")
-    with pytest.raises(ValidationError):
-        resolve_worker_count(10)
-    monkeypatch.setenv("MLSBM_WORKERS", "four")
-    with pytest.raises(ValidationError):
-        resolve_worker_count(10)
+    # Studies always run serially; a leftover MLSBM_WORKERS is ignored, not parsed.
+    for raw in ("3", "0", "four"):
+        monkeypatch.setenv("MLSBM_WORKERS", raw)
+        assert resolve_worker_count(10) == 1
     monkeypatch.delenv("MLSBM_WORKERS")
-    assert resolve_worker_count(4) == 1  # serial unless MLSBM_WORKERS asks for a pool
+    assert resolve_worker_count(4) == 1
 
 
 def strip_timing(records):
