@@ -10,7 +10,7 @@ type-signed sum (an oracle that needs the true tau).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,9 @@ from .model import _check_label_sizes
 
 # Dense n x n matrices are materialized only below this size.
 _DENSE_MAX_NODES = 4096
-_EXHAUSTIVE_GUARD = 10**7
+# mle_exhaustive's budgets in margin-table cells; one sigma row holds E + T + 1.
+_EXHAUSTIVE_BLOCK = 2**19  # per block of sigma rows (about 14 MB at its peak)
+_EXHAUSTIVE_WORK = 10**8  # over the whole search (about 3 s)
 _DEGENERATE_EIGEN_TOL = 1e-10
 _POWER_TOL = 1e-8
 _POWER_MAX_ITER = 1000
@@ -43,19 +45,18 @@ class RecoveryResult:
 
 
 def to_json_record(result: RecoveryResult, loss_vs_truth: Optional[float] = None) -> dict:
-    """Serializable summary of a recovery result."""
-    record: dict = {
-        "method": result.method,
-        "sigma_hat": result.sigma_hat.bitstring(),
-        "degenerate_flag": result.degenerate,
+    """Every field of the result that is not None, labellings as bitstrings.
+
+    `degenerate` is written as `degenerate_flag`.
+    """
+    record = {f.name: getattr(result, f.name) for f in fields(result)}
+    record["degenerate_flag"] = record.pop("degenerate")
+    record["loss_vs_truth"] = loss_vs_truth
+    return {
+        key: value.bitstring() if isinstance(value, Assignment) else value
+        for key, value in record.items()
+        if value is not None
     }
-    if result.tau_hat is not None:
-        record["tau_hat"] = result.tau_hat.bitstring()
-    if result.objective is not None:
-        record["objective"] = result.objective
-    if loss_vs_truth is not None:
-        record["loss_vs_truth"] = loss_vs_truth
-    return record
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,23 +290,26 @@ def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
     every pair parity, so only the first half of _balanced_rows(n), the
     sigma with sigma_1 = 0, is searched. sigma_hat is the first maximizer in
     that order and tau_hat the lexicographically smallest optimal tau for it.
+    Sigma is scored in blocks of _EXHAUSTIVE_BLOCK // (E + T + 1) rows, so
+    memory stays flat in T; the whole search is refused before any block is
+    built if it would cost more than _EXHAUSTIVE_WORK cells.
     """
     n, T = graph.n, graph.T
     _check_even_sizes(graph, "mle_exhaustive")
-    if n > _ENUM_MAX_ITEMS or T > _ENUM_MAX_ITEMS:
+    row = graph.total_edges + T + 1
+    # n goes first: math.comb of a large n is itself unbounded work.
+    if n > _ENUM_MAX_ITEMS or row > _EXHAUSTIVE_BLOCK or (
+        half := math.comb(n, n // 2) // 2
+    ) * row > _EXHAUSTIVE_WORK:
         raise SizeGuardError(
-            f"mle_exhaustive enumeration is capped at {_ENUM_MAX_ITEMS} items per axis"
+            f"mle_exhaustive searches n <= {_ENUM_MAX_ITEMS} with E + T + 1 <= {_EXHAUSTIVE_BLOCK}"
+            f" and C(n, n/2)/2 * (E + T + 1) <= {_EXHAUSTIVE_WORK}, got n={n}, E + T + 1 = {row}"
         )
-    n_sigma = math.comb(n, n // 2)
-    n_tau = math.comb(T, T // 2)
-    if n_sigma * n_tau > _EXHAUSTIVE_GUARD:
-        raise SizeGuardError(
-            f"mle_exhaustive candidate count {n_sigma * n_tau} exceeds {_EXHAUSTIVE_GUARD}"
-        )
-    sigmas = _balanced_rows(n)[: n_sigma // 2]
+    sigmas = _balanced_rows(n)[:half]
+    rows = _EXHAUSTIVE_BLOCK // row
     best = -1
-    for start in range(0, len(sigmas), 2048):
-        block = sigmas[start : start + 2048]
+    for start in range(0, half, rows):
+        block = sigmas[start : start + rows]
         taus, objs = _tau_for_sigma(graph, block)
         k = int(np.argmax(objs))
         if objs[k] > best:
@@ -328,14 +332,9 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
     flip-equivalent results with identical objectives.
     """
     n = graph.n
-    starts: list[Assignment] = []
-    try:
-        l1, v1, l2, v2 = top_two_eigenpairs(aggregate_bias_adjusted(graph).matrix)
-        s1, u1, s2, u2 = top_two_eigenpairs(aggregate_layer_sum(graph).matrix)
-        for vec in (v1, v2, v1 + v2, v1 - v2, u2, u1):
-            starts.append(balanced_rounding(vec))
-    except SizeGuardError:
-        pass
+    l1, v1, l2, v2 = top_two_eigenpairs(aggregate_bias_adjusted(graph).matrix)
+    s1, u1, s2, u2 = top_two_eigenpairs(aggregate_layer_sum(graph).matrix)
+    starts = [balanced_rounding(vec) for vec in (v1, v2, v1 + v2, v1 - v2, u2, u1)]
     starts.append(Assignment(tuple([0] * (n // 2) + [1] * (n // 2))))
     starts.append(Assignment(tuple(i % 2 for i in range(n))))
     seen = set()

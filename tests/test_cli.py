@@ -142,7 +142,7 @@ def test_recover_exhaustive_on_an_odd_layer_count_is_a_validation_error(tmp_path
 
 
 def test_recover_exhaustive_at_twenty_layers_prints_the_pinned_record(capsys):
-    # An admitted large-T cell: C(6, 3) x C(20, 10) = 3,695,120 candidates under the guard.
+    # A 20-layer search: C(6, 3)/2 = 10 sigma rows of E + T + 1 cells each.
     code, out, _ = run(capsys, "recover", "--n", "6", "--T", "20", "--rho", "0.4",
                        "--seed", "1", "--method", "mle-exhaustive")
     assert code == 0
@@ -150,6 +150,50 @@ def test_recover_exhaustive_at_twenty_layers_prints_the_pinned_record(capsys):
         '{\n  "degenerate_flag": false,\n  "loss_vs_truth": 0.0,\n  "method": "mle-exhaustive",\n'
         '  "objective": 103,\n  "sigma_hat": "010011",\n  "tau_hat": "10110111000000110110"\n}\n'
     )
+
+
+def test_recover_exhaustive_at_four_hundred_layers_recovers_the_truth(capsys):
+    code, out, _ = run(capsys, "recover", "--method", "mle-exhaustive", "--n", "16",
+                       "--T", "400", "--rho", "0.0125", "--seed", "1")
+    assert code == 0 and json.loads(out)["loss_vs_truth"] == 0.0
+
+
+def test_recover_exhaustive_refuses_before_allocating(tmp_path, capsys):
+    # one edge, but the search costs E + T + 1 cells per sigma, so T alone is refused
+    path = tmp_path / "long.edges"
+    path.write_text(f"mlsbm-edges v1 n=4 T={2**32}\n1 1 2\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "recover", "--in", str(path), "--method", "mle-exhaustive")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and peak < 2**20
+    assert err.startswith("size guard: mle_exhaustive searches n <= 20 with ")
+    assert err.endswith(f"got n=4, E + T + 1 = {2**32 + 2}\n")
+    code, _, err = run(capsys, "recover", "--method", "mle-exhaustive", "--n", "24",
+                       "--T", "2", "--rho", "0.2")
+    assert code == 3 and "got n=24," in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mlsbm-edges v1 n=4 T=2\n2 1 2\n1 3 4\n", "edges must be sorted by layer"),
+        ("mlsbm-edges v1 n=4 T=2\nsigma 0011\ntau 01\n1 1 2\n", "edge lines after footers"),
+        ("mlsbm-edges v1 n=4 T=2\n1 1 2\nsigma 0011 0101\ntau 01\n", "malformed sigma footer"),
+        ("mlsbm-edges v1 n=4 T=2\n1 1 2\ntau 01\n", "sigma and tau footers must appear together"),
+        ("", "empty file"),
+    ],
+    ids=["unsorted", "edge-after-footer", "malformed-footer", "lone-footer", "empty"],
+)
+def test_recover_from_a_malformed_file_exits_2_with_the_reader_message(
+    tmp_path, capsys, text, message
+):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    code, out, err = run(capsys, "recover", "--in", str(path), "--method", "sum-spectral")
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_recover_from_a_file_refuses_sampling_flags(tmp_path, capsys):
@@ -353,6 +397,33 @@ def test_theory_lambda_partitions_and_guards(capsys):
     code, _, err = run(capsys, "theory", "lambda",
                        "--n", "40", "--T", "40", "--a", "9")
     assert code == 3 and "size guard" in err
+
+
+def test_theory_lambda_reports_each_parity_class(capsys):
+    # an even a, so subsets with an even layer-parity set fill the table
+    argv = ("theory", "lambda", "--n", "8", "--T", "4", "--a", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (
+        "subsets of size a=2: 6216\n"
+        "  r=0 k=1: exact=168 bound=156048 ok\n"
+        "  r=1 k=0: exact=672 bound=364112 ok\n"
+        "  r=1 k=1: exact=2016 bound=546168 ok\n"
+        "  r=2 k=0: exact=840 bound=113785 ok\n"
+        "  r=2 k=1: exact=2520 bound=170677 ok\n"
+        "odd layer-parity subsets (excluded): 0\n"
+        "PASS: counts partition the subsets\n"
+    )
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["partition_holds"] and payload["odd_layer_parity"] == 0
+    cells = [(c["r"], c["k"], c["exact"], c["bound_holds"]) for c in payload["cells"]]
+    assert cells == [(0, 1, 168, True), (1, 0, 672, True), (1, 1, 2016, True),
+                     (2, 0, 840, True), (2, 1, 2520, True)]
+    assert [c["upper_bound"] for c in payload["cells"]] == pytest.approx(
+        [156047.87301268164, 364111.70369625743, 546167.5555443858,
+         113784.90740508052, 170677.36110762067], rel=1e-12)
+    assert sum(c[2] for c in cells) == payload["total_subsets"] == 6216
 
 
 def test_theory_bounds_default_inapplicable_strengthened_applies(capsys):

@@ -51,6 +51,11 @@ def test_density_fraction():
     assert estimate_density(edges, 10) == pytest.approx(0.2)
 
 
+def test_density_needs_two_nodes():
+    with pytest.raises(ValidationError, match="^n must be >= 2, got 1$"):
+        estimate_density([], 1)
+
+
 # ----------------------------------------------------------- split_layer_test
 
 
@@ -91,6 +96,12 @@ def test_split_test_needs_three_layers():
         split_layer_test(graph, bias_adjusted_spectral)
 
 
+def test_split_test_needs_even_n():
+    graph = MultiLayerGraph(n=5, T=3, layers=[[(1, 2)], [(3, 4)], [(4, 5)]])
+    with pytest.raises(ValidationError, match="^split_layer_test needs even n, got 5$"):
+        split_layer_test(graph, bias_adjusted_spectral)
+
+
 def test_split_test_information_separation():
     # rho_hat reads only the last layer; cross_block_mean only the second to
     # last (given identical recovery layers).
@@ -122,6 +133,12 @@ def test_shuffled_rounds_validation():
     for rounds in (0, 2.5, True, "3"):
         with pytest.raises(ValidationError, match="rounds must be an integer >= 1"):
             shuffled_test(graph, bias_adjusted_spectral, rounds=rounds)
+
+
+def test_shuffled_needs_three_layers():
+    graph = MultiLayerGraph(n=4, T=2, layers=[[(1, 2)], [(3, 4)]])
+    with pytest.raises(ValidationError, match="^shuffled_test needs at least 3 layers, got 2$"):
+        shuffled_test(graph, bias_adjusted_spectral, rounds=1)
 
 
 def test_shuffled_null_like_decides_zero():

@@ -190,6 +190,12 @@ def test_sample_null_deterministic():
     assert sample_null(params, seed=3) == sample_null(params, seed=3)
 
 
+def test_conditional_sampler_refuses_label_lengths_that_miss_the_graph():
+    for sigma_bits, tau_bits in (((0, 1, 0), (0, 1)), ((0, 1, 0, 1), (0, 1, 1))):
+        with pytest.raises(ValidationError, match="^sigma_bits and tau_bits need lengths 4 and 2$"):
+            sample_conditional(4, 2, 0.3, sigma_bits, tau_bits, seed=0)
+
+
 def test_vanishing_density_gives_empty_graphs():
     params = MlsbmParams(n=4, T=2, rho=1e-9)
     assert sample_planted(params, seed=0).graph.total_edges == 0
@@ -1073,6 +1079,19 @@ def test_write_graph_bytes_with_empty_first_middle_and_last_layers(tmp_path):
         b"sigma 0011\ntau 010110\n"
     )
     assert read_graph(path) == PlantedInstance(graph, sigma, tau)
+
+
+def test_write_graph_refuses_one_footer_or_footer_lengths_off_the_graph(tmp_path):
+    graph = MultiLayerGraph(n=4, T=2, layers=[[(1, 2)], []])
+    path = tmp_path / "planted.txt"
+    sigma, tau = Assignment((0, 0, 1, 1)), Assignment((0, 1))
+    for footers in ((sigma, None), (None, tau)):
+        with pytest.raises(ValidationError, match="^sigma and tau footers must be written together$"):
+            write_graph(path, graph, *footers)
+    for footers in ((tau, tau), (sigma, sigma)):
+        with pytest.raises(ValidationError, match="^footer label lengths must match the graph dimensions$"):
+            write_graph(path, graph, *footers)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("T", [10**12, MAX_SUBSTREAMS + 1])

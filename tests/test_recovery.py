@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,6 +33,7 @@ from mlsbm import (
     top_two_eigenpairs,
 )
 from mlsbm import recovery
+from mlsbm.experiments import RECOVERY_RUNNERS
 from mlsbm.model import _balanced_rows, _from_table
 from mlsbm.recovery import _edge_arrays, _tau_for_sigma, to_json_record
 
@@ -172,7 +174,7 @@ def candidates(n, T):
     return math.comb(n, n // 2) * math.comb(T, T // 2)
 
 
-# Every shape mle_exhaustive admits; the oracle's cost grows with the candidates.
+# The reference oracle's own bound: its cost grows with the (sigma, tau) candidates.
 ADMITTED_SHAPES = [
     (n, T) for n in range(2, 21, 2) for T in range(2, 21, 2) if candidates(n, T) <= 10**7
 ]
@@ -201,6 +203,91 @@ def test_exhaustive_matches_the_double_enumeration(shape, kind, rho, seed):
 )
 def test_exhaustive_matches_the_double_enumeration_at_the_caps(n, T, kind):
     assert_exhaustive_matches_reference(graph_of_kind(kind, n, T, 0.3, seed=n * T))
+
+
+@pytest.mark.parametrize("kind", ["planted", "dense", "empty"])
+def test_exhaustive_blocks_of_any_size_keep_the_first_maximizer(monkeypatch, kind):
+    graph = graph_of_kind(kind, 8, 4, 0.3, seed=5)
+    whole = mle_exhaustive(graph)
+    assert (whole.sigma_hat, whole.tau_hat, whole.objective) == reference_exhaustive(graph)
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(recovery, "_EXHAUSTIVE_BLOCK", rows * (graph.total_edges + graph.T + 1))
+        assert mle_exhaustive(graph) == whole
+
+
+def edge_in_layers(n, T, layers):
+    """Edge (1, 2) in each of the given layers, built from the table alone: nothing of size T."""
+    ids = np.asarray(layers, dtype=np.int64)
+    return _from_table(n, T, np.tile(np.array([[1, 2]], dtype=np.int64), (len(ids), 1)), ids)
+
+
+def test_exhaustive_refuses_a_large_n_before_counting_its_labellings():
+    # C(2^31, 2^30) alone would not finish
+    graph = edge_in_layers(2**31, 2, [])
+    assert peak_while_refusing(mle_exhaustive, graph, match="got n=2147483648,") < 2**16
+
+
+@pytest.mark.parametrize("edges, admitted", [(1, True), (2, False)])
+def test_exhaustive_block_budget_bounds_one_sigma_row(edges, admitted):
+    # n = 2 has one sigma, whose row of E + T + 1 cells meets the budget at E = 1
+    graph = edge_in_layers(2, recovery._EXHAUSTIVE_BLOCK - 2, range(edges))
+    if admitted:
+        assert mle_exhaustive(graph).objective == edges
+    else:
+        assert peak_while_refusing(mle_exhaustive, graph, match=r"E \+ T \+ 1 = 524289$") < 2**16
+
+
+class SearchStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("edges, admitted", [(1, True), (2, False)])
+def test_exhaustive_work_budget_at_twenty_nodes(monkeypatch, edges, admitted):
+    # C(20, 10)/2 = 92,378 sigma rows of E + T + 1 cells: 1,082 cost 99,952,996
+    # <= 10^8 and 1,083 cost 100,045,374. The admitted search would take seconds,
+    # so it stops where it starts enumerating.
+    def search(n):
+        raise SearchStarted
+
+    monkeypatch.setattr(recovery, "_balanced_rows", search)
+    graph = edge_in_layers(20, 1080, range(edges))
+    if admitted:
+        with pytest.raises(SearchStarted):
+            mle_exhaustive(graph)
+    else:
+        assert peak_while_refusing(mle_exhaustive, graph, match=r"E \+ T \+ 1 = 1083$") < 2**16
+
+
+@pytest.mark.parametrize("budget, admitted", [(50, True), (49, False)])
+def test_exhaustive_work_budget_counts_sigma_rows_times_row_cells(monkeypatch, budget, admitted):
+    # C(6, 3)/2 = 10 sigma rows of E + T + 1 = 5 cells
+    monkeypatch.setattr(recovery, "_EXHAUSTIVE_WORK", budget)
+    graph = empty_graph(6, 4)
+    if admitted:
+        assert mle_exhaustive(graph).objective == 0
+    else:
+        assert peak_while_refusing(mle_exhaustive, graph, match=r"E \+ T \+ 1 = 5$") < 2**16
+
+
+def test_exhaustive_recovers_where_bias_adjusted_spectral_does_not_at_400_layers():
+    # rho = 4 / (n sqrt(T)): above the exact MLE's threshold, below spectral's
+    inst = sample_planted(MlsbmParams(16, 400, 0.0125), seed=1)
+    best = mle_exhaustive(inst.graph)
+    assert hamming_loss(best.sigma_hat, inst.sigma).value == 0.0
+    assert best.objective >= mle_objective(inst.graph, inst.sigma, inst.tau)
+    spectral = bias_adjusted_spectral(inst.graph)
+    assert hamming_loss(spectral.sigma_hat, inst.sigma).value >= 0.3
+
+
+def test_exhaustive_memory_stays_flat_in_the_layer_count():
+    inst = sample_planted(MlsbmParams(16, 800, 4 / (16 * math.sqrt(800))), seed=1)
+    tracemalloc.start()
+    try:
+        mle_exhaustive(inst.graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
@@ -638,8 +725,10 @@ def peak_while_refusing(call, graph, match=None) -> int:
         lambda graph: aggregate_signed(graph, Assignment((0, 1))),
         lambda graph: mle_local_search(graph, Assignment((0, 1) * (graph.n // 2))),
         mle_local_search_multistart,
+        default_start_battery,
     ],
-    ids=["bias-adjusted", "layer-sum", "signed", "local-search", "local-multistart"],
+    ids=["bias-adjusted", "layer-sum", "signed", "local-search", "local-multistart",
+         "start-battery"],
 )
 def test_dense_cap_refuses_before_allocating(call):
     # one 4098 x 4098 float64 matrix would take 134 MB
@@ -808,3 +897,18 @@ def test_result_json_record(six_edge_instance):
     assert record["loss_vs_truth"] == 0.0
     assert record["degenerate_flag"] is False
     assert isinstance(record["sigma_hat"], str) and set(record["sigma_hat"]) <= {"0", "1"}
+
+
+@pytest.mark.parametrize("method", sorted(RECOVERY_RUNNERS))
+def test_result_json_record_keeps_every_set_field(method):
+    inst = sample_planted(MlsbmParams(n=8, T=4, rho=0.4), seed=2)
+    result = RECOVERY_RUNNERS[method](inst.graph, inst.tau)
+    record = to_json_record(result)
+    expected = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if value is not None:
+            key = "degenerate_flag" if field.name == "degenerate" else field.name
+            expected[key] = value.bitstring() if isinstance(value, Assignment) else value
+    assert record == expected
+    assert ("objective_trace" in record) == (method == "mle-local-search")
