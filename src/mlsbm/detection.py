@@ -23,8 +23,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .model import MultiLayerGraph, _check_size
-from .recovery import RecoveryResult
+from .model import Assignment, MultiLayerGraph, _check_size
+from .recovery import (
+    AggregateMatrix,
+    RecoveryResult,
+    _add_wedges,
+    _check_even_sizes,
+    _spectral_round,
+    aggregate_bias_adjusted,
+    bias_adjusted_spectral,
+)
 from .seeding import substream
 
 # Decision margin: decide planted iff |cross_mean - rho_hat| >= 0.3 * rho_hat.
@@ -72,14 +80,22 @@ def split_layer_test(graph: MultiLayerGraph, recover: RecoverFn) -> DetectionDec
     cross-block average only; layer T+2 supplies the density estimate only.
     An empty density estimate decides 0 (no evidence of anything).
     """
+    _check_split_sizes(graph)
+    sigma_hat = recover(graph.layer_slice(0, graph.T - 2)).sigma_hat
+    return _decide(graph, sigma_hat, graph.T - 2, graph.T - 1)
+
+
+def _check_split_sizes(graph: MultiLayerGraph) -> None:
     if graph.T < 3:
         raise ValidationError(f"split_layer_test needs at least 3 layers, got {graph.T}")
     if graph.n % 2 != 0:
         raise ValidationError(f"split_layer_test needs even n, got {graph.n}")
-    training = graph.layer_slice(0, graph.T - 2)
-    sigma_hat = recover(training).sigma_hat
-    rho_hat = estimate_density(graph.layer_slice(graph.T - 1, graph.T).edges, graph.n)
-    cross_layer = graph.layer_slice(graph.T - 2, graph.T - 1).edges
+
+
+def _decide(graph: MultiLayerGraph, sigma_hat: Assignment, cross: int, density: int) -> DetectionDecision:
+    """The split test's decision from sigma_hat and the two held-out layer positions."""
+    rho_hat = estimate_density(graph.layer_slice(density, density + 1).edges, graph.n)
+    cross_layer = graph.layer_slice(cross, cross + 1).edges
     labels = sigma_hat.as_array()
     cross_count = int((labels[cross_layer[:, 0] - 1] != labels[cross_layer[:, 1] - 1]).sum())
     cross_mean = 4.0 * cross_count / (graph.n * graph.n)
@@ -112,7 +128,9 @@ def shuffled_test(
     rounds is always a prefix of a run with more rounds (monotone decisions).
     With rounds=None the heuristic default based on the unpermuted last
     layer's density is used. The result carries the statistics of the first
-    round that decides 1, else those of round 0.
+    round that decides 1, else those of round 0. With recover set to
+    bias_adjusted_spectral the rounds share one full-graph aggregate, with
+    decisions identical to recovering on each round's permuted graph.
     """
     if graph.T < 3:
         raise ValidationError(f"shuffled_test needs at least 3 layers, got {graph.T}")
@@ -120,12 +138,40 @@ def shuffled_test(
         rho_hat = estimate_density(graph.layer_slice(graph.T - 1, graph.T).edges, graph.n)
         rounds = default_shuffle_rounds(graph.n, rho_hat)
     rounds = _check_size(rounds, "rounds", 1)
+    if recover is bias_adjusted_spectral:
+        split_round = _shared_aggregate_rounds(graph)
+    else:
+        def split_round(order: np.ndarray) -> DetectionDecision:
+            return split_layer_test(graph.permute_layers(order), recover)
     for m in range(rounds):
-        order = substream(seed, m).permutation(graph.T)
-        outcome = split_layer_test(graph.permute_layers(order), recover)
+        outcome = split_round(substream(seed, m).permutation(graph.T))
         if m == 0:
             first = outcome
         if outcome.decision == 1:
             # max over rounds is already decided; later rounds cannot flip it
             return replace(outcome, shuffle_rounds_used=m + 1)
     return replace(first, shuffle_rounds_used=rounds)
+
+
+def _shared_aggregate_rounds(graph: MultiLayerGraph) -> Callable[[np.ndarray], DetectionDecision]:
+    """split_layer_test(graph.permute_layers(order), bias_adjusted_spectral), one order at a time.
+
+    The bias-adjusted aggregate is built once over all T layers; a round's
+    training aggregate is that minus the wedges of its two held-out layers.
+    Entries are integer counts below 2**53, so the subtraction is exact and
+    each round sees the same matrix as a fresh aggregate of its training layers.
+    """
+    _check_split_sizes(graph)
+    _check_even_sizes(graph, "bias_adjusted_spectral", min_n=4, even_T=False)
+    full = aggregate_bias_adjusted(graph).matrix
+
+    def split_round(order: np.ndarray) -> DetectionDecision:
+        cross, density = int(order[-2]), int(order[-1])
+        training = full.copy()
+        for t in (cross, density):
+            _add_wedges(training.reshape(-1), graph.layer_slice(t, t + 1), -1.0)
+        agg = AggregateMatrix(training, "bias-adjusted")
+        sigma_hat = _spectral_round(agg, "bias-adjusted", True).sigma_hat
+        return _decide(graph, sigma_hat, cross, density)
+
+    return split_round

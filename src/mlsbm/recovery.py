@@ -104,6 +104,15 @@ def aggregate_bias_adjusted(graph: MultiLayerGraph) -> AggregateMatrix:
     For i != j the (i, j) entry of A_t @ A_t is the number of common neighbors
     of i and j in layer t, so accumulating common-neighbor pairs and leaving
     the diagonal at zero realizes the debiased square without dense products.
+    """
+    _check_dense_size(graph.n)
+    flat = np.zeros(graph.n * graph.n, dtype=np.float64)
+    _add_wedges(flat, graph, 1.0)
+    return AggregateMatrix(flat.reshape(graph.n, graph.n), "bias-adjusted")
+
+
+def _add_wedges(flat: np.ndarray, graph: MultiLayerGraph, sign: float) -> None:
+    """Add `sign` to the flat n x n matrix once per two-hop path (i, middle, j), i != j.
 
     The 2E half-edges (middle, other) of all layers are sorted by layer and
     middle node, so the neighbors of one node in one layer form a run. Pass d
@@ -111,26 +120,24 @@ def aggregate_bias_adjusted(graph: MultiLayerGraph) -> AggregateMatrix:
     keeps only the positions whose run reaches d + 1 further on; the passes
     stop once no run is longer than d. There are at most (max layer degree)
     passes of at most 2E pairs each, so time is O(E * max degree) and memory
-    O(E + n^2): the full wedge list is never built.
+    O(E) beyond `flat`: the full wedge list is never built. Entries stay
+    integer counts, so adding and subtracting layers is exact.
     """
-    _check_dense_size(graph.n)
     n = graph.n
     e_i, e_j, e_t = _edge_arrays(graph)
     # Half-edge (middle, other) in layer t as (t * n + middle) * n + other.
     codes = np.concatenate([(e_t * n + e_i) * n + e_j, (e_t * n + e_j) * n + e_i])
     codes.sort()
-    del e_i, e_j, e_t  # freed before the n x n matrix is allocated
+    del e_i, e_j, e_t  # freed before the passes allocate theirs
     pos = np.flatnonzero(codes[1:] // n == codes[:-1] // n)
-    flat = np.zeros(n * n, dtype=np.float64)
     d = 1
     while len(pos):
         a = codes[pos] % n
         b = codes[pos + d] % n
-        np.add.at(flat, np.concatenate([a * n + b, b * n + a]), 1.0)
+        np.add.at(flat, np.concatenate([a * n + b, b * n + a]), sign)
         d += 1
         pos = pos[pos + d < len(codes)]
         pos = pos[codes[pos + d] // n == codes[pos] // n]
-    return AggregateMatrix(flat.reshape(n, n), "bias-adjusted")
 
 
 def _weighted_layer_sum(graph: MultiLayerGraph, weights: np.ndarray) -> np.ndarray:
@@ -164,31 +171,37 @@ def _power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
     Fixed index-dependent start vector (no randomness); stops when the
     Rayleigh quotient moves by <= 1e-8 relative, or after 1000 iterations.
+    Each step writes into the same three vectors; the returned vector is
+    owned by this call.
     """
     n = matrix.shape[0]
     v = np.cos(np.arange(1, n + 1, dtype=np.float64))
     v /= np.linalg.norm(v)
     w = matrix @ v
+    v_new = np.empty(n)
     rayleigh = 0.0
     for _ in range(_POWER_MAX_ITER):
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(np.dot(w, w))
         if norm == 0.0:
             # v lies in the null space; treat as eigenvalue 0
             return 0.0, v
-        v_new = w / norm
+        np.divide(w, norm, out=v_new)
         # The Rayleigh quotient's mat-vec is the next iteration's w.
-        w = matrix @ v_new
+        np.dot(matrix, v_new, out=w)
         r_new = float(v_new @ w)
         if abs(r_new - rayleigh) <= _POWER_TOL * max(1.0, abs(r_new)):
             return r_new, v_new
-        v, rayleigh = v_new, r_new
+        v, v_new, rayleigh = v_new, v, r_new
     return rayleigh, v
 
 
 def top_two_eigenpairs(matrix: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Top-2 eigenpairs by |eigenvalue| via power iteration plus deflation."""
     lam1, v1 = _power_iteration(matrix)
-    deflated = matrix - lam1 * np.outer(v1, v1)
+    # matrix - lam1 * outer(v1, v1), in one n x n buffer
+    deflated = np.multiply.outer(v1, v1)
+    deflated *= lam1
+    np.subtract(matrix, deflated, out=deflated)
     lam2, v2 = _power_iteration(deflated)
     return lam1, v1, lam2, v2
 

@@ -1,12 +1,13 @@
 import functools
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from calibrate import PROTOCOLS
-from mlsbm import Assignment, MultiLayerGraph
+from mlsbm import Assignment, MultiLayerGraph, SizeGuardError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -15,6 +16,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def fresh(name):
     """One scripts/calibrate.py protocol, run once per session, in its fixture form."""
     return json.loads(json.dumps(PROTOCOLS[name]()))
+
+
+def peak_while_refusing(call, graph, match=None) -> int:
+    """Peak traced bytes while call(graph) raises SizeGuardError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=match):
+            call(graph)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def balanced_assignments(m):

@@ -9,6 +9,7 @@ from mlsbm import (
     Assignment,
     MlsbmParams,
     MultiLayerGraph,
+    SizeGuardError,
     ValidationError,
     bias_adjusted_spectral,
     default_shuffle_rounds,
@@ -21,7 +22,7 @@ from mlsbm import (
 from mlsbm.detection import to_json_record
 from mlsbm.seeding import substream
 
-from conftest import fresh, parity_even_graph
+from conftest import fresh, parity_even_graph, peak_while_refusing
 
 
 def complete_layer(n):
@@ -201,6 +202,82 @@ def test_shuffled_deterministic_given_seed():
         b.rho_hat,
         b.cross_block_mean,
     )
+
+
+# ------------------------------------------- shared aggregate vs generic route
+#
+# With recover=bias_adjusted_spectral the rounds share one full-graph aggregate;
+# any other callable recovers on each round's permuted graph. The two routes
+# must agree exactly, refusals included.
+
+
+def generic(graph):
+    return bias_adjusted_spectral(graph)
+
+
+def both_routes(graph, rounds, seed):
+    shared = shuffled_test(graph, bias_adjusted_spectral, rounds=rounds, seed=seed)
+    return shared, shuffled_test(graph, generic, rounds=rounds, seed=seed)
+
+
+def arm_graph(n, T, rho, seed, planted):
+    """A planted or null graph with T layers; odd T drops the last of T + 1."""
+    params = MlsbmParams(n=n, T=T + T % 2, rho=rho)
+    graph = sample_planted(params, seed).graph if planted else sample_null(params, seed)
+    return graph.layer_slice(0, T)
+
+
+@given(
+    n=st.integers(2, 20).map(lambda half: 2 * half),
+    T=st.integers(3, 12),
+    rho=st.sampled_from([0.05, 0.15, 0.3, 0.6]),
+    planted=st.booleans(),
+    graph_seed=st.integers(0, 2**32 - 1),
+    rounds=st.one_of(st.none(), st.integers(1, 6)),
+    seed=st.integers(0, 2**63 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_aggregate_route_equals_the_generic_route(n, T, rho, planted, graph_seed, rounds, seed):
+    graph = arm_graph(n, T, rho, graph_seed, planted)
+    shared, generic_outcome = both_routes(graph, rounds, seed)
+    assert shared == generic_outcome
+
+
+@pytest.mark.parametrize("planted", [True, False], ids=["planted", "null"])
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_aggregate_route_equals_the_generic_route_at_the_detect_cell(planted, seed):
+    graph = arm_graph(200, 64, 0.0075, seed, planted)
+    shared, generic_outcome = both_routes(graph, None, seed)
+    assert shared == generic_outcome
+
+
+def refusal(call):
+    try:
+        call()
+    except (ValidationError, SizeGuardError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("the call was not refused")
+
+
+@pytest.mark.parametrize("n", [5, 3, 2])
+@pytest.mark.parametrize("T", [2, 3])
+@pytest.mark.parametrize("rounds", [0, None, 1])
+def test_both_routes_refuse_alike(n, T, rounds):
+    # odd n, n = 2, T < 3 and rounds < 1 in every combination: the first
+    # refusal and its message are the same on both routes
+    graph = MultiLayerGraph(n=n, T=T, layers=[[(1, 2)]] * T)
+    want = refusal(lambda: shuffled_test(graph, generic, rounds=rounds))
+    assert refusal(lambda: shuffled_test(graph, bias_adjusted_spectral, rounds=rounds)) == want
+
+
+def test_shared_route_refuses_the_dense_cap_before_allocating():
+    # one 4098 x 4098 float64 aggregate would take 134 MB
+    graph = MultiLayerGraph(n=4098, T=3, layers=[[]] * 3)
+    want = refusal(lambda: shuffled_test(graph, generic, rounds=1))
+    assert want[0] is SizeGuardError
+    assert refusal(lambda: shuffled_test(graph, bias_adjusted_spectral, rounds=1)) == want
+    peak = peak_while_refusing(lambda g: shuffled_test(g, bias_adjusted_spectral), graph)
+    assert peak < 2**20
 
 
 # ------------------------------------------------------------- serialization

@@ -237,9 +237,7 @@ def test_conditional_per_slot_frequencies_match_edge_probability():
     counts = np.zeros((T, n, n))
     for seed in range(samples):
         graph = sample_conditional(n, T, rho, sigma_bits, tau_bits, seed)
-        for t, layer in enumerate(graph.layers):
-            for i, j in layer:
-                counts[t, i - 1, j - 1] += 1
+        np.add.at(counts, (graph.layer_ids, graph.edges[:, 0] - 1, graph.edges[:, 1] - 1), 1)
     for t in range(T):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

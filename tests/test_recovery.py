@@ -37,7 +37,7 @@ from mlsbm.experiments import RECOVERY_RUNNERS
 from mlsbm.model import _balanced_rows, _from_table
 from mlsbm.recovery import _edge_arrays, _tau_for_sigma, to_json_record
 
-from conftest import balanced_assignments, fresh, parity_even_graph
+from conftest import balanced_assignments, fresh, parity_even_graph, peak_while_refusing
 
 
 def empty_graph(n, T):
@@ -619,14 +619,18 @@ def reference_top_two_eigenpairs(matrix):
 
 def _power_iteration_matrices():
     """Aggregates the solver meets: the gap cell (a +-2.466 pair that runs to the
-    1000-iteration cap), planted and null arms of the detection workload, a
-    zero matrix, and small dense ones."""
+    1000-iteration cap), planted and null arms of the detection workload, the
+    local-search start battery's two aggregates, a zero matrix, and small dense
+    ones."""
     gap = sample_planted(MlsbmParams(n=100, T=40000, rho=5e-5), seed=1).graph
     yield "gap", aggregate_bias_adjusted(gap).matrix
     for seed in range(3):
         params = MlsbmParams(n=200, T=62, rho=0.0075)
         yield f"planted-{seed}", aggregate_bias_adjusted(sample_planted(params, seed).graph).matrix
         yield f"null-{seed}", aggregate_bias_adjusted(sample_null(params, seed)).matrix
+    battery = sample_planted(MlsbmParams(n=256, T=8, rho=0.01), seed=0).graph
+    yield "battery-bias-adjusted", aggregate_bias_adjusted(battery).matrix
+    yield "battery-layer-sum", aggregate_layer_sum(battery).matrix
     yield "zero", np.zeros((8, 8))
     for seed in range(3):
         inst = sample_planted(MlsbmParams(n=16, T=6, rho=0.3), seed=seed)
@@ -639,6 +643,10 @@ def test_power_iteration_equals_the_two_mat_vec_reference_exactly():
         want = reference_top_two_eigenpairs(matrix)
         assert got[0] == want[0] and got[2] == want[2], name
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3]), name
+        # the returned vectors are the caller's: a later call does not write into them
+        kept = got[1].copy(), got[3].copy()
+        top_two_eigenpairs(matrix)
+        assert np.array_equal(got[1], kept[0]) and np.array_equal(got[3], kept[1]), name
 
 
 # ------------------------------------------------------------------ spectral
@@ -704,17 +712,6 @@ def test_bias_adjusted_matrix_matches_dense_reference():
 def test_dense_materialization_cap():
     with pytest.raises(SizeGuardError):
         aggregate_bias_adjusted(empty_graph(4098, 2))
-
-
-def peak_while_refusing(call, graph, match=None) -> int:
-    """Peak traced bytes while call(graph) raises SizeGuardError."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardError, match=match):
-            call(graph)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
