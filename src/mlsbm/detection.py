@@ -24,15 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Assignment, MultiLayerGraph, _check_size
-from .recovery import (
-    AggregateMatrix,
-    RecoveryResult,
-    _add_wedges,
-    _check_even_sizes,
-    _spectral_round,
-    aggregate_bias_adjusted,
-    bias_adjusted_spectral,
-)
+from .recovery import RecoveryResult, _bias_adjusted_without, bias_adjusted_spectral
 from .seeding import substream
 
 # Decision margin: decide planted iff |cross_mean - rho_hat| >= 0.3 * rho_hat.
@@ -78,18 +70,33 @@ def split_layer_test(graph: MultiLayerGraph, recover: RecoverFn) -> DetectionDec
 
     Layers 1..T feed the recovery procedure only; layer T+1 supplies the
     cross-block average only; layer T+2 supplies the density estimate only.
-    An empty density estimate decides 0 (no evidence of anything).
+    An empty density estimate decides 0 (no evidence of anything). This is
+    the shuffled test's round on the identity order.
     """
-    _check_split_sizes(graph)
-    sigma_hat = recover(graph.layer_slice(0, graph.T - 2)).sigma_hat
-    return _decide(graph, sigma_hat, graph.T - 2, graph.T - 1)
+    return _split_rounds(graph, recover)(np.arange(graph.T))
 
 
-def _check_split_sizes(graph: MultiLayerGraph) -> None:
+def _split_rounds(graph: MultiLayerGraph, recover: RecoverFn) -> Callable[[np.ndarray], DetectionDecision]:
+    """order -> split_layer_test(graph.permute_layers(order), recover), one order at a time.
+
+    A round holds out layers order[-2] (cross-block) and order[-1] (density).
+    bias_adjusted_spectral's rounds share one full-graph aggregate.
+    """
     if graph.T < 3:
         raise ValidationError(f"split_layer_test needs at least 3 layers, got {graph.T}")
     if graph.n % 2 != 0:
         raise ValidationError(f"split_layer_test needs even n, got {graph.n}")
+    shared = _bias_adjusted_without(graph) if recover is bias_adjusted_spectral else None
+
+    def split_round(order: np.ndarray) -> DetectionDecision:
+        cross, density = int(order[-2]), int(order[-1])
+        if shared is not None:
+            result = shared((cross, density))
+        else:
+            result = recover(graph.permute_layers(order).layer_slice(0, graph.T - 2))
+        return _decide(graph, result.sigma_hat, cross, density)
+
+    return split_round
 
 
 def _decide(graph: MultiLayerGraph, sigma_hat: Assignment, cross: int, density: int) -> DetectionDecision:
@@ -138,11 +145,7 @@ def shuffled_test(
         rho_hat = estimate_density(graph.layer_slice(graph.T - 1, graph.T).edges, graph.n)
         rounds = default_shuffle_rounds(graph.n, rho_hat)
     rounds = _check_size(rounds, "rounds", 1)
-    if recover is bias_adjusted_spectral:
-        split_round = _shared_aggregate_rounds(graph)
-    else:
-        def split_round(order: np.ndarray) -> DetectionDecision:
-            return split_layer_test(graph.permute_layers(order), recover)
+    split_round = _split_rounds(graph, recover)
     for m in range(rounds):
         outcome = split_round(substream(seed, m).permutation(graph.T))
         if m == 0:
@@ -151,27 +154,3 @@ def shuffled_test(
             # max over rounds is already decided; later rounds cannot flip it
             return replace(outcome, shuffle_rounds_used=m + 1)
     return replace(first, shuffle_rounds_used=rounds)
-
-
-def _shared_aggregate_rounds(graph: MultiLayerGraph) -> Callable[[np.ndarray], DetectionDecision]:
-    """split_layer_test(graph.permute_layers(order), bias_adjusted_spectral), one order at a time.
-
-    The bias-adjusted aggregate is built once over all T layers; a round's
-    training aggregate is that minus the wedges of its two held-out layers.
-    Entries are integer counts below 2**53, so the subtraction is exact and
-    each round sees the same matrix as a fresh aggregate of its training layers.
-    """
-    _check_split_sizes(graph)
-    _check_even_sizes(graph, "bias_adjusted_spectral", min_n=4, even_T=False)
-    full = aggregate_bias_adjusted(graph).matrix
-
-    def split_round(order: np.ndarray) -> DetectionDecision:
-        cross, density = int(order[-2]), int(order[-1])
-        training = full.copy()
-        for t in (cross, density):
-            _add_wedges(training.reshape(-1), graph.layer_slice(t, t + 1), -1.0)
-        agg = AggregateMatrix(training, "bias-adjusted")
-        sigma_hat = _spectral_round(agg, "bias-adjusted", True).sigma_hat
-        return _decide(graph, sigma_hat, cross, density)
-
-    return split_round

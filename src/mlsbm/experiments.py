@@ -159,6 +159,8 @@ class ExperimentConfig:
                 )
         object.__setattr__(self, "methods", methods)
         if self.rounds is not None:
+            if self.kind != "detection":
+                raise ValidationError("rounds is for detection sweeps; no recovery method shuffles")
             object.__setattr__(self, "rounds", _check_size(self.rounds, "rounds", 1))
 
     @classmethod
@@ -173,15 +175,21 @@ class ExperimentConfig:
     ) -> "ExperimentConfig":
         """Grid from scaling exponents: T = n^a rounded to even, rho = n^-b.
 
-        The other fields pass through as keywords, with the config-file defaults.
+        Each n must be an even integer >= 2 and a, b finite reals. The other
+        fields pass through as keywords, with the config-file defaults.
         """
+        a, b = _check_real(a, "a"), _check_real(b, "b")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValidationError(f"exponents must be finite, got a={a}, b={b}")
         cells = []
         for n in n_values:
-            n = int(n)
-            T = max(2, int(round(float(n) ** float(a))))
-            T += T % 2
-            rho = float(n) ** (-float(b))
-            cells.append((n, T, rho))
+            n = _check_even(n, "n", 2)
+            try:
+                T = max(2, int(round(float(n) ** a)))
+                rho = float(n) ** -b
+            except OverflowError as exc:
+                raise ValidationError(f"n^a or n^-b overflows at n={n}, a={a}, b={b}") from exc
+            cells.append((n, T + T % 2, rho))
         return cls(cells=tuple(cells), methods=tuple(methods),
                    **{**_FILE_DEFAULTS, **other_fields})
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -217,17 +217,11 @@ def balanced_rounding(scores) -> Assignment:
     return Assignment(tuple(int(x) for x in labels))
 
 
-def _fallback_assignment(n: int) -> Assignment:
-    return balanced_rounding(np.zeros(n))
-
-
-def _spectral_round(agg: AggregateMatrix, method: str, pick_smaller_mean: bool) -> RecoveryResult:
-    n = agg.matrix.shape[0]
-    if not np.any(agg.matrix):
-        return RecoveryResult(_fallback_assignment(n), method, degenerate=True)
-    lam1, v1, lam2, v2 = top_two_eigenpairs(agg.matrix)
+def _spectral_round(matrix: np.ndarray, method: str, pick_smaller_mean: bool) -> RecoveryResult:
+    lam1, v1, lam2, v2 = top_two_eigenpairs(matrix)
+    # A zero matrix reads lam1 = lam2 = 0, so it takes this fallback too.
     if abs(abs(lam1) - abs(lam2)) <= _DEGENERATE_EIGEN_TOL * max(1.0, abs(lam1)):
-        return RecoveryResult(_fallback_assignment(n), method, degenerate=True)
+        return RecoveryResult(balanced_rounding(np.zeros(len(matrix))), method, degenerate=True)
     if pick_smaller_mean:
         # The community vector is near-orthogonal to all-ones; the density
         # direction is not, so the smaller |mean| identifies the signal.
@@ -239,23 +233,39 @@ def _spectral_round(agg: AggregateMatrix, method: str, pick_smaller_mean: bool) 
 
 def bias_adjusted_spectral(graph: MultiLayerGraph) -> RecoveryResult:
     """Spectral clustering on the debiased squared-adjacency sum."""
+    return _bias_adjusted_without(graph)(())
+
+
+def _bias_adjusted_without(graph: MultiLayerGraph) -> Callable[[Sequence[int]], RecoveryResult]:
+    """held-out layer positions -> bias_adjusted_spectral of the other layers.
+
+    Each call subtracts its layers' wedges from a copy of one full aggregate.
+    Entries are integer counts below 2**53, so that is a fresh aggregate exactly.
+    """
     _check_even_sizes(graph, "bias_adjusted_spectral", min_n=4, even_T=False)
-    return _spectral_round(aggregate_bias_adjusted(graph), "bias-adjusted", True)
+    full = aggregate_bias_adjusted(graph).matrix
+
+    def without(held_out: Sequence[int]) -> RecoveryResult:
+        matrix = full.copy() if len(held_out) else full
+        for t in held_out:
+            _add_wedges(matrix.reshape(-1), graph.layer_slice(t, t + 1), -1.0)
+        return _spectral_round(matrix, "bias-adjusted", True)
+
+    return without
 
 
 def aggregate_sum_spectral(graph: MultiLayerGraph) -> RecoveryResult:
     """Spectral clustering on the plain layer sum (type-blind baseline)."""
     _check_even_sizes(graph, "aggregate_sum_spectral", even_T=False)
-    return _spectral_round(aggregate_layer_sum(graph), "sum-aggregate", True)
+    return _spectral_round(aggregate_layer_sum(graph).matrix, "sum-aggregate", True)
 
 
 def oracle_tau_spectral(graph: MultiLayerGraph, tau: Assignment) -> RecoveryResult:
     """Spectral clustering on the type-signed sum, using the true tau."""
     _check_even_sizes(graph, "oracle_tau_spectral", even_T=False)
-    agg = aggregate_signed(graph, tau)
     # The signed sum cancels the density direction, so the top eigenvector
     # itself carries the community signal.
-    return _spectral_round(agg, "oracle-tau", False)
+    return _spectral_round(aggregate_signed(graph, tau).matrix, "oracle-tau", False)
 
 
 def mle_objective(graph: MultiLayerGraph, sigma: Assignment, tau: Assignment) -> int:

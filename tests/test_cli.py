@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from conftest import parity_even_graph
-from mlsbm import Assignment, MlsbmParams, hamming_loss, sample_planted
+from mlsbm import Assignment, MlsbmParams, ValidationError, hamming_loss, sample_planted
 from mlsbm.cli import main
 from mlsbm.detection import to_json_record as detection_record
 from mlsbm.experiments import (
@@ -562,6 +562,43 @@ def test_sweep_refuses_a_repeated_cell_before_running(tmp_path, capsys):
                              "--out", str(tmp_path / "dup.csv"))
         assert code == 2 and "repeats cell n8-T4-rho" in err and out == ""
         assert not (tmp_path / "dup.csv").exists()
+
+
+def refuse_sweep(tmp_path, capsys, config_text):
+    """Run a sweep that must be refused: exit 2, one error line, no output file."""
+    config = tmp_path / "bad.cfg"
+    config.write_text(config_text)
+    code, out, err = run(capsys, "sweep", "--config", str(config),
+                         "--out", str(tmp_path / "bad.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "n_values, a, b",
+    [("0, 8", "1", "1.2"), ("-8", "0.5", "1"), ("8", "1e400", "1"), ("8", "nan", "1"),
+     ("8", "1", "inf"), ("8", "1000", "1"), ("8", "1", "-1000"), ("7", "1", "1")],
+    ids=["zero-n", "negative-n", "infinite-a", "nan-a", "infinite-b", "overflowing-T",
+         "overflowing-rho", "odd-n"],
+)
+def test_sweep_refuses_a_bad_exponent_grid(tmp_path, capsys, n_values, a, b):
+    refuse_sweep(tmp_path, capsys, f"n_values = {n_values}\na = {a}\nb = {b}\n")
+    with pytest.raises(ValidationError):
+        ExperimentConfig.from_exponents([int(v) for v in n_values.split(",")], float(a), float(b))
+
+
+def test_exponent_grid_refuses_a_fractional_node_count():
+    # a cell with n = 8.9 is refused; the grid used to truncate it to 8
+    with pytest.raises(ValidationError, match="^n must be an integer, got 8.9$"):
+        ExperimentConfig.from_exponents([8.9], 1, 1)
+
+
+def test_sweep_refuses_rounds_on_a_recovery_sweep(tmp_path, capsys):
+    refuse_sweep(tmp_path, capsys, "kind = recovery\ncells = 8:4:0.3\nrounds = 3\n")
+    with pytest.raises(ValidationError, match="^rounds is for detection sweeps"):
+        ExperimentConfig(kind="recovery", cells=((8, 4, 0.3),), methods=("sum-spectral",),
+                         trials=1, rounds=3)
 
 
 @pytest.mark.parametrize(

@@ -207,17 +207,19 @@ def test_shuffled_deterministic_given_seed():
 # ------------------------------------------- shared aggregate vs generic route
 #
 # With recover=bias_adjusted_spectral the rounds share one full-graph aggregate;
-# any other callable recovers on each round's permuted graph. The two routes
-# must agree exactly, refusals included.
+# any other callable recovers on each round's permuted graph. The split test is
+# the identity round of the same code. The two routes must agree exactly, in
+# both tests, refusals included.
 
 
 def generic(graph):
     return bias_adjusted_spectral(graph)
 
 
-def both_routes(graph, rounds, seed):
+def assert_routes_agree(graph, rounds, seed):
     shared = shuffled_test(graph, bias_adjusted_spectral, rounds=rounds, seed=seed)
-    return shared, shuffled_test(graph, generic, rounds=rounds, seed=seed)
+    assert shared == shuffled_test(graph, generic, rounds=rounds, seed=seed)
+    assert split_layer_test(graph, bias_adjusted_spectral) == split_layer_test(graph, generic)
 
 
 def arm_graph(n, T, rho, seed, planted):
@@ -238,17 +240,13 @@ def arm_graph(n, T, rho, seed, planted):
 )
 @settings(max_examples=60, deadline=None)
 def test_shared_aggregate_route_equals_the_generic_route(n, T, rho, planted, graph_seed, rounds, seed):
-    graph = arm_graph(n, T, rho, graph_seed, planted)
-    shared, generic_outcome = both_routes(graph, rounds, seed)
-    assert shared == generic_outcome
+    assert_routes_agree(arm_graph(n, T, rho, graph_seed, planted), rounds, seed)
 
 
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "null"])
 @pytest.mark.parametrize("seed", range(3))
 def test_shared_aggregate_route_equals_the_generic_route_at_the_detect_cell(planted, seed):
-    graph = arm_graph(200, 64, 0.0075, seed, planted)
-    shared, generic_outcome = both_routes(graph, None, seed)
-    assert shared == generic_outcome
+    assert_routes_agree(arm_graph(200, 64, 0.0075, seed, planted), None, seed)
 
 
 def refusal(call):
@@ -264,20 +262,22 @@ def refusal(call):
 @pytest.mark.parametrize("rounds", [0, None, 1])
 def test_both_routes_refuse_alike(n, T, rounds):
     # odd n, n = 2, T < 3 and rounds < 1 in every combination: the first
-    # refusal and its message are the same on both routes
+    # refusal and its message are the same on both routes, in both tests
     graph = MultiLayerGraph(n=n, T=T, layers=[[(1, 2)]] * T)
     want = refusal(lambda: shuffled_test(graph, generic, rounds=rounds))
     assert refusal(lambda: shuffled_test(graph, bias_adjusted_spectral, rounds=rounds)) == want
+    want = refusal(lambda: split_layer_test(graph, generic))
+    assert refusal(lambda: split_layer_test(graph, bias_adjusted_spectral)) == want
 
 
 def test_shared_route_refuses_the_dense_cap_before_allocating():
     # one 4098 x 4098 float64 aggregate would take 134 MB
     graph = MultiLayerGraph(n=4098, T=3, layers=[[]] * 3)
-    want = refusal(lambda: shuffled_test(graph, generic, rounds=1))
-    assert want[0] is SizeGuardError
-    assert refusal(lambda: shuffled_test(graph, bias_adjusted_spectral, rounds=1)) == want
-    peak = peak_while_refusing(lambda g: shuffled_test(g, bias_adjusted_spectral), graph)
-    assert peak < 2**20
+    for test in (split_layer_test, shuffled_test):  # an empty graph gets one shuffle round
+        want = refusal(lambda: test(graph, generic))
+        assert want[0] is SizeGuardError
+        assert refusal(lambda: test(graph, bias_adjusted_spectral)) == want
+        assert peak_while_refusing(lambda g: test(g, bias_adjusted_spectral), graph) < 2**20
 
 
 # ------------------------------------------------------------- serialization
