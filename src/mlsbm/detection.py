@@ -73,19 +73,22 @@ def split_layer_test(graph: MultiLayerGraph, recover: RecoverFn) -> DetectionDec
     An empty density estimate decides 0 (no evidence of anything). This is
     the shuffled test's round on the identity order.
     """
-    return _split_rounds(graph, recover)(np.arange(graph.T))
+    return _split_rounds(graph, recover, "split_layer_test")(np.arange(graph.T))
 
 
-def _split_rounds(graph: MultiLayerGraph, recover: RecoverFn) -> Callable[[np.ndarray], DetectionDecision]:
+def _split_rounds(
+    graph: MultiLayerGraph, recover: RecoverFn, test: str
+) -> Callable[[np.ndarray], DetectionDecision]:
     """order -> split_layer_test(graph.permute_layers(order), recover), one order at a time.
 
     A round holds out layers order[-2] (cross-block) and order[-1] (density).
-    bias_adjusted_spectral's rounds share one full-graph aggregate.
+    bias_adjusted_spectral's rounds share one full-graph aggregate. A graph
+    the rounds cannot run on is refused in the name of `test`, the caller.
     """
     if graph.T < 3:
-        raise ValidationError(f"split_layer_test needs at least 3 layers, got {graph.T}")
+        raise ValidationError(f"{test} needs at least 3 layers, got {graph.T}")
     if graph.n % 2 != 0:
-        raise ValidationError(f"split_layer_test needs even n, got {graph.n}")
+        raise ValidationError(f"{test} needs even n, got {graph.n}")
     shared = _bias_adjusted_without(graph) if recover is bias_adjusted_spectral else None
 
     def split_round(order: np.ndarray) -> DetectionDecision:
@@ -145,7 +148,7 @@ def shuffled_test(
         rho_hat = estimate_density(graph.layer_slice(graph.T - 1, graph.T).edges, graph.n)
         rounds = default_shuffle_rounds(graph.n, rho_hat)
     rounds = _check_size(rounds, "rounds", 1)
-    split_round = _split_rounds(graph, recover)
+    split_round = _split_rounds(graph, recover, "shuffled_test")
     for m in range(rounds):
         outcome = split_round(substream(seed, m).permutation(graph.T))
         if m == 0:

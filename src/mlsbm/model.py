@@ -143,7 +143,7 @@ class Assignment:
         return self._array
 
     def flipped(self) -> "Assignment":
-        return Assignment(tuple(1 - b for b in self.labels))
+        return Assignment._from_array(np.subtract(1, self.as_array(), dtype=np.int8))
 
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.labels)

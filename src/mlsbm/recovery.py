@@ -214,7 +214,7 @@ def balanced_rounding(scores) -> Assignment:
     order = np.argsort(-scores, kind="stable")
     labels = np.zeros(len(scores), dtype=np.int8)
     labels[order[: len(scores) // 2]] = 1
-    return Assignment(tuple(int(x) for x in labels))
+    return Assignment._from_array(labels)
 
 
 def _spectral_round(matrix: np.ndarray, method: str, pick_smaller_mean: bool) -> RecoveryResult:
@@ -370,13 +370,23 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
     return unique
 
 
+def _score_bound(graph: MultiLayerGraph) -> int:
+    """K (2E + 2T + 2), K = n^2: above every value the swap ascent stores, in magnitude.
+
+    |W| <= T entrywise and |g| <= E, so a swap gain is at most 2E + 2T and its
+    score K gain - (u n + v) is below K (2E + 2T + 1); -2 K W, K g and the
+    per-node terms K g + (n u or -v) are smaller still.
+    """
+    return graph.n * graph.n * (2 * graph.total_edges + 2 * graph.T + 2)
+
+
 def _check_ascent(graph: MultiLayerGraph, method: str) -> None:
     """Refuse what the swap ascent cannot run on, before anything is allocated."""
     n, T = graph.n, graph.T
     _check_even_sizes(graph, method)
     _check_dense_size(n)
-    # |gain| <= 2E + 2T, so below this bound every swap score and partial sum fits.
-    if n * n * (2 * graph.total_edges + 2 * T + 2) >= 2**63:
+    # The bound _signed_sums sizes the score type by; int64 is the widest type.
+    if _score_bound(graph) >= 2**63:
         raise SizeGuardError(f"{method} swap scores overflow int64 at n={n}, T={T}")
 
 
@@ -417,9 +427,10 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
     multistart's starts share these builds). An accepted swap updates
     g += 2 (W[:, v] - W[:, u]) and the block's row and column at u's and v's
     positions in O(n), so each step costs two broadcast passes and one argmax
-    over the n^2 / 4 block. Its int64 scores K gain - (u n + v), K = n^2,
-    break ties toward the smallest (u, v), as a row-major argmax over
-    index-sorted zeros and ones would.
+    over the n^2 / 4 block. Its scores K gain - (u n + v), K = n^2, break
+    ties toward the smallest (u, v), as a row-major argmax over index-sorted
+    zeros and ones would. They are kept in the narrowest signed integer type
+    that holds K (2E + 2T + 2): int32 at n = 256 and E of a few thousand.
     """
     _check_label_sizes(graph, init=init)
     _check_ascent(graph, "mle_local_search")
@@ -427,14 +438,17 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
 
 
 def _signed_sums(graph: MultiLayerGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """tau -> -2 K W as int64, W = sum_t (1 - 2 tau_t) A_t and K = n^2, each W built once.
+    """tau -> -2 K W, W = sum_t (1 - 2 tau_t) A_t and K = n^2, each W built once.
 
-    A flipped tau gives exactly -W, so tau and 1 - tau share one build. Each
-    W is kept in the smallest signed integer type holding +-T, which bounds
+    -2 K W comes in the score type: the narrowest signed integer type that
+    holds -_score_bound(graph), which _ascent computes in throughout. A
+    flipped tau gives exactly -W, so tau and 1 - tau share one build. Each W
+    is kept in the smallest signed integer type holding +-T, which bounds
     every entry, so a battery's few builds cost little memory.
     """
     K = graph.n * graph.n
     entries = np.min_scalar_type(-graph.T - 1)
+    scores = np.min_scalar_type(-_score_bound(graph))
     built: dict[bytes, np.ndarray] = {}
 
     def signed_sum(tau: np.ndarray) -> np.ndarray:
@@ -443,7 +457,7 @@ def _signed_sums(graph: MultiLayerGraph) -> Callable[[np.ndarray], np.ndarray]:
         key = canonical.tobytes()
         if key not in built:
             built[key] = _weighted_layer_sum(graph, 1.0 - 2.0 * canonical).astype(entries)
-        return (2 * K if flip else -2 * K) * built[key].astype(np.int64)
+        return np.multiply(built[key], 2 * K if flip else -2 * K, dtype=scores)
 
     return signed_sum
 
@@ -451,13 +465,19 @@ def _signed_sums(graph: MultiLayerGraph) -> Callable[[np.ndarray], np.ndarray]:
 def _ascent(
     graph: MultiLayerGraph, init: Assignment, signed_sums: Callable[[np.ndarray], np.ndarray]
 ) -> RecoveryResult:
-    """mle_local_search's ascent from init, reading -2 K W from signed_sums(tau)."""
+    """mle_local_search's ascent from init, reading -2 K W from signed_sums(tau).
+
+    Everything is computed in W's integer type, which is exact: every value
+    stored (W, K g, terms, the scores) is below _score_bound in magnitude, so
+    it fits; numpy's integer +, - and matmul wrap modulo 2**bits, so an
+    intermediate that overflows cannot change a final value that is in range;
+    and argmax and // only ever read values that are in range.
+    """
     n = graph.n
     K = n * n
 
-    sig = init.as_array().astype(np.int64)
+    sig = init.as_array().copy()
     zeros, ones = np.flatnonzero(sig == 0), np.flatnonzero(sig == 1)
-    block, score = np.empty((2, n // 2, n // 2), dtype=np.int64)
     tau, trace = None, []
     # Each accepted swap raises obj, an integer in [0, E], by at least 1, so a
     # correct ascent makes at most E swaps; more means the gains are corrupt.
@@ -470,10 +490,11 @@ def _ascent(
             tau, obj = new_tau, int(new_obj)
             trace.append(obj)
             W = signed_sums(tau)  # W holds -2 K W
-            kg = (W @ (1 - 2 * sig)) // -2
+            kg = (W @ (1 - 2 * sig).astype(W.dtype)) // W.dtype.type(-2)
             # Swapping u for v scores W[u, v] - terms[0, u] + terms[1, v].
-            terms = kg + np.outer([n, -1], np.arange(n))
-            block[...] = W[np.ix_(zeros, ones)]
+            terms = kg + np.outer([n, -1], np.arange(n)).astype(W.dtype)
+            block = W[np.ix_(zeros, ones)]
+            score = np.empty_like(block)
         while True:  # best-improvement swaps at fixed tau
             np.subtract(block, terms[0, zeros][:, None], out=score)
             np.add(score, terms[1, ones], out=score)
@@ -497,9 +518,9 @@ def _ascent(
         if not changed:
             break
     return RecoveryResult(
-        Assignment(tuple(int(x) for x in sig)),
+        Assignment._from_array(sig),
         "mle-local",
-        tau_hat=Assignment(tuple(int(x) for x in tau)),
+        tau_hat=Assignment._from_array(tau.astype(np.int8)),
         objective=obj,
         objective_trace=tuple(trace),
     )

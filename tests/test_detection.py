@@ -262,12 +262,18 @@ def refusal(call):
 @pytest.mark.parametrize("rounds", [0, None, 1])
 def test_both_routes_refuse_alike(n, T, rounds):
     # odd n, n = 2, T < 3 and rounds < 1 in every combination: the first
-    # refusal and its message are the same on both routes, in both tests
+    # refusal and its message are the same on both routes, in both tests, and
+    # a refusal for the graph's size names the test that was called
     graph = MultiLayerGraph(n=n, T=T, layers=[[(1, 2)]] * T)
-    want = refusal(lambda: shuffled_test(graph, generic, rounds=rounds))
-    assert refusal(lambda: shuffled_test(graph, bias_adjusted_spectral, rounds=rounds)) == want
-    want = refusal(lambda: split_layer_test(graph, generic))
-    assert refusal(lambda: split_layer_test(graph, bias_adjusted_spectral)) == want
+    shuffled = refusal(lambda: shuffled_test(graph, generic, rounds=rounds))
+    assert refusal(lambda: shuffled_test(graph, bias_adjusted_spectral, rounds=rounds)) == shuffled
+    split = refusal(lambda: split_layer_test(graph, generic))
+    assert refusal(lambda: split_layer_test(graph, bias_adjusted_spectral)) == split
+    assert "split_layer_test" not in shuffled[1] and "shuffled_test" not in split[1]
+    if T < 3 or n % 2:
+        assert split[1].startswith("split_layer_test needs")
+    if T < 3 or (n % 2 and rounds != 0):  # rounds < 1 is refused before the odd n
+        assert shuffled[1].startswith("shuffled_test needs")
 
 
 def test_shared_route_refuses_the_dense_cap_before_allocating():

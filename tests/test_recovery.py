@@ -459,6 +459,76 @@ def test_local_search_matches_reference_at_the_benchmark_cell():
         assert_matches_reference(graph, init)
 
 
+def score_type(graph):
+    """The integer type the ascent scores swaps in on graph."""
+    return recovery._signed_sums(graph)(np.repeat([0, 1], graph.T // 2)).dtype
+
+
+def test_score_type_at_the_benchmark_cell_and_at_a_tie_heavy_cell():
+    bench = sample_planted(MlsbmParams(n=256, T=8, rho=0.01), seed=0).graph
+    assert score_type(bench) == np.int32  # K (2E + 2T + 2) = 65,536 * 5,284
+    pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+    complete = MultiLayerGraph(8, 4, [pairs] * 4)
+    assert score_type(complete) == np.int16  # 64 * 234
+
+
+def star_graph(n, T):
+    """Every edge at node 1, every edge even under sigma0 = 0^(n/2) 1^(n/2), tau0 = 0^(T/2) 1^(T/2).
+
+    The tau0 = 0 layers join node 1 to the rest of its side, the tau0 = 1
+    layers to the whole other side. So g[0] = E, as far as a gain term can
+    reach, and node 1's swap scores reach about K E, half the bound.
+    """
+    same = [(1, v) for v in range(2, n // 2 + 1)]
+    other = [(1, v) for v in range(n // 2 + 1, n + 1)]
+    return MultiLayerGraph(n, T, [same] * (T // 2) + [other] * (T // 2))
+
+
+# K (2E + 2T + 2) on either side of the int8 -> int16 and int16 -> int32
+# switches; in the last of each, K E is past the narrower type.
+@pytest.mark.parametrize(
+    "n, T, scores",
+    [(2, 10, np.int8), (4, 2, np.int16), (4, 6, np.int16),
+     (8, 56, np.int16), (8, 58, np.int32), (8, 148, np.int32)],
+    ids=["128", "192", "512", "32384", "33536", "85376"],
+)
+def test_local_search_at_the_edges_of_its_score_types(n, T, scores):
+    graph = star_graph(n, T)
+    assert recovery._score_bound(graph) == n * n * ((n + 1) * T + 2)
+    assert score_type(graph) == scores
+    sigma0 = [0] * (n // 2) + [1] * (n // 2)
+    swapped = [1] + sigma0[1 : n // 2] + [0] + sigma0[n // 2 + 1 :]  # nodes 1 and n/2 + 1
+    for init in [Assignment(tuple(sigma0)), Assignment(tuple(swapped))] + default_start_battery(graph):
+        assert_matches_reference(graph, init)
+
+
+def assert_as_if_validated(labelling):
+    """A labelling built without re-validation equals its validated twin, is
+    balanced, and has a read-only int8 array of its labels."""
+    twin = Assignment(labelling.labels)
+    assert twin == labelling and hash(twin) == hash(labelling)
+    assert all(type(b) is int for b in labelling.labels)
+    assert 2 * sum(labelling.labels) == labelling.size
+    bits = labelling.as_array()
+    assert bits.dtype == np.int8 and not bits.flags.writeable
+    assert bits.tolist() == list(labelling.labels)
+
+
+@given(case=st.one_of(ascent_cases(), tie_heavy_cases()), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_labellings_built_without_revalidation_equal_their_validated_twins(case, data):
+    graph, randoms = case
+    # few distinct scores, so most of the rounding is tie-breaking
+    scores = data.draw(st.lists(st.integers(-2, 2), min_size=graph.n, max_size=graph.n))
+    built = [balanced_rounding(scores), balanced_rounding(np.zeros(graph.n))]
+    for init in randoms:
+        result = mle_local_search(graph, init)
+        built += [result.sigma_hat, result.tau_hat]
+    built += [labelling.flipped() for labelling in built + randoms]
+    for labelling in built:
+        assert_as_if_validated(labelling)
+
+
 # W[0, 1] = W[2, 3] = 128 under the planted tau: past int8, so W must be kept wider.
 @example(case=(MultiLayerGraph(4, 256, [[(1, 2), (3, 4)]] * 128 + [[(1, 3), (2, 4)]] * 128), []))
 @given(case=st.one_of(ascent_cases(), tie_heavy_cases()))
