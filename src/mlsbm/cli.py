@@ -265,13 +265,15 @@ def _cmd_theory_lemmas(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = experiments.read_config(args.config)
+    out = args.out or config.output_path
+    if not out:
+        raise ValidationError("no output path: pass --out or set output_path in the config")
+    if not args.force:  # refused before the study runs, not after it
+        experiments._refuse_existing(out, True)
     if config.kind == "recovery":
         records = experiments.run_phase_diagram(config)
     else:
         records = experiments.run_detection_sweep(config)
-    out = args.out or config.output_path
-    if not out:
-        raise ValidationError("no output path: pass --out or set output_path in the config")
     experiments.write_results(
         records, out, config, overwrite=args.force, include_timing=args.timing
     )
@@ -294,6 +296,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gap_demo(args) -> int:
+    if args.out and not args.force:
+        experiments._refuse_existing(args.out, False)
     # one "warning: ..." line per warning, also when the run then fails
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

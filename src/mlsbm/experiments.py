@@ -2,11 +2,13 @@
 
 Every sweep is deterministic given its config: trial seeds derive from
 (base_seed, cell index, trial index, purpose tag) through independent seed
-substreams, methods within a trial run sequentially on the identical
-instance (paired comparisons), and units run one after another in one loop,
-so output rows come out in cell/trial order. Wall time is measured per
-method call but only written to disk on request, so default output files
-are byte-identical across runs.
+substreams, and methods within a trial run sequentially on the identical
+instance (paired comparisons). A study's units may run in forked helper
+processes, one per spare CPU, but each unit is a pure function of the
+config and its index, and its records are put back in cell/trial order, so
+the output does not depend on which process ran which unit. Wall time is
+measured per method call but only written to disk on request, so default
+output files are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
 import statistics
 import time
 import warnings
@@ -255,13 +259,20 @@ def _cell_id(n: int, T: int, rho: float) -> str:
 
 
 def resolve_worker_count(n_units: int) -> int:
-    """Always 1: studies run their units serially, in one loop.
+    """How many processes share a study of n_units units: the caller and its helpers.
 
-    Nothing in the library calls it. perfbench/run.py (for its provenance
-    record) and perfbench/traced.py still import it, so it stays until the
-    benchmark drops those imports.
+    Unit 0 runs in the caller first; the rest are shared with one forked
+    helper per spare CPU (the CPUs this process may run on, less its own),
+    and with no more helpers than the units left after the caller takes
+    one. There is no helper where os.fork is missing.
     """
-    return 1
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return 1 + max(0, min(cpus - 1, n_units - 2))
 
 
 def _assert_unique_seeds(records: Sequence[TrialRecord]) -> None:
@@ -277,10 +288,106 @@ def _assert_unique_seeds(records: Sequence[TrialRecord]) -> None:
 
 
 def _run_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]]) -> list[TrialRecord]:
-    """Run unit_fn(0..n_units-1) in order and concatenate their records."""
-    records = [record for u in range(n_units) for record in unit_fn(u)]
+    """Run unit_fn(0..n_units-1) and concatenate their records in unit order.
+
+    Unit 0 runs here before anything is forked, so a bad cell or a size
+    refusal fails in this process alone. The other units are shared with
+    resolve_worker_count(n_units) - 1 forked helpers (none on one CPU).
+    """
+    done = {0: unit_fn(0)}
+    helpers = resolve_worker_count(n_units) - 1
+    if helpers:
+        done.update(_share_units(n_units, unit_fn, helpers))
+    else:
+        done.update((u, unit_fn(u)) for u in range(1, n_units))
+    records = [record for u in range(n_units) for record in done[u]]
     _assert_unique_seeds(records)
     return records
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives pickling, else a RuntimeError naming its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _share_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]],
+                 helpers: int) -> dict[int, list[TrialRecord]]:
+    """{u: unit_fn(u)} for units 1..n_units-1, run here and in forked helpers.
+
+    Every process takes the next unit from one shared counter. A helper
+    sends its {unit: records} and its failure, if any, through a pipe, then
+    leaves with os._exit, so it never returns into the caller's code. A
+    failing unit moves the counter past the end, so no process starts
+    another. Units are taken in order, so every unit below the lowest
+    failing one has run, and that failure, the one a serial run meets
+    first, is raised here once every helper is joined.
+    """
+    import multiprocessing  # here, so that studies without helpers never load it
+
+    context = multiprocessing.get_context("fork")
+    counter = context.Value("q", 1)
+
+    def stop() -> None:
+        with counter.get_lock():
+            counter.value = n_units
+
+    def share() -> tuple[dict[int, list[TrialRecord]], dict[int, Exception]]:
+        done: dict[int, list[TrialRecord]] = {}
+        while True:
+            with counter.get_lock():
+                u = counter.value
+                counter.value = u + 1
+            if u >= n_units:
+                return done, {}
+            try:
+                done[u] = unit_fn(u)
+            except Exception as exc:
+                stop()
+                return done, {u: exc}
+
+    def helper(pipe) -> None:
+        code = 1
+        try:
+            done, failed = share()
+            pipe.send((done, {u: _portable(exc) for u, exc in failed.items()}))
+            code = 0
+        finally:
+            os._exit(code)
+
+    started = []
+    try:
+        for _ in range(helpers):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=helper, args=(writer,))
+            process.start()
+            writer.close()
+            started.append((process, reader))
+        done, failed = share()
+    finally:
+        stop()
+        reports = []
+        for process, reader in started:
+            # read before joining: a helper cannot exit until its report is read
+            try:
+                report = reader.recv()
+            except EOFError:
+                report = None
+            reader.close()
+            process.join()
+            if report is None:  # its failure ranks after every unit's
+                report = ({}, {n_units: RuntimeError(
+                    f"a study helper exited with code {process.exitcode} before reporting")})
+            reports.append(report)
+    for helper_done, helper_failed in reports:
+        done.update(helper_done)
+        failed.update(helper_failed)
+    if failed:
+        raise failed[min(failed)]
+    return done
 
 
 def _timed_rows(methods: Sequence[str], score: Callable[[str], tuple], cell: str,
@@ -455,6 +562,21 @@ def run_gap_demo(n: int, T: int, rho: float, trials: int, base_seed: int = 0) ->
 # ---------------------------------------------------------------------------
 
 
+def _sidecar(path: Union[str, Path]) -> Path:
+    return Path(str(path) + ".config.json")
+
+
+def _refuse_existing(path: Union[str, Path], sidecar: bool) -> None:
+    """Refuse an existing results file, or its config sidecar where one is written.
+
+    write_results checks here unless told to overwrite, and so does the CLI,
+    before its study runs.
+    """
+    for target in (Path(path),) + ((_sidecar(path),) if sidecar else ()):
+        if target.exists():
+            raise FileExistsError(f"{target}: refusing to overwrite without the explicit flag")
+
+
 def write_results(
     records: Sequence[TrialRecord],
     path: Union[str, Path],
@@ -470,10 +592,8 @@ def write_results(
     overwrite=True.
     """
     path = Path(path)
-    sidecar = Path(str(path) + ".config.json")
-    for target in (path,) + ((sidecar,) if config is not None else ()):
-        if target.exists() and not overwrite:
-            raise FileExistsError(f"{target}: refusing to overwrite without the explicit flag")
+    if not overwrite:
+        _refuse_existing(path, config is not None)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -484,7 +604,7 @@ def write_results(
                 writer.writerow([fmt(getattr(record, name))
                                  for name, (fmt, _) in _CSV_CODECS.items()])
         if config is not None:
-            with open(sidecar, "w", encoding="utf-8") as fh:
+            with open(_sidecar(path), "w", encoding="utf-8") as fh:
                 json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except OSError as exc:

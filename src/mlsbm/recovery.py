@@ -371,13 +371,14 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
 
 
 def _score_bound(graph: MultiLayerGraph) -> int:
-    """K (2E + 2T + 2), K = n^2: above every value the swap ascent stores, in magnitude.
+    """K (E + T + 1), K = n^2: above every value the swap ascent reads, in magnitude.
 
-    |W| <= T entrywise and |g| <= E, so a swap gain is at most 2E + 2T and its
-    score K gain - (u n + v) is below K (2E + 2T + 1); -2 K W, K g and the
-    per-node terms K g + (n u or -v) are smaller still.
+    |W| <= min(T, E) entrywise, so |-2 K W| <= K (E + T). |g| <= E, so K g
+    and the per-node terms K g + (n u or -v) are below K (E + 1). A swap
+    changes the objective, an integer in [0, E], by at most E, so its score
+    K gain - (u n + v) lies in (-K (E + 1), K E].
     """
-    return graph.n * graph.n * (2 * graph.total_edges + 2 * graph.T + 2)
+    return graph.n * graph.n * (graph.total_edges + graph.T + 1)
 
 
 def _check_ascent(graph: MultiLayerGraph, method: str) -> None:
@@ -430,7 +431,7 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
     over the n^2 / 4 block. Its scores K gain - (u n + v), K = n^2, break
     ties toward the smallest (u, v), as a row-major argmax over index-sorted
     zeros and ones would. They are kept in the narrowest signed integer type
-    that holds K (2E + 2T + 2): int32 at n = 256 and E of a few thousand.
+    that holds K (E + T + 1): int32 at n = 256 and E of a few thousand.
     """
     _check_label_sizes(graph, init=init)
     _check_ascent(graph, "mle_local_search")
@@ -468,10 +469,12 @@ def _ascent(
     """mle_local_search's ascent from init, reading -2 K W from signed_sums(tau).
 
     Everything is computed in W's integer type, which is exact: every value
-    stored (W, K g, terms, the scores) is below _score_bound in magnitude, so
-    it fits; numpy's integer +, - and matmul wrap modulo 2**bits, so an
-    intermediate that overflows cannot change a final value that is in range;
-    and argmax and // only ever read values that are in range.
+    stored (W, K W, K g, terms, the scores) is below _score_bound in
+    magnitude, so it fits; numpy's integer +, - and matmul wrap modulo
+    2**bits, so an intermediate that overflows cannot change a final value
+    that is in range; and argmax only ever reads values that are in range.
+    K g is the matvec of K W = (-2 K W) >> 1, an exact halving of even
+    entries, since -2 K g itself reaches 2 K E on a star.
     """
     n = graph.n
     K = n * n
@@ -490,7 +493,7 @@ def _ascent(
             tau, obj = new_tau, int(new_obj)
             trace.append(obj)
             W = signed_sums(tau)  # W holds -2 K W
-            kg = (W @ (1 - 2 * sig).astype(W.dtype)) // W.dtype.type(-2)
+            kg = (W >> 1) @ (2 * sig - 1).astype(W.dtype)
             # Swapping u for v scores W[u, v] - terms[0, u] + terms[1, v].
             terms = kg + np.outer([n, -1], np.arange(n)).astype(W.dtype)
             block = W[np.ix_(zeros, ones)]

@@ -1,13 +1,15 @@
 import functools
 import itertools
 import json
+import os
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from calibrate import PROTOCOLS
-from mlsbm import Assignment, MultiLayerGraph, SizeGuardError
+from mlsbm import Assignment, MultiLayerGraph, SizeGuardError, experiments
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +29,30 @@ def peak_while_refusing(call, graph, match=None) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def spare_cpus(patch, count):
+    """Let this process run on count + 1 CPUs.
+
+    A study of count + 2 units or more then forks count helpers.
+    """
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count + 1)))
+
+
+def sample_in_caller_only(patch, error):
+    """Make the studies' sampler raise error in forked helpers.
+
+    Samples in the calling process are slowed, so that helpers take units.
+    """
+    caller, sample = os.getpid(), experiments.sample_planted
+
+    def sample_here(params, seed):
+        if os.getpid() != caller:
+            raise error(f"refused in a helper at seed {seed}")
+        time.sleep(0.05)
+        return sample(params, seed)
+
+    patch.setattr(experiments, "sample_planted", sample_here)
 
 
 def balanced_assignments(m):

@@ -2,15 +2,17 @@
 
 import hashlib
 import json
-import threading
+import multiprocessing
 import tracemalloc
 
 import pytest
 
-from conftest import parity_even_graph
+from conftest import parity_even_graph, sample_in_caller_only, spare_cpus
 from mlsbm import Assignment, MlsbmParams, ValidationError, hamming_loss, sample_planted
+from mlsbm import experiments
 from mlsbm.cli import main
 from mlsbm.detection import to_json_record as detection_record
+from mlsbm.errors import SizeGuardError
 from mlsbm.experiments import (
     DETECTION_RUNNERS,
     RECOVERY_RUNNERS,
@@ -500,20 +502,50 @@ def test_sweep_output_byte_identical_across_runs(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def refuse_sampling(patch):
+    def refuse(*args):
+        raise AssertionError("the study ran before its output path was checked")
+
+    patch.setattr(experiments, "sample_planted", refuse)
+
+
 def test_sweep_refuses_overwrite_without_force(tmp_path, capsys):
     config = write_sweep_config(tmp_path)
     out_csv = tmp_path / "results.csv"
+    sidecar = tmp_path / "results.csv.config.json"
     assert run(capsys, "sweep", "--config", str(config), "--out", str(out_csv))[0] == 0
-    code, _, err = run(capsys, "sweep", "--config", str(config), "--out", str(out_csv))
-    assert code == 1 and "io error" in err
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_sampling(patch)
+        code, _, err = run(capsys, "sweep", "--config", str(config), "--out", str(out_csv))
+        assert code == 1 and "io error" in err and "results.csv:" in err
+        # the sidecar alone is refused too
+        out_csv.unlink()
+        code, _, err = run(capsys, "sweep", "--config", str(config), "--out", str(out_csv))
+        assert code == 1 and "io error" in err and "results.csv.config.json:" in err
     assert run(capsys, "sweep", "--config", str(config), "--out", str(out_csv),
                "--force")[0] == 0
+    assert out_csv.exists() and sidecar.exists()
 
 
-def test_sweep_needs_an_output_path(tmp_path, capsys):
+def test_sweep_needs_an_output_path(tmp_path, monkeypatch, capsys):
     config = write_sweep_config(tmp_path)
+    refuse_sampling(monkeypatch)
     code, _, err = run(capsys, "sweep", "--config", str(config))
     assert code == 2 and "--out" in err
+
+
+def test_gap_demo_refuses_overwrite_without_force_before_running(tmp_path, monkeypatch, capsys):
+    out_csv = tmp_path / "gap.csv"
+    out_csv.write_text("kept\n")
+    argv = ("gap-demo", "--n", "16", "--T", "64", "--rho", "0.02", "--trials", "2",
+            "--out", str(out_csv))
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_sampling(patch)
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "io error" in err and "gap.csv:" in err
+    assert out_csv.read_text() == "kept\n"
+    assert run(capsys, *argv, "--force")[0] == 0
+    assert out_csv.read_text() != "kept\n"
 
 
 def test_sweep_detection_kind_reports_risk(tmp_path, capsys):
@@ -707,37 +739,55 @@ def test_gap_demo_past_the_dense_cap_is_a_size_guard_refusal(capsys):
     assert refusal.startswith("size guard")
 
 
-def test_studies_start_no_thread_whatever_mlsbm_workers_holds(tmp_path, monkeypatch, capsys):
-    # Studies run serially by construction: a leftover MLSBM_WORKERS neither
-    # starts a thread nor changes a byte of the output.
+def test_study_outputs_identical_across_helper_counts(tmp_path, monkeypatch, capsys):
+    # A study's units may run in forked helpers; neither their number nor a
+    # leftover MLSBM_WORKERS changes a byte of stdout or of the CSV.
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "sweep.cfg").write_text(
-        "kind = recovery\ncells = 8:4:0.3, 10:4:0.2\nmethods = sum-spectral\n"
-        "trials = 2\nbase_seed = 13\n"  # 2 cells x 2 trials = 4 units
+    monkeypatch.setenv("MLSBM_WORKERS", "8")
+    (tmp_path / "rec.cfg").write_text(
+        "kind = recovery\ncells = 8:4:0.3, 10:4:0.2\n"
+        "methods = mle-local-search, bias-adjusted-spectral\n"
+        "trials = 3\nbase_seed = 13\n"  # 2 cells x 3 trials = 6 units
+    )
+    (tmp_path / "det.cfg").write_text(
+        "kind = detection\ncells = 8:4:0.3, 10:6:0.2\nmethods = shuffled-test\n"
+        "trials = 3\nbase_seed = 7\nrounds = 3\n"
     )
     studies = {
-        "sweep": ("sweep", "--config", "sweep.cfg", "--force", "--out"),
-        "gap": ("gap-demo", "--n", "8", "--T", "4", "--rho", "0.1", "--trials", "4",
+        "rec": ("sweep", "--config", "rec.cfg", "--force", "--out"),
+        "det": ("sweep", "--config", "det.cfg", "--force", "--out"),
+        "gap": ("gap-demo", "--n", "8", "--T", "4", "--rho", "0.1", "--trials", "5",
                 "--seed", "3", "--force", "--out"),
     }
 
-    def outputs():
+    def outputs(helpers):
+        spare_cpus(monkeypatch, helpers)
         result = {}
         for name, argv in studies.items():
             code, out, _ = run(capsys, *argv, f"{name}.csv")
-            assert code == 0, name
+            assert code == 0, (name, helpers)
             result[name] = (out, (tmp_path / f"{name}.csv").read_bytes())
+        assert multiprocessing.active_children() == []
         return result
 
-    monkeypatch.delenv("MLSBM_WORKERS", raising=False)
-    unset = outputs()
+    serial = outputs(0)
+    assert outputs(1) == serial
+    assert outputs(3) == serial
 
-    def refuse_start(self):
-        raise AssertionError("a study started a thread")
 
-    monkeypatch.setenv("MLSBM_WORKERS", "8")
-    monkeypatch.setattr(threading.Thread, "start", refuse_start)
-    assert outputs() == unset
+@pytest.mark.parametrize("error, code", [(ValidationError, 2), (SizeGuardError, 3)])
+def test_a_unit_failing_in_a_helper_keeps_its_exit_code(tmp_path, monkeypatch, capsys,
+                                                        error, code):
+    spare_cpus(monkeypatch, 1)
+    sample_in_caller_only(monkeypatch, error)
+    config = tmp_path / "rec.cfg"
+    config.write_text("kind = recovery\ncells = 8:4:0.3\nmethods = sum-spectral\ntrials = 6\n")
+    got, out, err = run(capsys, "sweep", "--config", str(config), "--out",
+                        str(tmp_path / "rec.csv"))
+    assert (got, out) == (code, "")
+    assert "refused in a helper at seed " in err
+    assert not (tmp_path / "rec.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,21 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import statistics
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_in_caller_only, spare_cpus
 from mlsbm import MlsbmParams, MultiLayerGraph, read_graph, sample_planted, write_graph
 from mlsbm import experiments
 from mlsbm.errors import SizeGuardError, ValidationError
@@ -164,17 +171,25 @@ def test_csv_schema_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# serial runs and determinism
+# units shared with helper processes, and determinism
 # ---------------------------------------------------------------------------
 
 
 def test_resolve_worker_count(monkeypatch):
-    # Studies always run serially; a leftover MLSBM_WORKERS is ignored, not parsed.
-    for raw in ("3", "0", "four"):
-        monkeypatch.setenv("MLSBM_WORKERS", raw)
-        assert resolve_worker_count(10) == 1
-    monkeypatch.delenv("MLSBM_WORKERS")
-    assert resolve_worker_count(4) == 1
+    # The caller plus one helper per spare CPU, and no more helpers than the
+    # units left after unit 0 and the caller's next one. A leftover
+    # MLSBM_WORKERS is ignored, not parsed.
+    monkeypatch.setenv("MLSBM_WORKERS", "four")
+    for cpus, n_units, workers in [(1, 10, 1), (2, 1, 1), (2, 2, 1), (2, 3, 2), (2, 10, 2),
+                                   (4, 3, 2), (4, 4, 3), (4, 5, 4), (4, 10, 4)]:
+        spare_cpus(monkeypatch, cpus - 1)
+        assert resolve_worker_count(n_units) == workers, (cpus, n_units)
+    # Where the affinity call is missing, every CPU counts.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_worker_count(10) == 3
+    monkeypatch.delattr(os, "fork")
+    assert resolve_worker_count(10) == 1
 
 
 def strip_timing(records):
@@ -183,25 +198,109 @@ def strip_timing(records):
 
 def test_phase_diagram_identical_across_runs_and_worker_counts(monkeypatch):
     cfg = small_recovery_config()
-    monkeypatch.setenv("MLSBM_WORKERS", "1")
+    spare_cpus(monkeypatch, 0)
     serial = run_phase_diagram(cfg)
     again = run_phase_diagram(cfg)
-    monkeypatch.setenv("MLSBM_WORKERS", "3")
-    pooled = run_phase_diagram(cfg)
-    assert strip_timing(serial) == strip_timing(again) == strip_timing(pooled)
+    spare_cpus(monkeypatch, 3)
+    shared = run_phase_diagram(cfg)
+    assert strip_timing(serial) == strip_timing(again) == strip_timing(shared)
+    assert multiprocessing.active_children() == []
 
 
 def test_written_files_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     cfg = small_recovery_config()
     paths = []
-    for workers in ("1", "3"):
-        monkeypatch.setenv("MLSBM_WORKERS", workers)
-        path = tmp_path / f"sweep-w{workers}.csv"
+    for helpers in (0, 1, 3):
+        spare_cpus(monkeypatch, helpers)
+        path = tmp_path / f"sweep-h{helpers}.csv"
         write_results(run_phase_diagram(cfg), path, cfg)
         paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    sidecars = [json.loads((tmp_path / f"sweep-w{w}.csv.config.json").read_text()) for w in ("1", "3")]
-    assert sidecars[0] == sidecars[1] == cfg.to_json_dict()
+    assert len({path.read_bytes() for path in paths}) == 1
+    sidecars = [json.loads(Path(f"{path}.config.json").read_text()) for path in paths]
+    assert sidecars == [cfg.to_json_dict()] * 3
+
+
+def test_units_after_the_first_are_shared_with_helpers(monkeypatch):
+    # Unit 0 runs before any fork; later units reach the helpers.
+    caller = os.getpid()
+
+    def unit(u):
+        if u == 0:
+            assert multiprocessing.active_children() == []
+        elif os.getpid() == caller:
+            time.sleep(0.05)  # so that the helpers take units too
+        return [os.getpid()]
+
+    spare_cpus(monkeypatch, 3)
+    monkeypatch.setattr(experiments, "_assert_unique_seeds", lambda records: None)
+    pids = experiments._run_units(12, unit)
+    assert pids[0] == caller
+    assert len(set(pids)) > 1
+    assert multiprocessing.active_children() == []
+
+
+def test_every_unit_runs_once_with_more_processes_than_cpus(tmp_path, monkeypatch):
+    # A lost update of the shared counter would run a unit twice or never.
+    log = os.open(tmp_path / "units.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def unit(u):
+        os.write(log, f"{u}\n".encode())
+        return [u]
+
+    spare_cpus(monkeypatch, 5)
+    monkeypatch.setattr(experiments, "_assert_unique_seeds", lambda records: None)
+    try:
+        assert experiments._run_units(400, unit) == list(range(400))
+    finally:
+        os.close(log)
+    assert sorted(map(int, (tmp_path / "units.log").read_text().split())) == list(range(400))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_a_failed_study_raises_its_lowest_failing_unit(monkeypatch, helpers):
+    # What a serial run raises, whichever process ran the failing units.
+    def unit(u):
+        if u in (5, 9):
+            raise SizeGuardError(f"unit {u} refused")
+        return []
+
+    spare_cpus(monkeypatch, helpers)
+    with pytest.raises(SizeGuardError, match="^unit 5 refused$"):
+        experiments._run_units(12, unit)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [ValidationError, SizeGuardError])
+def test_a_unit_failing_in_a_helper_raises_its_type_and_message_here(monkeypatch, error):
+    spare_cpus(monkeypatch, 1)
+    sample_in_caller_only(monkeypatch, error)
+    with pytest.raises(error, match="^refused in a helper at seed "):
+        run_phase_diagram(small_recovery_config(trials=4))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_that_dies_without_reporting_is_a_runtime_error(monkeypatch):
+    caller = os.getpid()
+
+    def unit(u):
+        if os.getpid() != caller:
+            os._exit(7)
+        time.sleep(0.05)  # so that the helper takes a unit
+        return []
+
+    spare_cpus(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="exited with code 7 before reporting"):
+        experiments._run_units(6, unit)
+    assert multiprocessing.active_children() == []
+
+
+def test_studies_without_helpers_never_load_multiprocessing():
+    # A 2-unit study leaves no unit to share.
+    code = ("import sys; from mlsbm.experiments import run_gap_demo; "
+            "run_gap_demo(16, 64, 0.02, 2); assert 'multiprocessing' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])})
 
 
 def test_phase_diagram_records_are_ordered_and_paired():

@@ -466,10 +466,10 @@ def score_type(graph):
 
 def test_score_type_at_the_benchmark_cell_and_at_a_tie_heavy_cell():
     bench = sample_planted(MlsbmParams(n=256, T=8, rho=0.01), seed=0).graph
-    assert score_type(bench) == np.int32  # K (2E + 2T + 2) = 65,536 * 5,284
+    assert score_type(bench) == np.int32  # K (E + T + 1) = 65,536 * 2,642
     pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
     complete = MultiLayerGraph(8, 4, [pairs] * 4)
-    assert score_type(complete) == np.int16  # 64 * 234
+    assert score_type(complete) == np.int16  # 64 * 117
 
 
 def star_graph(n, T):
@@ -477,24 +477,28 @@ def star_graph(n, T):
 
     The tau0 = 0 layers join node 1 to the rest of its side, the tau0 = 1
     layers to the whole other side. So g[0] = E, as far as a gain term can
-    reach, and node 1's swap scores reach about K E, half the bound.
+    reach: node 1's swap scores reach about K E, near the bound, and -2 K g[0]
+    about twice the bound.
     """
     same = [(1, v) for v in range(2, n // 2 + 1)]
     other = [(1, v) for v in range(n // 2 + 1, n + 1)]
     return MultiLayerGraph(n, T, [same] * (T // 2) + [other] * (T // 2))
 
 
-# K (2E + 2T + 2) on either side of the int8 -> int16 and int16 -> int32
-# switches; in the last of each, K E is past the narrower type.
+# The bound K (E + T + 1) on either side of the int8 -> int16 and int16 ->
+# int32 switches. Each id is K (2E + 2T + 2), which bounds -2 K g as the
+# bound does what the ascent reads: from 64640 on, -2 K g is past int16, so
+# it would wrap there if it were computed before it is halved.
 @pytest.mark.parametrize(
     "n, T, scores",
-    [(2, 10, np.int8), (4, 2, np.int16), (4, 6, np.int16),
-     (8, 56, np.int16), (8, 58, np.int32), (8, 148, np.int32)],
-    ids=["128", "192", "512", "32384", "33536", "85376"],
+    [(2, 10, np.int8), (4, 2, np.int8), (2, 20, np.int8), (2, 22, np.int16),
+     (4, 6, np.int16), (8, 56, np.int16), (8, 58, np.int16), (8, 112, np.int16),
+     (8, 114, np.int32), (8, 148, np.int32)],
+    ids=["128", "192", "248", "272", "512", "32384", "33536", "64640", "65792", "85376"],
 )
 def test_local_search_at_the_edges_of_its_score_types(n, T, scores):
     graph = star_graph(n, T)
-    assert recovery._score_bound(graph) == n * n * ((n + 1) * T + 2)
+    assert recovery._score_bound(graph) == n * n * ((n + 1) * T // 2 + 1)
     assert score_type(graph) == scores
     sigma0 = [0] * (n // 2) + [1] * (n // 2)
     swapped = [1] + sigma0[1 : n // 2] + [0] + sigma0[n // 2 + 1 :]  # nodes 1 and n/2 + 1
