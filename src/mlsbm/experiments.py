@@ -3,12 +3,14 @@
 Every sweep is deterministic given its config: trial seeds derive from
 (base_seed, cell index, trial index, purpose tag) through independent seed
 substreams, and methods within a trial run sequentially on the identical
-instance (paired comparisons). A study's units may run in forked helper
-processes, one per spare CPU, but each unit is a pure function of the
-config and its index, and its records are put back in cell/trial order, so
-the output does not depend on which process ran which unit. Wall time is
-measured per method call but only written to disk on request, so default
-output files are byte-identical across runs.
+instance (paired comparisons). Each unit is drawn (its instances sampled)
+and then scored (its methods run). The caller draws unit 0 and then forks
+one helper per spare CPU; it scores unit 0 while the helpers take the next
+units. Each unit is a pure function of the config and its index, and its
+records are put back in cell/trial order, so the output does not depend on
+which process ran which unit. Wall time is measured per method call but
+only written to disk on request, so default output files are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -261,10 +263,11 @@ def _cell_id(n: int, T: int, rho: float) -> str:
 def resolve_worker_count(n_units: int) -> int:
     """How many processes share a study of n_units units: the caller and its helpers.
 
-    Unit 0 runs in the caller first; the rest are shared with one forked
-    helper per spare CPU (the CPUs this process may run on, less its own),
-    and with no more helpers than the units left after the caller takes
-    one. There is no helper where os.fork is missing.
+    The caller draws unit 0, then forks one helper per spare CPU (the CPUs
+    this process may run on, less its own) and scores unit 0 while the
+    helpers take the next units. There are at most n_units - 2 helpers, the
+    units left once unit 0 and one more are the caller's, so a 2-unit study
+    forks nothing. There is no helper where os.fork is missing.
     """
     if not hasattr(os, "fork"):
         return 1
@@ -287,19 +290,24 @@ def _assert_unique_seeds(records: Sequence[TrialRecord]) -> None:
         raise AssertionError("derived seeds collide across (cell, trial) units")
 
 
-def _run_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]]) -> list[TrialRecord]:
-    """Run unit_fn(0..n_units-1) and concatenate their records in unit order.
+# A unit in two stages: draw(u) samples unit u's instances and returns score(),
+# which runs the unit's methods on them and returns its records.
+_Draw = Callable[[int], Callable[[], list[TrialRecord]]]
 
-    Unit 0 runs here before anything is forked, so a bad cell or a size
+
+def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
+    """Run draw(u)() for u in 0..n_units-1 and concatenate the records in unit order.
+
+    Unit 0 is drawn here before anything is forked, so a bad cell or a size
     refusal fails in this process alone. The other units are shared with
-    resolve_worker_count(n_units) - 1 forked helpers (none on one CPU).
+    resolve_worker_count(n_units) - 1 forked helpers (none on one CPU),
+    which start as soon as unit 0's instances exist.
     """
-    done = {0: unit_fn(0)}
     helpers = resolve_worker_count(n_units) - 1
     if helpers:
-        done.update(_share_units(n_units, unit_fn, helpers))
+        done = _share_units(n_units, draw, helpers)
     else:
-        done.update((u, unit_fn(u)) for u in range(1, n_units))
+        done = {u: draw(u)() for u in range(n_units)}
     records = [record for u in range(n_units) for record in done[u]]
     _assert_unique_seeds(records)
     return records
@@ -314,46 +322,71 @@ def _portable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _share_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]],
-                 helpers: int) -> dict[int, list[TrialRecord]]:
-    """{u: unit_fn(u)} for units 1..n_units-1, run here and in forked helpers.
+def _share_units(n_units: int, draw: _Draw, helpers: int) -> dict[int, list[TrialRecord]]:
+    """{u: draw(u)()} for every unit, run here and in forked helpers.
 
-    Every process takes the next unit from one shared counter. A helper
-    sends its {unit: records} and its failure, if any, through a pipe, then
-    leaves with os._exit, so it never returns into the caller's code. A
-    failing unit moves the counter past the end, so no process starts
-    another. Units are taken in order, so every unit below the lowest
-    failing one has run, and that failure, the one a serial run meets
-    first, is raised here once every helper is joined.
+    Unit 0 is drawn first; then the helpers are forked, and this process
+    scores unit 0 while they take units 1, 2, ... Units are handed out one
+    at a time through a pipe that holds one 8-byte token, the index of the
+    next unit: a process takes a unit by reading the token and writing back
+    the index after it, and as a pipe write of at most PIPE_BUF bytes is
+    atomic, the read is also the lock. A failing unit makes its process
+    write back the end instead, so no process starts another. Units are
+    taken in order, so every unit below the lowest failing one has run, and
+    that failure, the one a serial run meets first, is raised here once
+    every helper is reaped.
+
+    A helper records its units' warnings and pickles its {unit: records},
+    its failure, if any, and those warnings into a pipe of its own, then
+    leaves with os._exit, so it never returns into the caller's code. The
+    warnings are re-emitted here in unit order.
     """
-    import multiprocessing  # here, so that studies without helpers never load it
+    scores = {0: draw(0)}  # popped when scored, so unit 0's instances are freed then
+    token_r, token_w = os.pipe()
+    os.write(token_w, (1).to_bytes(8, "little"))
 
-    context = multiprocessing.get_context("fork")
-    counter = context.Value("q", 1)
+    def take(stop: bool = False) -> int:
+        u = int.from_bytes(os.read(token_r, 8), "little")
+        os.write(token_w, (n_units if stop else u + 1).to_bytes(8, "little"))
+        return u
 
-    def stop() -> None:
-        with counter.get_lock():
-            counter.value = n_units
-
-    def share() -> tuple[dict[int, list[TrialRecord]], dict[int, Exception]]:
+    def share(run: Callable[[int], list[TrialRecord]], u: int
+              ) -> tuple[dict[int, list[TrialRecord]], dict[int, Exception]]:
+        """Run unit u and every next unit taken, until none is left or one fails."""
         done: dict[int, list[TrialRecord]] = {}
-        while True:
-            with counter.get_lock():
-                u = counter.value
-                counter.value = u + 1
-            if u >= n_units:
-                return done, {}
+        while u < n_units:
             try:
-                done[u] = unit_fn(u)
+                done[u] = run(u)
             except Exception as exc:
-                stop()
+                take(stop=True)
                 return done, {u: exc}
+            u = take()
+        return done, {}
 
-    def helper(pipe) -> None:
+    def run_here(u: int) -> list[TrialRecord]:
+        return (scores.pop(u, None) or draw(u))()
+
+    def helper(reader: int, writer: int) -> None:
         code = 1
         try:
-            done, failed = share()
-            pipe.send((done, {u: _portable(exc) for u, exc in failed.items()}))
+            os.close(reader)
+            scores.clear()  # unit 0 is the caller's
+            warned: list[tuple] = []
+            with warnings.catch_warnings(record=True) as caught:
+
+                def run_recording(u: int) -> list[TrialRecord]:
+                    try:
+                        return run_here(u)
+                    finally:
+                        warned.extend((u, w.message, w.category, w.filename, w.lineno)
+                                      for w in caught)
+                        caught.clear()
+
+                done, failed = share(run_recording, take())
+            report = pickle.dumps(
+                (done, {u: _portable(exc) for u, exc in failed.items()}, warned))
+            with open(writer, "wb") as pipe:
+                pipe.write(report)
             code = 0
         finally:
             os._exit(code)
@@ -361,30 +394,35 @@ def _share_units(n_units: int, unit_fn: Callable[[int], list[TrialRecord]],
     started = []
     try:
         for _ in range(helpers):
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(target=helper, args=(writer,))
-            process.start()
-            writer.close()
-            started.append((process, reader))
-        done, failed = share()
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                helper(reader, writer)
+            os.close(writer)
+            started.append((pid, reader))
+        done, failed = share(run_here, 0)
     finally:
-        stop()
+        take(stop=True)  # after an interruption here, no helper starts another unit
         reports = []
-        for process, reader in started:
-            # read before joining: a helper cannot exit until its report is read
-            try:
-                report = reader.recv()
-            except EOFError:
-                report = None
-            reader.close()
-            process.join()
-            if report is None:  # its failure ranks after every unit's
-                report = ({}, {n_units: RuntimeError(
-                    f"a study helper exited with code {process.exitcode} before reporting")})
-            reports.append(report)
-    for helper_done, helper_failed in reports:
+        for pid, reader in started:
+            # read to EOF before reaping: a helper cannot exit until its report is read
+            with open(reader, "rb") as pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                reports.append(pickle.loads(report))
+            else:  # its failure ranks after every unit's
+                reports.append(({}, {n_units: RuntimeError(
+                    f"a study helper exited with code {code} before reporting")}, []))
+        os.close(token_r)
+        os.close(token_w)
+    warned = []
+    for helper_done, helper_failed, helper_warned in reports:
         done.update(helper_done)
         failed.update(helper_failed)
+        warned += helper_warned
+    for _, message, category, filename, lineno in sorted(warned, key=lambda w: w[0]):
+        warnings.warn_explicit(message, category, filename, lineno)
     if failed:
         raise failed[min(failed)]
     return done
@@ -413,7 +451,7 @@ def _run_recovery(cells: Sequence[tuple[int, int, float]], methods: Sequence[str
     instance's size is recorded as degenerate with an empty loss.
     """
 
-    def unit(u: int) -> list[TrialRecord]:
+    def draw(u: int) -> Callable[[], list[TrialRecord]]:
         ci, ti = divmod(u, trials)
         n, T, rho = cells[ci]
         seed = derive_seed(base_seed, ci, ti, _SEED_INSTANCE)
@@ -430,9 +468,10 @@ def _run_recovery(cells: Sequence[tuple[int, int, float]], methods: Sequence[str
             loss = hamming_loss(result.sigma_hat, instance.sigma).value
             return loss, None, result.objective, result.degenerate
 
-        return _timed_rows(methods, score, cell_prefix + _cell_id(n, T, rho), n, T, rho, ti, seed)
+        cell = cell_prefix + _cell_id(n, T, rho)
+        return lambda: _timed_rows(methods, score, cell, n, T, rho, ti, seed)
 
-    return _run_units(len(cells) * trials, unit)
+    return _run_units(len(cells) * trials, draw)
 
 
 def run_phase_diagram(config: ExperimentConfig) -> list[TrialRecord]:
@@ -453,40 +492,47 @@ def run_detection_sweep(config: ExperimentConfig) -> list[TrialRecord]:
 
     Each (cell, trial) samples one planted and one null graph from disjoint
     seed substreams; cell ids gain a '|planted' / '|null' suffix so the risk
-    can be assembled per cell afterwards.
+    can be assembled per cell afterwards. A cell past the dense cap is
+    refused before anything is sampled.
     """
     if config.kind != "detection":
         raise ValidationError(f"run_detection_sweep needs kind='detection', got {config.kind!r}")
     for n, T, rho in config.cells:
         if T < 4:
             raise ValidationError(f"detection cells need T >= 4 for the layer split, got T={T}")
+        _check_dense_size(n)
 
-    def unit(u: int) -> list[TrialRecord]:
+    def draw(u: int) -> Callable[[], list[TrialRecord]]:
         ci, ti = divmod(u, config.trials)
         n, T, rho = config.cells[ci]
         params = MlsbmParams(n=n, T=T, rho=rho)
-        arms = (
+        arms = []
+        for arm, seed_tag, shuffle_tag in (
             ("planted", _SEED_INSTANCE, _SEED_SHUFFLE_PLANTED),
             ("null", _SEED_NULL, _SEED_SHUFFLE_NULL),
-        )
-        out = []
-        for arm, seed_tag, shuffle_tag in arms:
+        ):
             seed = derive_seed(config.base_seed, ci, ti, seed_tag)
             if arm == "planted":
                 graph = sample_planted(params, seed).graph
             else:
                 graph = sample_null(params, seed)
-            shuffle_seed = derive_seed(config.base_seed, ci, ti, shuffle_tag)
+            arms.append((arm, graph, seed, derive_seed(config.base_seed, ci, ti, shuffle_tag)))
 
-            def score(method: str) -> tuple:
-                outcome = DETECTION_RUNNERS[method](graph, config.rounds, shuffle_seed)
-                return None, outcome.decision, None, False
+        def score() -> list[TrialRecord]:
+            out = []
+            for arm, graph, seed, shuffle_seed in arms:
 
-            cell = f"{_cell_id(n, T, rho)}|{arm}"
-            out += _timed_rows(config.methods, score, cell, n, T, rho, ti, seed)
-        return out
+                def decide(method: str) -> tuple:
+                    outcome = DETECTION_RUNNERS[method](graph, config.rounds, shuffle_seed)
+                    return None, outcome.decision, None, False
 
-    return _run_units(len(config.cells) * config.trials, unit)
+                cell = f"{_cell_id(n, T, rho)}|{arm}"
+                out += _timed_rows(config.methods, decide, cell, n, T, rho, ti, seed)
+            return out
+
+        return score
+
+    return _run_units(len(config.cells) * config.trials, draw)
 
 
 def detection_risk_by_cell(records: Sequence[TrialRecord]) -> dict[tuple[str, str], float]:

@@ -39,6 +39,15 @@ def spare_cpus(patch, count):
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count + 1)))
 
 
+def assert_no_child_left():
+    """Fail if this process has a child, running or unreaped."""
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process is left behind: waitpid gave {left}")
+
+
 def sample_in_caller_only(patch, error):
     """Make the studies' sampler raise error in forked helpers.
 

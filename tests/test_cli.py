@@ -2,12 +2,14 @@
 
 import hashlib
 import json
-import multiprocessing
+import os
+import time
 import tracemalloc
+import warnings
 
 import pytest
 
-from conftest import parity_even_graph, sample_in_caller_only, spare_cpus
+from conftest import assert_no_child_left, parity_even_graph, sample_in_caller_only, spare_cpus
 from mlsbm import Assignment, MlsbmParams, ValidationError, hamming_loss, sample_planted
 from mlsbm import experiments
 from mlsbm.cli import main
@@ -739,6 +741,21 @@ def test_gap_demo_past_the_dense_cap_is_a_size_guard_refusal(capsys):
     assert refusal.startswith("size guard")
 
 
+def test_detection_sweep_past_the_dense_cap_is_refused_before_sampling(tmp_path, monkeypatch,
+                                                                      capsys):
+    def refuse(*args):
+        raise AssertionError("the sweep sampled before its size guard")
+
+    monkeypatch.setattr(experiments, "sample_planted", refuse)
+    monkeypatch.setattr(experiments, "sample_null", refuse)
+    config = tmp_path / "det.cfg"
+    config.write_text("kind = detection\ncells = 4098:4:0.0001\nmethods = split-test\n")
+    code, out, err = run(capsys, "sweep", "--config", str(config), "--out",
+                         str(tmp_path / "det.csv"))
+    assert (code, out) == (3, "")
+    assert err == "size guard: dense matrices are capped at n=4096, got n=4098\n"
+
+
 def test_study_outputs_identical_across_helper_counts(tmp_path, monkeypatch, capsys):
     # A study's units may run in forked helpers; neither their number nor a
     # leftover MLSBM_WORKERS changes a byte of stdout or of the CSV.
@@ -767,7 +784,7 @@ def test_study_outputs_identical_across_helper_counts(tmp_path, monkeypatch, cap
             code, out, _ = run(capsys, *argv, f"{name}.csv")
             assert code == 0, (name, helpers)
             result[name] = (out, (tmp_path / f"{name}.csv").read_bytes())
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         return result
 
     serial = outputs(0)
@@ -787,7 +804,28 @@ def test_a_unit_failing_in_a_helper_keeps_its_exit_code(tmp_path, monkeypatch, c
     assert (got, out) == (code, "")
     assert "refused in a helper at seed " in err
     assert not (tmp_path / "rec.csv").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("helpers", [1, 3])
+def test_warnings_raised_in_helpers_are_printed(monkeypatch, capsys, helpers):
+    caller, sample = os.getpid(), experiments.sample_planted
+
+    def sample_warning(params, seed):
+        warnings.warn(f"sampling seed {seed}", RuntimeWarning)
+        if os.getpid() == caller:
+            time.sleep(0.05)  # so that the helpers take units
+        return sample(params, seed)
+
+    spare_cpus(monkeypatch, helpers)
+    monkeypatch.setattr(experiments, "sample_planted", sample_warning)
+    code, _, err = run(capsys, "gap-demo", "--n", "16", "--T", "64", "--rho", "0.02",
+                       "--trials", "6")
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == len(set(lines)) == 6
+    assert all(line.startswith("warning: sampling seed ") for line in lines)
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 import dataclasses
 import json
-import multiprocessing
 import os
+import select
 import statistics
 import subprocess
 import sys
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_in_caller_only, spare_cpus
+from conftest import assert_no_child_left, sample_in_caller_only, spare_cpus
 from mlsbm import MlsbmParams, MultiLayerGraph, read_graph, sample_planted, write_graph
 from mlsbm import experiments
 from mlsbm.errors import SizeGuardError, ValidationError
@@ -204,7 +204,7 @@ def test_phase_diagram_identical_across_runs_and_worker_counts(monkeypatch):
     spare_cpus(monkeypatch, 3)
     shared = run_phase_diagram(cfg)
     assert strip_timing(serial) == strip_timing(again) == strip_timing(shared)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_written_files_byte_identical_across_worker_counts(tmp_path, monkeypatch):
@@ -221,54 +221,126 @@ def test_written_files_byte_identical_across_worker_counts(tmp_path, monkeypatch
 
 
 def test_units_after_the_first_are_shared_with_helpers(monkeypatch):
-    # Unit 0 runs before any fork; later units reach the helpers.
+    # Unit 0 is drawn before any fork; later units reach the helpers.
     caller = os.getpid()
 
-    def unit(u):
+    def draw(u):
         if u == 0:
-            assert multiprocessing.active_children() == []
-        elif os.getpid() == caller:
-            time.sleep(0.05)  # so that the helpers take units too
-        return [os.getpid()]
+            assert_no_child_left()
+
+        def score():
+            if u != 0 and os.getpid() == caller:
+                time.sleep(0.05)  # so that the helpers take units too
+            return [os.getpid()]
+
+        return score
 
     spare_cpus(monkeypatch, 3)
     monkeypatch.setattr(experiments, "_assert_unique_seeds", lambda records: None)
-    pids = experiments._run_units(12, unit)
+    pids = experiments._run_units(12, draw)
     assert pids[0] == caller
     assert len(set(pids)) > 1
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def wait_for_a_byte(fd, seconds=30.0):
+    ready, _, _ = select.select([fd], [], [], seconds)
+    assert ready, f"no byte within {seconds} s"
+    os.read(fd, 1)
+
+
+def test_unit_0_is_scored_while_helpers_take_the_next_units(monkeypatch):
+    # Unit 0's score returns only once a helper has run a unit.
+    caller = os.getpid()
+    reader, writer = os.pipe()
+
+    def draw(u):
+        if u == 0:
+            assert_no_child_left()
+        elif os.getpid() != caller:
+            os.write(writer, b"u")
+
+        def score():
+            if u == 0:
+                wait_for_a_byte(reader)
+            return [os.getpid()]
+
+        return score
+
+    spare_cpus(monkeypatch, 1)
+    monkeypatch.setattr(experiments, "_assert_unique_seeds", lambda records: None)
+    try:
+        pids = experiments._run_units(6, draw)
+    finally:
+        os.close(reader)
+        os.close(writer)
+    assert pids[0] == caller and set(pids) - {caller}
+    assert_no_child_left()
+
+
+def test_a_failure_scoring_unit_0_while_helpers_run_is_raised(monkeypatch):
+    caller = os.getpid()
+    reader, writer = os.pipe()
+
+    def draw(u):
+        def score():
+            if u == 0:
+                wait_for_a_byte(reader)
+                raise ValidationError("unit 0 refused")
+            if os.getpid() != caller:
+                os.write(writer, b"u")
+                time.sleep(0.05)  # still running when unit 0 fails
+            return []
+
+        return score
+
+    spare_cpus(monkeypatch, 3)
+    try:
+        with pytest.raises(ValidationError, match="^unit 0 refused$"):
+            experiments._run_units(40, draw)
+    finally:
+        os.close(reader)
+        os.close(writer)
+    assert_no_child_left()
 
 
 def test_every_unit_runs_once_with_more_processes_than_cpus(tmp_path, monkeypatch):
-    # A lost update of the shared counter would run a unit twice or never.
+    # A unit handed out twice, or never, would show in the log.
     log = os.open(tmp_path / "units.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-    def unit(u):
-        os.write(log, f"{u}\n".encode())
-        return [u]
+    def draw(u):
+        def score():
+            os.write(log, f"{u}\n".encode())
+            return [u]
+
+        return score
 
     spare_cpus(monkeypatch, 5)
     monkeypatch.setattr(experiments, "_assert_unique_seeds", lambda records: None)
     try:
-        assert experiments._run_units(400, unit) == list(range(400))
+        assert experiments._run_units(400, draw) == list(range(400))
     finally:
         os.close(log)
     assert sorted(map(int, (tmp_path / "units.log").read_text().split())) == list(range(400))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_a_failed_study_raises_its_lowest_failing_unit(monkeypatch, helpers):
-    # What a serial run raises, whichever process ran the failing units.
-    def unit(u):
-        if u in (5, 9):
-            raise SizeGuardError(f"unit {u} refused")
-        return []
+    # What a serial run raises, whichever process ran the failing units, and
+    # whichever stage of a unit failed.
+    def refuse(u):
+        raise SizeGuardError(f"unit {u} refused")
+
+    def draw(u):
+        if u == 5:
+            refuse(u)
+        return lambda: refuse(u) if u == 9 else []
 
     spare_cpus(monkeypatch, helpers)
     with pytest.raises(SizeGuardError, match="^unit 5 refused$"):
-        experiments._run_units(12, unit)
-    assert multiprocessing.active_children() == []
+        experiments._run_units(12, draw)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("error", [ValidationError, SizeGuardError])
@@ -277,28 +349,34 @@ def test_a_unit_failing_in_a_helper_raises_its_type_and_message_here(monkeypatch
     sample_in_caller_only(monkeypatch, error)
     with pytest.raises(error, match="^refused in a helper at seed "):
         run_phase_diagram(small_recovery_config(trials=4))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_helper_that_dies_without_reporting_is_a_runtime_error(monkeypatch):
     caller = os.getpid()
 
-    def unit(u):
-        if os.getpid() != caller:
-            os._exit(7)
-        time.sleep(0.05)  # so that the helper takes a unit
-        return []
+    def draw(u):
+        def score():
+            if os.getpid() != caller:
+                os._exit(7)
+            time.sleep(0.05)  # so that the helper takes a unit
+            return []
+
+        return score
 
     spare_cpus(monkeypatch, 1)
     with pytest.raises(RuntimeError, match="exited with code 7 before reporting"):
-        experiments._run_units(6, unit)
-    assert multiprocessing.active_children() == []
+        experiments._run_units(6, draw)
+    assert_no_child_left()
 
 
-def test_studies_without_helpers_never_load_multiprocessing():
-    # A 2-unit study leaves no unit to share.
-    code = ("import sys; from mlsbm.experiments import run_gap_demo; "
-            "run_gap_demo(16, 64, 0.02, 2); assert 'multiprocessing' not in sys.modules")
+def test_studies_never_load_multiprocessing():
+    # A 2-unit study forks nothing; a 6-unit one on 4 CPUs forks 3 helpers.
+    code = ("import os, sys; from mlsbm.experiments import resolve_worker_count, run_gap_demo; "
+            "run_gap_demo(16, 64, 0.02, 2); "
+            "os.sched_getaffinity = lambda pid: set(range(4)); "
+            "assert resolve_worker_count(6) == 4; run_gap_demo(16, 64, 0.02, 6); "
+            "assert 'multiprocessing' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])})
 
