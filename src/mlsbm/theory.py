@@ -103,7 +103,6 @@ class ChiSquareReport:
 
     value: float
     per_c_terms: tuple[tuple[int, float], ...]
-    closed_form_used: bool
 
     def __post_init__(self):
         if self.value < 0:
@@ -149,31 +148,7 @@ def chi_square_closed_form(n: int, T: int, rho: float) -> ChiSquareReport:
         )
         terms.append((c, log_term))
     value = _expm1_or_inf(_logsumexp(t for _, t in terms))
-    return ChiSquareReport(value=max(value, 0.0), per_c_terms=tuple(terms), closed_form_used=True)
-
-
-def chi_square_relaxed_bound(n: int, T: int, rho: float) -> float:
-    """Diagnostic variant replacing the exact split exponents by the symmetric
-    single-exponent form (geometric mean of the bases times an overlap
-    penalty). The replacement enlarges the exponent only where
-    (c - n/4)**2 <= n/8, so this dominates the exact value in the
-    vanishing-density regime (extreme overlaps negligible) but can dip
-    below it at moderate density. Exposed for comparison only; the closed
-    form above is exact."""
-    n, T, rho = astuple(MlsbmParams(n, T, rho))
-    log_same, log_mixed = (math.log(b) for b in _chi_square_bases(rho))
-    log_total = _log_comb(n, n // 2)
-    pair_count = math.comb(n, 2) * T
-    terms = []
-    for c in range(n // 2 + 1):
-        log_term = (
-            2.0 * _log_comb(n // 2, c)
-            + 0.5 * pair_count * (log_same + log_mixed)
-            + 2.0 * T * (c - n / 4.0) ** 2 * (log_same - log_mixed)
-            - log_total
-        )
-        terms.append(log_term)
-    return _expm1_or_inf(_logsumexp(terms))
+    return ChiSquareReport(value=max(value, 0.0), per_c_terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------

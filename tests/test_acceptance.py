@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 from calibrate import BASE_SEED, PROTOCOLS, render
-from conftest import FIXTURES, fresh, parity_even_graph
+from conftest import FIXTURES, assert_no_child_left, fresh, parity_even_graph, spare_cpus
 from mlsbm import Assignment
 from mlsbm.cli import main
 from mlsbm.errors import BoundInapplicableError
@@ -288,7 +288,7 @@ def test_outputs_byte_identical_across_runs_and_worker_counts(
     assert _run_cli(capsys, *gen, "--out", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
 
-    # sweep: identical CSVs across repeat runs and worker counts 1 and 8
+    # sweep: identical CSVs across repeat runs, on 1 process and on 4
     config = tmp_path / "sweep.cfg"
     config.write_text(
         "kind = recovery\n"
@@ -298,23 +298,25 @@ def test_outputs_byte_identical_across_runs_and_worker_counts(
         "base_seed = 13\n"
     )
     outputs = []
-    for tag, workers in (("a", "1"), ("b", "1"), ("c", "8"), ("d", "8")):
-        monkeypatch.setenv("MLSBM_WORKERS", workers)
+    for tag, helpers in (("a", 0), ("b", 0), ("c", 3), ("d", 3)):
+        spare_cpus(monkeypatch, helpers)  # 8 units: 1 + helpers processes
         path = tmp_path / f"sweep-{tag}.csv"
         code, _ = _run_cli(capsys, "sweep", "--config", str(config),
                            "--out", str(path))
         assert code == 0
+        assert_no_child_left()
         outputs.append(path.read_bytes())
     assert len(set(outputs)) == 1
 
-    # gap-demo: identical stdout and records across worker counts
+    # gap-demo: identical stdout and records on 1 process and on 3
     runs = []
-    for tag, workers in (("x", "1"), ("y", "8")):
-        monkeypatch.setenv("MLSBM_WORKERS", workers)
+    for tag, helpers in (("x", 0), ("y", 3)):
+        spare_cpus(monkeypatch, helpers)  # 4 units: at most 2 helpers
         path = tmp_path / f"gap-{tag}.csv"
         code, out = _run_cli(capsys, "gap-demo", "--n", "16", "--T", "64",
                              "--rho", "0.02", "--trials", "4", "--seed", "21",
                              "--out", str(path))
         assert code == 0
+        assert_no_child_left()
         runs.append((out.replace(f"gap-{tag}.csv", "gap.csv"), path.read_bytes()))
     assert runs[0] == runs[1]

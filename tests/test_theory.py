@@ -17,7 +17,6 @@ from mlsbm import (
     chi_alpha_expectation_bruteforce,
     chi_square_bruteforce,
     chi_square_closed_form,
-    chi_square_relaxed_bound,
     hypergeometric_cdf,
     hypergeometric_tail_check,
     kappa,
@@ -94,36 +93,12 @@ def test_chi_square_report_internal_consistency():
     logs = [term for _, term in report.per_c_terms]
     recomputed = math.expm1(logsumexp(logs))
     assert report.value == pytest.approx(recomputed, rel=1e-12)
-    assert report.closed_form_used
     assert [c for c, _ in report.per_c_terms] == list(range(0, 4))
-
-
-def test_chi_square_relaxed_bound_dominates_only_at_small_density():
-    # The single-exponent relaxation replaces 4T(c-n/4)^2 - Tn/4 with
-    # 2T(c-n/4)^2 in the exponent of a base > 1, which is only a valid
-    # upper bound where (c-n/4)^2 <= n/8. The extreme-overlap terms it
-    # undercounts are negligible exactly in the vanishing-density regime,
-    # so dominance is asserted there and the reversal is pinned at
-    # moderate density to document that this is a diagnostic, not a bound.
-    for n, T in ((4, 2), (6, 2), (8, 4)):
-        exact = chi_square_closed_form(n, T, 0.05).value
-        relaxed = chi_square_relaxed_bound(n, T, 0.05)
-        assert relaxed >= exact
-    assert chi_square_relaxed_bound(4, 2, 0.4) < chi_square_closed_form(4, 2, 0.4).value
 
 
 def test_chi_square_overflow_is_inf_not_an_error():
     for n, T, rho in ((200, 10**6, 0.01), (2, 10**10, 0.1)):
         assert chi_square_closed_form(n, T, rho).value == math.inf
-        assert chi_square_relaxed_bound(n, T, rho) == math.inf
-
-
-def test_chi_square_relaxed_bound_hand_value():
-    # n=4, T=2, rho=0.4: bases give ratio (1-3rho/4)/(1-5rho/4) = 1.4 and
-    # product (0.7*0.5)/0.6**2 = 35/36; six unordered pairs per layer, two
-    # layers; overlap exponents 2*T*(c-1)^2 for c in {0,1,2}.
-    hand = (35.0 / 36.0) ** 6 * (2.0 * 1.4**4 + 4.0) / 6.0 - 1.0
-    assert chi_square_relaxed_bound(4, 2, 0.4) == pytest.approx(hand, rel=1e-12)
 
 
 def test_chi_square_brute_force_guard_and_validation():
