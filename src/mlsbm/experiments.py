@@ -295,24 +295,6 @@ def _assert_unique_seeds(records: Sequence[TrialRecord]) -> None:
 _Draw = Callable[[int], Callable[[], list[TrialRecord]]]
 
 
-def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
-    """Run draw(u)() for u in 0..n_units-1 and concatenate the records in unit order.
-
-    Unit 0 is drawn here before anything is forked, so a bad cell or a size
-    refusal fails in this process alone. The other units are shared with
-    resolve_worker_count(n_units) - 1 forked helpers (none on one CPU),
-    which start as soon as unit 0's instances exist.
-    """
-    helpers = resolve_worker_count(n_units) - 1
-    if helpers:
-        done = _share_units(n_units, draw, helpers)
-    else:
-        done = {u: draw(u)() for u in range(n_units)}
-    records = [record for u in range(n_units) for record in done[u]]
-    _assert_unique_seeds(records)
-    return records
-
-
 def _portable(exc: Exception) -> Exception:
     """exc if it survives pickling, else a RuntimeError naming its type and message."""
     try:
@@ -322,67 +304,75 @@ def _portable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _share_units(n_units: int, draw: _Draw, helpers: int) -> dict[int, list[TrialRecord]]:
-    """{u: draw(u)()} for every unit, run here and in forked helpers.
+def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
+    """Run draw(u)() for u in 0..n_units-1 and concatenate the records in unit order.
 
-    Unit 0 is drawn first; then the helpers are forked, and this process
-    scores unit 0 while they take units 1, 2, ... Units are handed out one
-    at a time through a pipe that holds one 8-byte token, the index of the
-    next unit: a process takes a unit by reading the token and writing back
-    the index after it, and as a pipe write of at most PIPE_BUF bytes is
-    atomic, the read is also the lock. A failing unit makes its process
-    write back the end instead, so no process starts another. Units are
-    taken in order, so every unit below the lowest failing one has run, and
-    that failure, the one a serial run meets first, is raised here once
-    every helper is reaped.
+    This process and resolve_worker_count(n_units) - 1 forked helpers run
+    one loop: take the index of the next unit from a pipe that holds one
+    8-byte token, write back the index after it, and run that unit. As a
+    pipe write of at most PIPE_BUF bytes is atomic, the read is also the
+    lock. This process starts at unit 0 and forks the helpers once unit 0
+    is drawn, so a bad cell or a size refusal fails here alone. A failing
+    unit makes its process write back the end instead, so no process
+    starts another. Units are taken in order, so every unit below the
+    lowest failing one has run, and that failure, the one a serial run
+    meets first, is raised here once every helper is reaped.
 
-    A helper records its units' warnings and pickles its {unit: records},
-    its failure, if any, and those warnings into a pipe of its own, then
-    leaves with os._exit, so it never returns into the caller's code. The
-    warnings are re-emitted here in unit order.
+    Each process keeps its units' records, its failure, if any, and each
+    unit's warnings; a helper pickles them into a pipe of its own and
+    leaves with os._exit, so it never returns into the caller's code.
+    Error and ignore filters act inside the unit; the warnings that would
+    be shown are issued here, in unit order up to the lowest failing unit,
+    once the units have run, so show-once filters act here alone and the
+    helper count does not change what is shown.
     """
-    scores = {0: draw(0)}  # popped when scored, so unit 0's instances are freed then
+    helpers = resolve_worker_count(n_units) - 1
     token_r, token_w = os.pipe()
     os.write(token_w, (1).to_bytes(8, "little"))
+    started: list[tuple[int, int]] = []  # (pid, report pipe) per helper
+    # A helper is forked before any unit is done, so it starts with these empty.
+    done: dict[int, list[TrialRecord]] = {}
+    failed: dict[int, Exception] = {}
+    warned: list[tuple] = []  # (unit, message, category, filename, lineno)
 
     def take(stop: bool = False) -> int:
         u = int.from_bytes(os.read(token_r, 8), "little")
         os.write(token_w, (n_units if stop else u + 1).to_bytes(8, "little"))
         return u
 
-    def share(run: Callable[[int], list[TrialRecord]], u: int
-              ) -> tuple[dict[int, list[TrialRecord]], dict[int, Exception]]:
+    def drawn(u: int) -> Callable[[], list[TrialRecord]]:
+        """draw(u), and once unit 0 is drawn, the helpers forked."""
+        score = draw(u)
+        if u == 0:
+            for _ in range(helpers):
+                reader, writer = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    helper(reader, writer)
+                os.close(writer)
+                started.append((pid, reader))
+        return score
+
+    def run(u: int) -> None:
         """Run unit u and every next unit taken, until none is left or one fails."""
-        done: dict[int, list[TrialRecord]] = {}
         while u < n_units:
             try:
-                done[u] = run(u)
+                done[u] = drawn(u)()
             except Exception as exc:
+                failed[u] = exc
                 take(stop=True)
-                return done, {u: exc}
+                break
+            finally:
+                warned.extend((u, w.message, w.category, w.filename, w.lineno) for w in caught)
+                caught.clear()
             u = take()
-        return done, {}
-
-    def run_here(u: int) -> list[TrialRecord]:
-        return (scores.pop(u, None) or draw(u))()
 
     def helper(reader: int, writer: int) -> None:
         code = 1
         try:
             os.close(reader)
-            scores.clear()  # unit 0 is the caller's
-            warned: list[tuple] = []
-            with warnings.catch_warnings(record=True) as caught:
-
-                def run_recording(u: int) -> list[TrialRecord]:
-                    try:
-                        return run_here(u)
-                    finally:
-                        warned.extend((u, w.message, w.category, w.filename, w.lineno)
-                                      for w in caught)
-                        caught.clear()
-
-                done, failed = share(run_recording, take())
+            caught.clear()  # unit 0's, which the caller keeps
+            run(take())
             report = pickle.dumps(
                 (done, {u: _portable(exc) for u, exc in failed.items()}, warned))
             with open(writer, "wb") as pipe:
@@ -391,41 +381,42 @@ def _share_units(n_units: int, draw: _Draw, helpers: int) -> dict[int, list[Tria
         finally:
             os._exit(code)
 
-    started = []
     try:
-        for _ in range(helpers):
-            reader, writer = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                helper(reader, writer)
-            os.close(writer)
-            started.append((pid, reader))
-        done, failed = share(run_here, 0)
+        with warnings.catch_warnings(record=True) as caught:
+            # error and ignore filters still act; the show-once actions are left to the end
+            warnings.filters[:] = [("always" if action in ("default", "module", "once")
+                                    else action, *rest) for action, *rest in warnings.filters]
+            warnings.simplefilter("always", append=True)  # where no filter matches
+            run(0)
     finally:
-        take(stop=True)  # after an interruption here, no helper starts another unit
-        reports = []
+        if started:
+            take(stop=True)  # after an interruption here, no helper starts another unit
         for pid, reader in started:
             # read to EOF before reaping: a helper cannot exit until its report is read
             with open(reader, "rb") as pipe:
                 report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code == 0:
-                reports.append(pickle.loads(report))
+                helper_done, helper_failed, helper_warned = pickle.loads(report)
+                done.update(helper_done)
+                failed.update(helper_failed)
+                warned += helper_warned
             else:  # its failure ranks after every unit's
-                reports.append(({}, {n_units: RuntimeError(
-                    f"a study helper exited with code {code} before reporting")}, []))
+                failed[n_units] = RuntimeError(
+                    f"a study helper exited with code {code} before reporting")
         os.close(token_r)
         os.close(token_w)
-    warned = []
-    for helper_done, helper_failed, helper_warned in reports:
-        done.update(helper_done)
-        failed.update(helper_failed)
-        warned += helper_warned
-    for _, message, category, filename, lineno in sorted(warned, key=lambda w: w[0]):
-        warnings.warn_explicit(message, category, filename, lineno)
+    last = min(failed, default=n_units)
+    registries: dict[str, dict] = {}  # one per file, as warnings.warn keeps one per module
+    for u, message, category, filename, lineno in sorted(warned, key=lambda w: w[0]):
+        if u <= last:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registries.setdefault(filename, {}))
     if failed:
-        raise failed[min(failed)]
-    return done
+        raise failed[last]
+    records = [record for u in range(n_units) for record in done[u]]
+    _assert_unique_seeds(records)
+    return records
 
 
 def _timed_rows(methods: Sequence[str], score: Callable[[str], tuple], cell: str,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 import time
 import tracemalloc
 import warnings
@@ -24,6 +25,7 @@ from mlsbm.experiments import (
 )
 from mlsbm.model import MultiLayerGraph, PlantedInstance, read_graph, write_graph
 from mlsbm.recovery import to_json_record as recovery_record
+from mlsbm.seeding import derive_seed
 
 
 def run(capsys, *argv):
@@ -826,6 +828,59 @@ def test_warnings_raised_in_helpers_are_printed(monkeypatch, capsys, helpers):
     assert len(lines) == len(set(lines)) == 6
     assert all(line.startswith("warning: sampling seed ") for line in lines)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_unit_warnings_are_printed_in_unit_order_whatever_the_helper_count(
+        tmp_path, monkeypatch, capsys, helpers):
+    # Each unit's sampler warns with its seed, and with one text that
+    # Python's default action shows once. The gap demo prints every warning;
+    # the sweep leaves them to the default action. Stdout, stderr and CSV are
+    # those of a run without helpers, with the seeds in unit order.
+    caller, sample = os.getpid(), experiments.sample_planted
+
+    def sample_warning(params, seed):
+        warnings.warn(f"sampling seed {seed}", RuntimeWarning)
+        warnings.warn("sampling", RuntimeWarning)
+        if os.getpid() == caller:
+            time.sleep(0.05)  # so that the helpers take units
+        return sample(params, seed)
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        print(f"{category.__name__}: {message}", file=sys.stderr)
+
+    monkeypatch.setattr(experiments, "sample_planted", sample_warning)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rec.cfg").write_text(
+        "kind = recovery\ncells = 16:8:0.2\nmethods = sum-spectral\ntrials = 8\n")
+    studies = {
+        "gap": ("gap-demo", "--n", "16", "--T", "64", "--rho", "0.02", "--trials", "6"),
+        "rec": ("sweep", "--config", "rec.cfg"),
+    }
+
+    def outputs():
+        result = {}
+        for name, argv in studies.items():
+            with warnings.catch_warnings():
+                warnings.resetwarnings()
+                warnings.showwarning = show
+                code, out, err = run(capsys, *argv, "--force", "--out", f"{name}.csv")
+            assert code == 0, name
+            result[name] = (out, err.splitlines(), (tmp_path / f"{name}.csv").read_bytes())
+        assert_no_child_left()
+        return result
+
+    spare_cpus(monkeypatch, 0)
+    serial = outputs()
+    spare_cpus(monkeypatch, helpers)
+    shared = outputs()
+    assert shared == serial
+    seeds = [derive_seed(0, 0, trial, 0) for trial in range(8)]
+    assert shared["gap"][1] == [line for seed in seeds[:6] for line in
+                                (f"warning: sampling seed {seed}", "warning: sampling")]
+    assert shared["rec"][1] == [f"RuntimeWarning: sampling seed {seeds[0]}",
+                                "RuntimeWarning: sampling"] + [
+        f"RuntimeWarning: sampling seed {seed}" for seed in seeds[1:]]
 
 
 # ---------------------------------------------------------------------------

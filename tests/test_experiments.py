@@ -370,6 +370,33 @@ def test_a_helper_that_dies_without_reporting_is_a_runtime_error(monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("helpers", [0, 3])
+def test_warning_filters_act_in_the_unit_and_show_once_in_the_caller(monkeypatch, helpers):
+    # An error filter fails its unit, an ignore filter drops the warning, and
+    # the default action shows a repeated warning once. Only the units up to
+    # the lowest failing one are shown, in unit order.
+    def draw(u):
+        def score():
+            warnings.warn(f"unit {u}", UserWarning)
+            warnings.warn("every unit", UserWarning)
+            if u == 5:
+                warnings.warn("unit 5 refused", RuntimeWarning)
+            return []
+
+        return score
+
+    spare_cpus(monkeypatch, helpers)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.resetwarnings()
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "unit 3$")
+        with pytest.raises(RuntimeWarning, match="^unit 5 refused$"):
+            experiments._run_units(12, draw)
+    assert [str(w.message) for w in shown] == [
+        "unit 0", "every unit", "unit 1", "unit 2", "unit 4", "unit 5"]
+    assert_no_child_left()
+
+
 def test_studies_never_load_multiprocessing():
     # A 2-unit study forks nothing; a 6-unit one on 4 CPUs forks 3 helpers.
     code = ("import os, sys; from mlsbm.experiments import resolve_worker_count, run_gap_demo; "
@@ -750,6 +777,16 @@ def test_parse_config_rejects_malformed_text():
         parse_config_text("cells = eight:4:0.3")
     with pytest.raises(ValidationError, match="integer"):
         parse_config_text("cells = 8:4:0.3\ntrials = 2.5")
+    with pytest.raises(ValidationError, match="^config exponent grid: bad number"):
+        parse_config_text("n_values = 8, x\na = 1\nb = 1")
+
+
+def test_read_results_refuses_a_row_with_the_wrong_column_count(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\nn8-T4-rho0.3,8\n")
+    with pytest.raises(ValidationError) as refusal:
+        read_results(path)
+    assert str(refusal.value).startswith(f"{path}: malformed row ")
 
 
 def test_read_config_round_trip(tmp_path):

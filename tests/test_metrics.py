@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mlsbm import Assignment, ValidationError, detection_risk, hamming_loss
+from mlsbm import Assignment, RecoveryLoss, ValidationError, detection_risk, hamming_loss
 
 
 def balanced_assignments(m):
@@ -77,3 +77,15 @@ def test_detection_risk_is_sum_of_rates(null_errors, planted_errors):
     decisions += [0] * planted_errors + [1] * (7 - planted_errors)
     expected = null_errors / 5 + planted_errors / 7
     assert detection_risk(truths, decisions) == pytest.approx(expected)
+
+
+def test_recovery_loss_refuses_a_value_above_one_half():
+    with pytest.raises(ValidationError, match=r"^loss must lie in \[0, 1/2\], got 0.6"):
+        RecoveryLoss(0.6)
+
+
+@pytest.mark.parametrize("truths, decisions", [([0, 2], [0, 1]), ([0, 1], [0, -1])],
+                         ids=["truth", "decision"])
+def test_detection_risk_refuses_non_bits(truths, decisions):
+    with pytest.raises(ValidationError, match="^truths and decisions must be bits"):
+        detection_risk(truths, decisions)

@@ -1193,3 +1193,14 @@ def test_read_graph_on_mutated_files_raises_only_validation_errors(
         return
     graph = got.graph if isinstance(got, PlantedInstance) else got
     assert graph == MultiLayerGraph(graph.n, graph.T, [layer.tolist() for layer in graph.layers])
+
+
+@pytest.mark.parametrize("text", ["", "012"])
+def test_from_bitstring_refuses_an_empty_or_non_binary_string(text):
+    with pytest.raises(ValidationError, match=r"^bitstring must be non-empty over \{0,1\}, got "):
+        Assignment.from_bitstring(text)
+
+
+def test_edge_probability_refuses_a_non_bit_label():
+    with pytest.raises(ValidationError, match="^tau_t must be 0 or 1, got 2"):
+        edge_probability(0, 1, 2, 0.1)

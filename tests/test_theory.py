@@ -507,3 +507,22 @@ def test_hypergeometric_tail_validation():
 def test_hypergeometric_cdf_total_mass(N, m_frac):
     K, m = N // 2, N // m_frac
     assert hypergeometric_cdf(N, K, m, m) == Fraction(1)
+
+
+def test_hypergeometric_cdf_refuses_k_above_n_and_is_zero_below_the_support():
+    with pytest.raises(ValidationError, match="^need K <= N and m <= N"):
+        hypergeometric_cdf(4, 5, 2, 1)
+    # 5 draws from 10 items of which 8 succeed hold at least 3 successes
+    assert hypergeometric_cdf(10, 8, 5, 2) == Fraction(0)
+    assert hypergeometric_cdf(10, 8, 5, 3) > 0
+
+
+@pytest.mark.parametrize("rho", [-0.1, math.nan])
+def test_ldlr_upper_bound_refuses_a_negative_or_nan_rho(rho):
+    with pytest.raises(ValidationError, match="^rho must be a finite non-negative real, got "):
+        ldlr_upper_bound(4, 2, rho, 1)
+
+
+def test_chi_alpha_expectation_refuses_a_malformed_slot():
+    with pytest.raises(ValidationError, match=r"^malformed slot \(1, 2\)"):
+        chi_alpha_expectation([(1, 2)], 4, 2, 0.1)
