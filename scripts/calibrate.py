@@ -180,9 +180,11 @@ def main() -> int:
     parser.add_argument("--out", help="write the fixture JSON here (default: stdout only)")
     parser.add_argument(
         "--skip", nargs="*", default=[], choices=list(PROTOCOLS),
-        help="pilot sections to skip (for quick reruns)",
+        help="pilot sections to skip (for quick reruns; stdout only)",
     )
     args = parser.parse_args()
+    if args.out and args.skip:
+        parser.error("--out writes the whole fixture, so it cannot be used with --skip")
     fixture = {"base_seed": BASE_SEED}
     for name, fn in PROTOCOLS.items():
         if name in args.skip:

@@ -854,34 +854,21 @@ def _balanced_rows(m: int) -> np.ndarray:
     return rows
 
 
-def write_graph(
-    path: Union[str, Path],
-    graph: Union[MultiLayerGraph, PlantedInstance],
-    sigma: Assignment | None = None,
-    tau: Assignment | None = None,
-) -> None:
-    """Write the text edge format; planted labels go into footer lines.
+def write_graph(path: Union[str, Path], graph: Union[MultiLayerGraph, PlantedInstance]) -> None:
+    """Write the text edge format; a PlantedInstance's labels go into footer lines.
 
     Format: header "mlsbm-edges v1 n=<n> T=<T>", one line "t i j" per edge
-    (1-based, i < j) sorted by (t, i, j), then optional footers
-    "sigma <bits>" and "tau <bits>" (both or neither).
+    (1-based, i < j) sorted by (t, i, j), then, for a PlantedInstance only,
+    the footers "sigma <bits>" and "tau <bits>".
     """
+    footers = []
     if isinstance(graph, PlantedInstance):
-        if sigma is None:
-            sigma = graph.sigma
-        if tau is None:
-            tau = graph.tau
+        footers = [f"sigma {graph.sigma.bitstring()}", f"tau {graph.tau.bitstring()}"]
         graph = graph.graph
-    if (sigma is None) != (tau is None):
-        raise ValidationError("sigma and tau footers must be written together")
     lines = [f"{FORMAT_HEADER} n={graph.n} T={graph.T}"]
     layer_numbers = (graph.layer_ids + 1).tolist()
     lines += [f"{t} {i} {j}" for t, (i, j) in zip(layer_numbers, graph.edges.tolist())]
-    if sigma is not None:
-        if sigma.size != graph.n or tau.size != graph.T:
-            raise ValidationError("footer label lengths must match the graph dimensions")
-        lines += [f"sigma {sigma.bitstring()}", f"tau {tau.bitstring()}"]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    Path(path).write_text("\n".join(lines + footers) + "\n", encoding="ascii")
 
 
 def read_graph(path: Union[str, Path]) -> Union[MultiLayerGraph, PlantedInstance]:

@@ -77,13 +77,13 @@ class AggregateMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def _check_even_sizes(graph: MultiLayerGraph, method: str, min_n: int = 2, even_T: bool = True):
-    """Refuse an odd n or one below min_n, and (with even_T) an odd T."""
+def _check_even_sizes(graph: MultiLayerGraph, method: str, even_T: bool = True):
+    """Refuse an odd n, and (with even_T) an odd T; every graph has n >= 2."""
     n, T = graph.n, graph.T
-    if even_T and (n < min_n or n % 2 != 0 or T % 2 != 0):
-        raise ValidationError(f"{method} needs even n >= {min_n} and even T, got n={n}, T={T}")
-    if n < min_n or n % 2 != 0:
-        raise ValidationError(f"{method} needs even n >= {min_n}, got n={n}")
+    if even_T and (n % 2 != 0 or T % 2 != 0):
+        raise ValidationError(f"{method} needs even n >= 2 and even T, got n={n}, T={T}")
+    if n % 2 != 0:
+        raise ValidationError(f"{method} needs even n >= 2, got n={n}")
 
 
 def _check_dense_size(n: int) -> None:
@@ -242,7 +242,7 @@ def _bias_adjusted_without(graph: MultiLayerGraph) -> Callable[[Sequence[int]], 
     Each call subtracts its layers' wedges from a copy of one full aggregate.
     Entries are integer counts below 2**53, so that is a fresh aggregate exactly.
     """
-    _check_even_sizes(graph, "bias_adjusted_spectral", min_n=4, even_T=False)
+    _check_even_sizes(graph, "bias_adjusted_spectral", even_T=False)
     full = aggregate_bias_adjusted(graph).matrix
 
     def without(held_out: Sequence[int]) -> RecoveryResult:

@@ -253,6 +253,16 @@ def test_calibrate_script_runs_standalone_with_skip():
     assert done.stdout == render({"base_seed": BASE_SEED, "phase": fresh("phase")})
 
 
+def test_calibrate_script_refuses_to_write_a_fixture_with_skipped_sections(tmp_path):
+    out = tmp_path / "calibration.json"
+    argv = [sys.executable, "scripts/calibrate.py", "--skip", "phase", "--out", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, check=False,
+                          cwd=FIXTURES.parents[1], env={**os.environ, "PYTHONPATH": "src"})
+    assert done.returncode == 2 and done.stdout == ""
+    assert "--out writes the whole fixture, so it cannot be used with --skip" in done.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # 11. byte-identical outputs across repeat runs and worker counts
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from mlsbm.experiments import (
     DETECTION_RUNNERS,
     RECOVERY_RUNNERS,
     ExperimentConfig,
+    read_results,
     run_phase_diagram,
     write_results,
 )
@@ -741,6 +742,35 @@ def test_gap_demo_past_the_dense_cap_is_a_size_guard_refusal(capsys):
     warning, refusal = err.splitlines()
     assert warning.startswith("warning: gap demo parameters are not between the thresholds: ")
     assert refusal.startswith("size guard")
+
+
+def test_two_node_studies_run_and_flag_bias_adjusted_spectral_degenerate(tmp_path, capsys):
+    # two nodes have no wedge, so the bias-adjusted aggregate is zero: every
+    # n = 2 bias-adjusted row is degenerate, and the tests decide on that labelling
+    (tmp_path / "rec.cfg").write_text(
+        "kind = recovery\ncells = 2:4:0.3, 8:4:0.3\n"
+        "methods = bias-adjusted-spectral, sum-spectral, oracle-tau-spectral, mle-exhaustive,"
+        " mle-local-search\ntrials = 2\n"
+    )
+    (tmp_path / "det.cfg").write_text(
+        "kind = detection\ncells = 2:4:0.3\nmethods = split-test, shuffled-test\ntrials = 2\n"
+    )
+    for name in ("rec", "det"):
+        code, _, err = run(capsys, "sweep", "--config", str(tmp_path / f"{name}.cfg"),
+                           "--out", str(tmp_path / f"{name}.csv"))
+        assert (code, err) == (0, "")
+    records = read_results(tmp_path / "rec.csv")
+    assert len(records) == 2 * 5 * 2
+    two_node = [r for r in records if r.n == 2 and r.method == "bias-adjusted-spectral"]
+    assert len(two_node) == 2 and all(r.degenerate for r in two_node)
+    assert len(read_results(tmp_path / "det.csv")) == 2 * 2 * 2  # arms x methods x trials
+    for method in ("split-test", "shuffled-test"):
+        code, out, _ = run(capsys, "detect", "--n", "2", "--T", "4", "--rho", "0.3",
+                           "--method", method)
+        assert code == 0 and json.loads(out)["n"] == 2
+    code, out, _ = run(capsys, "gap-demo", "--n", "2", "--T", "4", "--rho", "0.3",
+                       "--trials", "1")
+    assert code == 0 and json.loads(out)["gap_defined"] is False
 
 
 def test_detection_sweep_past_the_dense_cap_is_refused_before_sampling(tmp_path, monkeypatch,

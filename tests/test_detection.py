@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsbm import (
@@ -230,7 +230,7 @@ def arm_graph(n, T, rho, seed, planted):
 
 
 @given(
-    n=st.integers(2, 20).map(lambda half: 2 * half),
+    n=st.integers(1, 20).map(lambda half: 2 * half),
     T=st.integers(3, 12),
     rho=st.sampled_from([0.05, 0.15, 0.3, 0.6]),
     planted=st.booleans(),
@@ -238,6 +238,7 @@ def arm_graph(n, T, rho, seed, planted):
     rounds=st.one_of(st.none(), st.integers(1, 6)),
     seed=st.integers(0, 2**63 - 1),
 )
+@example(n=2, T=3, rho=0.3, planted=True, graph_seed=0, rounds=None, seed=0)  # no wedge
 @settings(max_examples=60, deadline=None)
 def test_shared_aggregate_route_equals_the_generic_route(n, T, rho, planted, graph_seed, rounds, seed):
     assert_routes_agree(arm_graph(n, T, rho, graph_seed, planted), rounds, seed)
@@ -257,23 +258,28 @@ def refusal(call):
     raise AssertionError("the call was not refused")
 
 
-@pytest.mark.parametrize("n", [5, 3, 2])
-@pytest.mark.parametrize("T", [2, 3])
-@pytest.mark.parametrize("rounds", [0, None, 1])
+@pytest.mark.parametrize(
+    "rounds, T, n",
+    [(rounds, T, n) for rounds in (0, None, 1) for T in (2, 3) for n in (5, 3, 2)
+     if n % 2 or T < 3 or rounds == 0],  # n = 2 is refused only for T or rounds
+)
 def test_both_routes_refuse_alike(n, T, rounds):
-    # odd n, n = 2, T < 3 and rounds < 1 in every combination: the first
-    # refusal and its message are the same on both routes, in both tests, and
-    # a refusal for the graph's size names the test that was called
+    # odd n, T < 3 and rounds < 1 in every combination, and n = 2 where T < 3
+    # or rounds < 1: the first refusal and its message are the same on both
+    # routes, in both tests, and a refusal for the graph's size names the test
+    # that was called
     graph = MultiLayerGraph(n=n, T=T, layers=[[(1, 2)]] * T)
     shuffled = refusal(lambda: shuffled_test(graph, generic, rounds=rounds))
     assert refusal(lambda: shuffled_test(graph, bias_adjusted_spectral, rounds=rounds)) == shuffled
-    split = refusal(lambda: split_layer_test(graph, generic))
-    assert refusal(lambda: split_layer_test(graph, bias_adjusted_spectral)) == split
-    assert "split_layer_test" not in shuffled[1] and "shuffled_test" not in split[1]
-    if T < 3 or n % 2:
-        assert split[1].startswith("split_layer_test needs")
+    assert "split_layer_test" not in shuffled[1]
     if T < 3 or (n % 2 and rounds != 0):  # rounds < 1 is refused before the odd n
         assert shuffled[1].startswith("shuffled_test needs")
+    if T < 3 or n % 2:
+        split = refusal(lambda: split_layer_test(graph, generic))
+        assert refusal(lambda: split_layer_test(graph, bias_adjusted_spectral)) == split
+        assert split[1].startswith("split_layer_test needs") and "shuffled_test" not in split[1]
+    else:  # the split test takes no rounds, so it runs at n = 2, T = 3
+        assert split_layer_test(graph, bias_adjusted_spectral) == split_layer_test(graph, generic)
 
 
 def test_shared_route_refuses_the_dense_cap_before_allocating():

@@ -562,8 +562,8 @@ def test_gap_demo_validates_arguments():
     for n, T in ((8.5, 4), ("8", "4"), (8, 4.9), (True, 4), (8, 2.0)):
         with pytest.raises(ValidationError, match="must be an integer, got "):
             run_gap_demo(n, T, 0.1, 1)
-    with pytest.raises(ValidationError, match="^n must be an even integer >= 4, got 2$"):
-        run_gap_demo(2, 4, 0.1, 1)
+    with pytest.raises(ValidationError, match="^n must be an even integer >= 2, got 0$"):
+        run_gap_demo(0, 4, 0.1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ValidationError, match="^seed must be a non-negative integer"):

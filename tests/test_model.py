@@ -1070,7 +1070,7 @@ def test_write_graph_bytes_with_empty_first_middle_and_last_layers(tmp_path):
     graph = MultiLayerGraph(n=4, T=6, layers=layers)
     sigma, tau = Assignment((0, 0, 1, 1)), Assignment((0, 1, 0, 1, 1, 0))
     path = tmp_path / "planted.txt"
-    write_graph(path, graph, sigma, tau)
+    write_graph(path, PlantedInstance(graph, sigma, tau))
     assert path.read_bytes() == (
         b"mlsbm-edges v1 n=4 T=6\n"
         b"2 1 2\n2 3 4\n4 1 3\n5 2 4\n5 3 4\n"
@@ -1079,16 +1079,14 @@ def test_write_graph_bytes_with_empty_first_middle_and_last_layers(tmp_path):
     assert read_graph(path) == PlantedInstance(graph, sigma, tau)
 
 
-def test_write_graph_refuses_one_footer_or_footer_lengths_off_the_graph(tmp_path):
+def test_planted_labels_off_the_graph_are_refused_before_any_file_is_written(tmp_path):
     graph = MultiLayerGraph(n=4, T=2, layers=[[(1, 2)], []])
     path = tmp_path / "planted.txt"
     sigma, tau = Assignment((0, 0, 1, 1)), Assignment((0, 1))
-    for footers in ((sigma, None), (None, tau)):
-        with pytest.raises(ValidationError, match="^sigma and tau footers must be written together$"):
-            write_graph(path, graph, *footers)
-    for footers in ((tau, tau), (sigma, sigma)):
-        with pytest.raises(ValidationError, match="^footer label lengths must match the graph dimensions$"):
-            write_graph(path, graph, *footers)
+    for labels, message in (((tau, tau), "^sigma has 2 labels but the graph has 4 nodes$"),
+                            ((sigma, sigma), "^tau has 4 labels but the graph has 2 layers$")):
+        with pytest.raises(ValidationError, match=message):
+            write_graph(path, PlantedInstance(graph, *labels))
     assert not path.exists()
 
 
