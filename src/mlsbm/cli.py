@@ -8,7 +8,6 @@ theory report), 2 validation failure, 3 size-guard refusal.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys

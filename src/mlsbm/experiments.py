@@ -20,6 +20,7 @@ import json
 import math
 import os
 import pickle
+import select
 import statistics
 import time
 import warnings
@@ -316,7 +317,10 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
     unit makes its process write back the end instead, so no process
     starts another. Units are taken in order, so every unit below the
     lowest failing one has run, and that failure, the one a serial run
-    meets first, is raised here once every helper is reaped.
+    meets first, is raised here once every helper is reaped. This process
+    waits for the token and for the helpers' reports at once: a report
+    pipe closed with no report means its helper died, perhaps holding the
+    token, so the end is written in its place and the study fails.
 
     Each process keeps its units' records, its failure, if any, and each
     unit's warnings; a helper pickles them into a pipe of its own and
@@ -328,17 +332,43 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
     """
     helpers = resolve_worker_count(n_units) - 1
     token_r, token_w = os.pipe()
+    if helpers:  # another process may take the token between select and read
+        os.set_blocking(token_r, False)
     os.write(token_w, (1).to_bytes(8, "little"))
-    started: list[tuple[int, int]] = []  # (pid, report pipe) per helper
+    started: list[tuple[int, list[bytes]]] = []  # (pid, report chunks) per helper
+    unread: dict[int, list[bytes]] = {}  # the caller's open report pipes -> chunks read
     # A helper is forked before any unit is done, so it starts with these empty.
     done: dict[int, list[TrialRecord]] = {}
     failed: dict[int, Exception] = {}
     warned: list[tuple] = []  # (unit, message, category, filename, lineno)
 
     def take(stop: bool = False) -> int:
-        u = int.from_bytes(os.read(token_r, 8), "little")
+        while True:
+            try:
+                if not helpers or token_r in wait(token_r):
+                    u = int.from_bytes(os.read(token_r, 8), "little")
+                    break
+            except BlockingIOError:  # another process took the token first
+                pass
         os.write(token_w, (n_units if stop else u + 1).to_bytes(8, "little"))
         return u
+
+    def wait(*fds: int) -> list[int]:
+        """The ready ones of fds, reading meanwhile what the helpers' report pipes hold.
+
+        A report pipe at EOF with no report means its helper died, perhaps
+        holding the token, so the end is written in its place.
+        """
+        ready = select.select([*fds, *unread], [], [])[0]
+        for reader in unread.keys() & ready:
+            chunk = os.read(reader, 1 << 16)
+            if chunk:
+                unread[reader].append(chunk)
+                continue
+            os.close(reader)
+            if not unread.pop(reader):
+                os.write(token_w, n_units.to_bytes(8, "little"))
+        return ready
 
     def drawn(u: int) -> Callable[[], list[TrialRecord]]:
         """draw(u), and once unit 0 is drawn, the helpers forked."""
@@ -350,7 +380,8 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
                 if pid == 0:
                     helper(reader, writer)
                 os.close(writer)
-                started.append((pid, reader))
+                unread[reader] = []
+                started.append((pid, unread[reader]))
         return score
 
     def run(u: int) -> None:
@@ -371,6 +402,7 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
         code = 1
         try:
             os.close(reader)
+            unread.clear()  # the earlier helpers' reports are the caller's to read
             caught.clear()  # unit 0's, which the caller keeps
             run(take())
             report = pickle.dumps(
@@ -391,13 +423,12 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
     finally:
         if started:
             take(stop=True)  # after an interruption here, no helper starts another unit
-        for pid, reader in started:
-            # read to EOF before reaping: a helper cannot exit until its report is read
-            with open(reader, "rb") as pipe:
-                report = pipe.read()
+        while unread:  # to EOF before reaping: a helper cannot exit until its report is read
+            wait()
+        for pid, report in started:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code == 0:
-                helper_done, helper_failed, helper_warned = pickle.loads(report)
+                helper_done, helper_failed, helper_warned = pickle.loads(b"".join(report))
                 done.update(helper_done)
                 failed.update(helper_failed)
                 warned += helper_warned

@@ -64,17 +64,6 @@ class AggregateMatrix:
     """Symmetric layer aggregate feeding a spectral method."""
 
     matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("aggregate matrix must be square")
-        if not np.array_equal(m, m.T):
-            raise ValidationError("aggregate matrix must be symmetric")
-        if self.kind == "bias-adjusted" and np.any(np.diag(m) != 0.0):
-            raise ValidationError("bias-adjusted aggregate must have a zero diagonal")
-        object.__setattr__(self, "matrix", m)
 
 
 def _check_even_sizes(graph: MultiLayerGraph, method: str, even_T: bool = True):
@@ -108,7 +97,7 @@ def aggregate_bias_adjusted(graph: MultiLayerGraph) -> AggregateMatrix:
     _check_dense_size(graph.n)
     flat = np.zeros(graph.n * graph.n, dtype=np.float64)
     _add_wedges(flat, graph, 1.0)
-    return AggregateMatrix(flat.reshape(graph.n, graph.n), "bias-adjusted")
+    return AggregateMatrix(flat.reshape(graph.n, graph.n))
 
 
 def _add_wedges(flat: np.ndarray, graph: MultiLayerGraph, sign: float) -> None:
@@ -155,7 +144,7 @@ def _weighted_layer_sum(graph: MultiLayerGraph, weights: np.ndarray) -> np.ndarr
 def aggregate_layer_sum(graph: MultiLayerGraph) -> AggregateMatrix:
     """Plain sum of adjacency matrices."""
     _check_dense_size(graph.n)
-    return AggregateMatrix(_weighted_layer_sum(graph, np.ones(graph.T)), "layer-sum")
+    return AggregateMatrix(_weighted_layer_sum(graph, np.ones(graph.T)))
 
 
 def aggregate_signed(graph: MultiLayerGraph, tau: Assignment) -> AggregateMatrix:
@@ -163,7 +152,7 @@ def aggregate_signed(graph: MultiLayerGraph, tau: Assignment) -> AggregateMatrix
     _check_dense_size(graph.n)
     _check_label_sizes(graph, tau=tau)
     weights = 1.0 - 2.0 * tau.as_array()
-    return AggregateMatrix(_weighted_layer_sum(graph, weights), "signed")
+    return AggregateMatrix(_weighted_layer_sum(graph, weights))
 
 
 def _power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:

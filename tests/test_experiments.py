@@ -370,6 +370,52 @@ def test_a_helper_that_dies_without_reporting_is_a_runtime_error(monkeypatch):
     assert_no_child_left()
 
 
+# A helper that dies between reading the unit token and writing it back.
+DIES_HOLDING_THE_TOKEN = """
+import os, sys, time, types
+from conftest import assert_no_child_left
+from mlsbm import cli, experiments
+
+caller = os.getpid()
+
+def write(fd, data):
+    if os.getpid() != caller and len(data) == 8:
+        os._exit(9)
+    return os.write(fd, data)
+
+experiments.os = types.SimpleNamespace(
+    **{**vars(os), "write": write, "sched_getaffinity": lambda pid: {0, 1}})
+try:
+    if sys.argv[1] == "units":
+        experiments._run_units(6, lambda u: lambda: time.sleep(0.05) or [])
+    else:
+        cli.main(["gap-demo", "--n", "16", "--T", "64", "--rho", "0.02", "--trials", "6"])
+finally:
+    assert_no_child_left()
+"""
+
+
+@pytest.mark.parametrize("route", ["units", "cli"])
+def test_a_helper_that_dies_holding_the_token_fails_the_study(route):
+    # The caller writes the end token in the dead helper's place, so the
+    # study fails within seconds instead of waiting for the token forever.
+    root = Path(__file__).parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(str(root / d) for d in ("src", "scripts", "tests"))}
+    child = subprocess.Popen([sys.executable, "-c", DIES_HOLDING_THE_TOKEN, route], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             start_new_session=True)
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, 9)
+            child.wait()
+    assert child.returncode == 1
+    assert err.endswith("RuntimeError: a study helper exited with code 9 before reporting\n")
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("helpers", [0, 3])
 def test_warning_filters_act_in_the_unit_and_show_once_in_the_caller(monkeypatch, helpers):
     # An error filter fails its unit, an ignore filter drops the warning, and

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsbm import (
-    AggregateMatrix,
     Assignment,
     MlsbmParams,
     MultiLayerGraph,
@@ -1026,16 +1025,6 @@ def test_result_json_record_keeps_every_set_field(method):
 
 
 # ------------------------------------------------------------------ refusals
-
-
-@pytest.mark.parametrize("matrix, kind, message", [
-    (np.zeros((2, 3)), "layer-sum", "aggregate matrix must be square"),
-    (np.array([[0.0, 1.0], [2.0, 0.0]]), "layer-sum", "aggregate matrix must be symmetric"),
-    (np.eye(2), "bias-adjusted", "bias-adjusted aggregate must have a zero diagonal"),
-], ids=["non-square", "asymmetric", "bias-adjusted-diagonal"])
-def test_aggregate_matrix_refuses_what_a_spectral_method_cannot_read(matrix, kind, message):
-    with pytest.raises(ValidationError, match=f"^{message}"):
-        AggregateMatrix(matrix, kind)
 
 
 @pytest.mark.parametrize("scores", [np.zeros(3), np.zeros(0), np.zeros((2, 2))],
