@@ -549,6 +549,7 @@ def _replay(
             swap = words.bounded(rows, i, to_numpy)
             chosen[rows, i], chosen[rows, swap] = chosen[rows, swap], chosen[rows, i]
         codes.append(np.where(chosen >= 0, chosen + offset, -1))
+        del k, chosen  # freed before the next block allocates
     return _Replayed(
         to_numpy,
         deferred,
@@ -766,6 +767,7 @@ def _graph_from_edges(n: int, T: int, edges: np.ndarray, layer_ids: np.ndarray) 
         key += edges[:, 1]
         order = np.argsort(key)
         layer_ids = np.take(key, order)
+        del key  # freed before the edges are taken
         layer_ids //= n * n
     else:
         order = np.lexsort((edges[:, 1], edges[:, 0], layer_ids))
@@ -800,6 +802,7 @@ def _sample_balanced(m: int, gen: np.random.Generator) -> Assignment:
     order = gen.permutation(m)
     labels = np.zeros(m, dtype=np.int8)
     labels[order[: m // 2]] = 1
+    del order  # freed before the label tuple is built
     return Assignment._from_array(labels)
 
 

@@ -27,6 +27,7 @@ _EXHAUSTIVE_WORK = 10**8  # over the whole search (about 3 s)
 _DEGENERATE_EIGEN_TOL = 1e-10
 _POWER_TOL = 1e-8
 _POWER_MAX_ITER = 1000
+_DEFLATE_ROWS = 32  # rows per step of the in-place deflation
 # Relabel-then-swap rounds of mle_local_search.
 _MAX_ROUNDS = 50
 
@@ -138,7 +139,8 @@ def _weighted_layer_sum(graph: MultiLayerGraph, weights: np.ndarray) -> np.ndarr
     e_i, e_j, e_t = _edge_arrays(graph)
     cells = np.concatenate([e_i * n + e_j, e_j * n + e_i])
     w = weights[e_t]
-    return np.bincount(cells, weights=np.concatenate([w, w]), minlength=n * n).reshape(n, n)
+    sums = np.bincount(cells, weights=np.concatenate([w, w]), minlength=n * n)
+    return sums.astype(np.float64, copy=False).reshape(n, n)  # int64 from numpy when E = 0
 
 
 def aggregate_layer_sum(graph: MultiLayerGraph) -> AggregateMatrix:
@@ -186,12 +188,26 @@ def _power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
 def top_two_eigenpairs(matrix: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Top-2 eigenpairs by |eigenvalue| via power iteration plus deflation."""
+    return _top_two_in_place(np.array(matrix, dtype=np.float64))
+
+
+def _top_two_in_place(matrix: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """top_two_eigenpairs of a float64 matrix that is not read again: it is deflated in place.
+
+    matrix - lam1 * outer(v1, v1) is formed _DEFLATE_ROWS rows at a time,
+    with the same products in the same order as one outer product, so no
+    second n x n array is allocated.
+    """
     lam1, v1 = _power_iteration(matrix)
-    # matrix - lam1 * outer(v1, v1), in one n x n buffer
-    deflated = np.multiply.outer(v1, v1)
-    deflated *= lam1
-    np.subtract(matrix, deflated, out=deflated)
-    lam2, v2 = _power_iteration(deflated)
+    n = len(v1)
+    block = np.empty((min(n, _DEFLATE_ROWS), n))
+    for start in range(0, n, _DEFLATE_ROWS):
+        rows = matrix[start : start + _DEFLATE_ROWS]
+        part = block[: len(rows)]
+        np.multiply.outer(v1[start : start + _DEFLATE_ROWS], v1, out=part)
+        part *= lam1
+        rows -= part
+    lam2, v2 = _power_iteration(matrix)
     return lam1, v1, lam2, v2
 
 
@@ -207,7 +223,8 @@ def balanced_rounding(scores) -> Assignment:
 
 
 def _spectral_round(matrix: np.ndarray, method: str, pick_smaller_mean: bool) -> RecoveryResult:
-    lam1, v1, lam2, v2 = top_two_eigenpairs(matrix)
+    """Round the top eigenvector of a float64 aggregate, which is deflated in place."""
+    lam1, v1, lam2, v2 = _top_two_in_place(matrix)
     # A zero matrix reads lam1 = lam2 = 0, so it takes this fallback too.
     if abs(abs(lam1) - abs(lam2)) <= _DEGENERATE_EIGEN_TOL * max(1.0, abs(lam1)):
         return RecoveryResult(balanced_rounding(np.zeros(len(matrix))), method, degenerate=True)
@@ -222,7 +239,8 @@ def _spectral_round(matrix: np.ndarray, method: str, pick_smaller_mean: bool) ->
 
 def bias_adjusted_spectral(graph: MultiLayerGraph) -> RecoveryResult:
     """Spectral clustering on the debiased squared-adjacency sum."""
-    return _bias_adjusted_without(graph)(())
+    _check_even_sizes(graph, "bias_adjusted_spectral", even_T=False)
+    return _spectral_round(aggregate_bias_adjusted(graph).matrix, "bias-adjusted", True)
 
 
 def _bias_adjusted_without(graph: MultiLayerGraph) -> Callable[[Sequence[int]], RecoveryResult]:
@@ -235,7 +253,7 @@ def _bias_adjusted_without(graph: MultiLayerGraph) -> Callable[[Sequence[int]], 
     full = aggregate_bias_adjusted(graph).matrix
 
     def without(held_out: Sequence[int]) -> RecoveryResult:
-        matrix = full.copy() if len(held_out) else full
+        matrix = full.copy()
         for t in held_out:
             _add_wedges(matrix.reshape(-1), graph.layer_slice(t, t + 1), -1.0)
         return _spectral_round(matrix, "bias-adjusted", True)
@@ -344,8 +362,8 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
     flip-equivalent results with identical objectives.
     """
     n = graph.n
-    l1, v1, l2, v2 = top_two_eigenpairs(aggregate_bias_adjusted(graph).matrix)
-    s1, u1, s2, u2 = top_two_eigenpairs(aggregate_layer_sum(graph).matrix)
+    l1, v1, l2, v2 = _top_two_in_place(aggregate_bias_adjusted(graph).matrix)
+    s1, u1, s2, u2 = _top_two_in_place(aggregate_layer_sum(graph).matrix)
     starts = [balanced_rounding(vec) for vec in (v1, v2, v1 + v2, v1 - v2, u2, u1)]
     starts.append(Assignment(tuple([0] * (n // 2) + [1] * (n // 2))))
     starts.append(Assignment(tuple(i % 2 for i in range(n))))

@@ -29,15 +29,15 @@ _U32 = 0xFFFFFFFF
 # generate_state(4, uint64) reads eight uint32 words cycling over the pool,
 # each hashed with the running constant INIT_B * MULT_B**i.
 _HASH_B = [_INIT_B * pow(_MULT_B, i, 2**32) & _U32 for i in range(9)]
-_XOR_B = np.array(_HASH_B[:8], dtype=np.uint64)[:, None]
-_MUL_B = np.array(_HASH_B[1:], dtype=np.uint64)[:, None]
+_XOR_B = np.array(_HASH_B[:8], dtype=np.uint64)
+_MUL_B = np.array(_HASH_B[1:], dtype=np.uint64)
 _CYCLE = np.arange(8) % _POOL_SIZE
 _M32, _S1, _S16, _S32 = np.uint64(_U32), np.uint64(1), np.uint64(16), np.uint64(32)
 _U64 = 2**64 - 1
 _MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _U64)
 
-# Substreams derived in one vectorised pass; bounds the temporaries to a few
-# hundred KB whatever the layer count.
+# Substreams derived in one vectorised pass. A block's states take 128 KB,
+# and deriving them peaks at 354 KB under tracemalloc, whatever the layer count.
 _STATE_BLOCK = 4096
 # The last path word t must fit one uint32 word of numpy's entropy array.
 MAX_SUBSTREAMS = 2**32
@@ -93,64 +93,116 @@ def _mixing_point(seed: int, tag: int) -> tuple[list[int], int]:
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, for a uint64 array a."""
+    """High 64 bits of the 128-bit products a * b, for a uint64 array a, as a new array."""
     a0, a1 = a & _M32, a >> _S32
     b0, b1 = np.uint64(b & _U32), np.uint64(b >> 32)
     cross1, cross0 = a1 * b0, a0 * b1
-    carry = ((a0 * b0 >> _S32) + (cross1 & _M32) + (cross0 & _M32)) >> _S32
-    return a1 * b1 + (cross1 >> _S32) + (cross0 >> _S32) + carry
+    carry = a0  # a0 is not read again
+    carry *= b0
+    carry >>= _S32
+    carry += cross1 & _M32
+    carry += cross0 & _M32
+    carry >>= _S32
+    high = a1
+    high *= b1
+    cross1 >>= _S32
+    high += cross1
+    cross0 >>= _S32
+    high += cross0
+    high += carry
+    return high
+
+
+def _xorshift16(words: np.ndarray, scratch: np.ndarray) -> None:
+    """words ^= words >> 16 in place, a row at a time through one row-sized scratch array."""
+    for row in np.atleast_2d(words):
+        np.right_shift(row, _S16, out=scratch)
+        row ^= scratch
 
 
 def _pcg64_states(pool: list[int], hash_a: int, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """PCG64 `state` and `inc` of SeedSequence(seed, spawn_key=(tag, t)) for a uint64 array t.
 
-    Returns them as uint64 halves (state_hi, state_lo, inc_hi, inc_lo).
-    `pool` and `hash_a` come from _mixing_point. uint64 array arithmetic
-    wraps silently, and every uint32 step masks to 32 bits.
+    Returns them as uint64 halves (state_hi, state_lo, inc_hi, inc_lo), the
+    rows of one (4, len(t)) array. `pool` and `hash_a` come from
+    _mixing_point. uint64 array arithmetic wraps silently, and every uint32
+    step masks to 32 bits. Each step updates its operand in place, so the
+    temporaries stay at one (4, len(t)) array and a few rows.
     """
     hashes = [hash_a * pow(_MULT_A, i, 2**32) & _U32 for i in range(_POOL_SIZE + 1)]
     xor_a = np.array(hashes[:-1], dtype=np.uint64)[:, None]
     mul_a = np.array(hashes[1:], dtype=np.uint64)[:, None]
     pool_l = np.array([_MIX_MULT_L * word & _U32 for word in pool], dtype=np.uint64)[:, None]
+    scratch, high = np.empty(len(t), dtype=np.uint64), np.empty(len(t), dtype=np.uint64)
     # mix_entropy's last round: hashmix(t) mixed into each of the pool words.
-    value = (t ^ xor_a) * mul_a & _M32
-    value ^= value >> _S16
-    mixed = (pool_l - np.uint64(_MIX_MULT_R) * value) & _M32
-    mixed ^= mixed >> _S16
-    # generate_state(4, uint64), read as (initstate hi, lo, initseq hi, lo).
-    words = (mixed[_CYCLE] ^ _XOR_B) * _MUL_B & _M32
-    words ^= words >> _S16
-    seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << _S32
+    mixed = t ^ xor_a
+    mixed *= mul_a
+    mixed &= _M32
+    _xorshift16(mixed, scratch)
+    mixed *= np.uint64(_MIX_MULT_R)
+    np.subtract(pool_l, mixed, out=mixed)
+    mixed &= _M32
+    _xorshift16(mixed, scratch)
+    # generate_state(4, uint64), read as (initstate hi, lo, initseq hi, lo):
+    # half h joins the hashed words 2h (low) and 2h + 1 (high).
+    halves = np.empty((4, len(t)), dtype=np.uint64)
+    for h, half in enumerate(halves):
+        for word, i in ((half, 2 * h), (high, 2 * h + 1)):
+            np.bitwise_xor(mixed[_CYCLE[i]], _XOR_B[i], out=word)
+            word *= _MUL_B[i]
+            word &= _M32
+            _xorshift16(word, scratch)
+        high <<= _S32
+        half |= high
+    del mixed
     # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1, then one step from
     # inc + initstate, so state = (inc + initstate) * M + inc mod 2**128.
-    inc_hi = seq_hi << _S1 | seq_lo >> np.uint64(63)
-    inc_lo = seq_lo << _S1 | _S1
-    sum_lo = inc_lo + seed_lo
-    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
-    return (*_pcg64_step(sum_hi, sum_lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    seed_hi, seed_lo, inc_hi, inc_lo = halves
+    np.right_shift(inc_lo, np.uint64(63), out=scratch)
+    inc_hi <<= _S1
+    inc_hi |= scratch
+    inc_lo <<= _S1
+    inc_lo |= _S1
+    seed_lo += inc_lo
+    seed_hi += inc_hi
+    seed_hi += seed_lo < inc_lo
+    _pcg64_step(seed_hi, seed_lo, inc_hi, inc_lo)
+    return tuple(halves)
 
 
-def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 LCG step, state * M + inc mod 2**128, on uint64 (hi, lo) halves."""
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> None:
+    """One PCG64 LCG step, state * M + inc mod 2**128, in place on uint64 (hi, lo) halves."""
+    prod_hi = _mulhi64(lo, _PCG64_MULT & _U64)
+    prod_hi += lo * _MULT_HI
+    hi *= _MULT_LO
+    prod_hi += hi
     prod_lo = lo * _MULT_LO
-    prod_hi = _mulhi64(lo, _PCG64_MULT & _U64) + lo * _MULT_HI + hi * _MULT_LO
-    new_lo = prod_lo + inc_lo
-    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+    np.add(prod_lo, inc_lo, out=lo)
+    np.add(prod_hi, inc_hi, out=hi)
+    hi += lo < prod_lo
 
 
 def _pcg64_outputs(states: tuple[np.ndarray, ...], count: int) -> np.ndarray:
     """The first `count` raw uint64 outputs of each PCG64 state, as a (count, L) array.
 
     `states` is (state_hi, state_lo, inc_hi, inc_lo) as _pcg64_states returns
-    it. PCG64 steps, then outputs XSL-RR: hi ^ lo rotated right by the top
-    six state bits. Row r is what `bit_generator.random_raw()` returns r-th.
+    it, and is left as it is. PCG64 steps, then outputs XSL-RR: hi ^ lo
+    rotated right by the top six state bits. Row r is what
+    `bit_generator.random_raw()` returns r-th.
     """
     hi, lo, inc_hi, inc_lo = states
+    hi, lo = hi.copy(), lo.copy()
     outputs = np.empty((count, len(hi)), dtype=np.uint64)
+    xored, rot = np.empty_like(hi), np.empty_like(hi)
     for row in outputs:
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        xored, rot = hi ^ lo, hi >> np.uint64(58)
-        row[...] = xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
+        _pcg64_step(hi, lo, inc_hi, inc_lo)
+        np.bitwise_xor(hi, lo, out=xored)
+        np.right_shift(hi, np.uint64(58), out=rot)
+        np.right_shift(xored, rot, out=row)
+        np.subtract(np.uint64(64), rot, out=rot)
+        rot &= np.uint64(63)
+        xored <<= rot
+        row |= xored
     return outputs
 
 
@@ -178,8 +230,10 @@ def _bulk_substreams(seed: int, tag: int, count: int):
 
 def _state_blocks(gen: np.random.Generator, pool: list[int], hash_a: int, count: int):
     for start in range(0, count, _STATE_BLOCK):
-        t = np.arange(start, min(start + _STATE_BLOCK, count), dtype=np.uint64)
-        states = _pcg64_states(pool, hash_a, t)
+        # t is not held while the caller reads the block
+        states = _pcg64_states(
+            pool, hash_a, np.arange(start, min(start + _STATE_BLOCK, count), dtype=np.uint64)
+        )
         # Before the first yield the generator still holds numpy's t = 0 state.
         if start == 0 and gen.bit_generator.state["state"] != _joined(states, 0):
             raise RuntimeError("bulk substream states differ from numpy's PCG64 seeding")

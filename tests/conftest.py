@@ -31,6 +31,17 @@ def peak_while_refusing(call, graph, match=None) -> int:
         tracemalloc.stop()
 
 
+def traced_peak(call) -> int:
+    """Peak traced bytes above the start while call() runs; the caller warms caches first."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def spare_cpus(patch, count):
     """Let this process run on count + 1 CPUs.
 

@@ -35,7 +35,7 @@ from mlsbm.seeding import (
     _joined,
 )
 
-from conftest import balanced_assignments
+from conftest import balanced_assignments, traced_peak
 
 # ---------------------------------------------------------------- parameters
 
@@ -915,6 +915,16 @@ def test_layers_drawn_through_numpy_make_the_reference_samplers_calls(monkeypatc
                 assert next(calls) == ("choice", k)
         assert sum(name == "binomial" for name, _ in gen.calls) == layers * blocks
         assert ("choice", 1) in gen.calls
+
+
+def test_gap_cell_sample_peaks_under_its_measured_bound():
+    # The gap cell derives 40,000 layer substreams in ten state blocks. With
+    # the seeding arithmetic in place and the replay's block temporaries
+    # freed, the peak reads 1,291 KB (it was 1,801 KB); the tau labels alone
+    # hold 360 KB of it.
+    params = MlsbmParams(n=100, T=40000, rho=5e-5)
+    sample_planted(params, seed=1)
+    assert traced_peak(lambda: sample_planted(params, seed=2)) < 1450 * 1024
 
 
 def test_more_than_two_to_the_32_layers_are_refused_before_allocating():

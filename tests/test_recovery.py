@@ -713,10 +713,16 @@ def _power_iteration_matrices():
 
 def test_power_iteration_equals_the_two_mat_vec_reference_exactly():
     for name, matrix in _power_iteration_matrices():
+        before = matrix.copy()
         got = top_two_eigenpairs(matrix)
         want = reference_top_two_eigenpairs(matrix)
         assert got[0] == want[0] and got[2] == want[2], name
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3]), name
+        # the caller's matrix is not deflated; the library's own aggregates are, in place
+        assert np.array_equal(matrix, before), name
+        in_place = recovery._top_two_in_place(before)
+        assert in_place[0] == got[0] and in_place[2] == got[2], name
+        assert np.array_equal(in_place[1], got[1]) and np.array_equal(in_place[3], got[3]), name
         # the returned vectors are the caller's: a later call does not write into them
         kept = got[1].copy(), got[3].copy()
         top_two_eigenpairs(matrix)
@@ -880,6 +886,13 @@ def test_aggregators_match_dense_oracle(graph, data):
         tau = Assignment(tuple(data.draw(st.permutations([0] * half + [1] * half))))
         signed = sum((1 - 2 * b) * A for b, A in zip(tau.labels, adjacency))
         assert np.array_equal(aggregate_signed(graph, tau).matrix, signed)
+
+
+def test_aggregates_of_an_edgeless_graph_are_float64_zeros():
+    graph = MultiLayerGraph(n=4, T=2, layers=[[], []])
+    for aggregate in (aggregate_bias_adjusted(graph), aggregate_layer_sum(graph),
+                      aggregate_signed(graph, Assignment((0, 1)))):
+        assert aggregate.matrix.dtype == np.float64 and not aggregate.matrix.any()
 
 
 def test_bias_adjusted_star_layer_links_every_leaf_pair():

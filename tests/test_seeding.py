@@ -20,6 +20,8 @@ from mlsbm.seeding import (
     _reseed_each,
 )
 
+from conftest import traced_peak
+
 # Seeds of one, two (derive_seed's 63-bit seeds) and several uint32 words,
 # and tags of one and two words.
 SEEDS = st.one_of(
@@ -70,6 +72,15 @@ def test_bulk_outputs_and_stepped_states_equal_the_generators(seed, tag, count, 
             fresh = substream(seed, tag, start + k).bit_generator
             assert outputs[:, k].tolist() == fresh.random_raw(draws).tolist(), start + k
             assert _joined(states, k, draws) == fresh.state["state"], start + k
+
+
+def test_a_state_block_peaks_under_three_times_its_states():
+    # A block's states are 128 KB (four uint64 halves of 4,096 entries). In
+    # place, the derivation adds one (4, 4096) array and a few rows: 354 KB
+    # in all (it was 1,059 KB).
+    args = (*_mixing_point(7, 2), np.arange(_STATE_BLOCK, dtype=np.uint64))
+    _pcg64_states(*args)
+    assert traced_peak(lambda: _pcg64_states(*args)) < 3 * 4 * 8 * _STATE_BLOCK
 
 
 def test_reseeded_generator_draws_like_a_fresh_substream():
