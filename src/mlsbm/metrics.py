@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .model import Assignment
 
@@ -31,7 +33,7 @@ def hamming_loss(sigma_hat: Assignment, sigma: Assignment) -> RecoveryLoss:
             f"length mismatch: {sigma_hat.size} vs {sigma.size}"
         )
     n = sigma.size
-    d = sum(a != b for a, b in zip(sigma_hat.labels, sigma.labels))
+    d = int(np.count_nonzero(sigma_hat.as_array() != sigma.as_array()))
     return RecoveryLoss(min(d, n - d) / n)
 
 

@@ -75,14 +75,15 @@ def _check_rho(rho) -> float:
     return rho
 
 
-def _as_bits(values, name: str) -> tuple[int, ...]:
+def _as_bits(values, name: str) -> np.ndarray:
+    """values as an int8 array of 0/1 bits; anything else is refused."""
     try:
         bits = tuple(map(int, values))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a sequence of bits") from exc
     if not set(bits) <= {0, 1}:
         raise ValidationError(f"{name} entries must all be 0 or 1")
-    return bits
+    return np.array(bits, dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -103,56 +104,70 @@ class MlsbmParams:
         object.__setattr__(self, "rho", _check_rho(self.rho))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Assignment:
-    """A balanced binary labelling: exactly half the entries are 1."""
+    """A balanced binary labelling: exactly half the entries are 1.
 
-    labels: tuple[int, ...]
+    Stored as one read-only int8 array of the bits; `labels` builds their
+    tuple each time it is read.
+    """
 
-    def __post_init__(self):
-        bits = _as_bits(self.labels, "labels")
+    _bits: np.ndarray
+
+    def __init__(self, labels: Iterable[int]):
+        bits = _as_bits(labels, "labels")
         if len(bits) == 0 or len(bits) % 2 != 0:
             raise ValidationError(f"labels length must be even and positive, got {len(bits)}")
-        if sum(bits) != len(bits) // 2:
+        ones = int(bits.sum())
+        if ones != len(bits) // 2:
             raise ValidationError(
-                f"labels must be balanced: expected {len(bits) // 2} ones, got {sum(bits)}"
+                f"labels must be balanced: expected {len(bits) // 2} ones, got {ones}"
             )
-        object.__setattr__(self, "labels", bits)
+        bits.setflags(write=False)
+        object.__setattr__(self, "_bits", bits)
 
     @classmethod
     def _from_array(cls, bits: np.ndarray) -> "Assignment":
-        """The labelling of a balanced int8 0/1 array, taken as it is: no per-item re-check."""
+        """The labelling of a balanced int8 0/1 array, kept as it is: no per-item re-check."""
         labels = object.__new__(cls)
-        object.__setattr__(labels, "labels", tuple(bits.tolist()))
         bits.setflags(write=False)
-        labels.__dict__["_array"] = bits
+        object.__setattr__(labels, "_bits", bits)
         return labels
+
+    def __eq__(self, other):
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        return np.array_equal(self._bits, other._bits)
+
+    def __hash__(self):
+        return hash(self._bits.tobytes())
+
+    def __repr__(self):
+        return f"Assignment(labels={self.labels!r})"
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self._bits.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.labels)
-
-    @functools.cached_property
-    def _array(self) -> np.ndarray:
-        bits = np.array(self.labels, dtype=np.int8)
-        bits.setflags(write=False)
-        return bits
+        return len(self._bits)
 
     def as_array(self) -> np.ndarray:
-        """The labels as one read-only int8 array, built once."""
-        return self._array
+        """The labels as the read-only int8 array the labelling is stored as."""
+        return self._bits
 
     def flipped(self) -> "Assignment":
-        return Assignment._from_array(np.subtract(1, self.as_array(), dtype=np.int8))
+        return Assignment._from_array(np.subtract(1, self._bits, dtype=np.int8))
 
     def bitstring(self) -> str:
-        return "".join(str(b) for b in self.labels)
+        return (self._bits + ord("0")).tobytes().decode("ascii")
 
     @classmethod
     def from_bitstring(cls, text: str) -> "Assignment":
         if not text or any(c not in "01" for c in text):
             raise ValidationError(f"bitstring must be non-empty over {{0,1}}, got {text!r}")
-        return cls(tuple(int(c) for c in text))
+        return cls(text)
 
 
 def _check_caps(n: int, T: int) -> None:
@@ -659,7 +674,7 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
     deferred = []
     unprobed = [True, True, True]  # see _replay_layers
     for start, states in blocks:
-        layers = np.arange(start, start + len(states[0]))
+        layers = np.arange(start, start + len(states[0]), dtype=np.uint32)  # T <= 2**32
         if sampler.plan is None:
             drawn.append(_draw_each(sampler, gen, states, layers, layers - start))
         else:
@@ -672,7 +687,7 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
     del drawn
     edges = sampler.decode(codes)
     del codes  # freed before the sort allocates
-    return _graph_from_edges(n, T, edges, np.repeat(layers, sizes))
+    return _graph_from_edges(n, T, edges, np.repeat(layers.astype(np.int64), sizes))
 
 
 def _draw_each(
@@ -692,7 +707,17 @@ def _draw_each(
         before = len(codes)
         sampler.draw(int(layers[k]), gen, codes)
         sizes[row] = len(codes) - before
-    return np.frombuffer(codes, dtype=np.int64), layers[picks][sizes > 0], sizes[sizes > 0]
+    return np.frombuffer(codes, dtype=np.int64), *_drawn_layers(layers[picks], sizes)
+
+
+def _drawn_layers(layers: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layers with codes, beside their code counts in the narrowest type that holds them.
+
+    A layer can draw more than 2**32 codes at large n, so the type is
+    chosen from the counts; it is signed, so np.repeat takes it.
+    """
+    kept = sizes > 0
+    return layers[kept], sizes[kept].astype(np.min_scalar_type(-int(sizes.max(initial=0))))
 
 
 def _replay_layers(
@@ -724,8 +749,7 @@ def _replay_layers(
         drawn.append(_draw_each(sampler, gen, states, layers, np.flatnonzero(replay.to_numpy)))
     replayed = replay.codes >= 0
     replayed[~done] = False
-    sizes = replayed.sum(axis=1)
-    drawn.append((replay.codes[replayed], layers[sizes > 0], sizes[sizes > 0]))
+    drawn.append((replay.codes[replayed], *_drawn_layers(layers, replayed.sum(axis=1))))
     return replay.deferred
 
 
@@ -794,7 +818,7 @@ def sample_conditional(
     if (len(sigma), len(tau)) != (n, T):
         raise ValidationError(f"sigma_bits and tau_bits need lengths {n} and {T}")
     rho = _check_rho(rho)
-    sampler = _planted_sampler(n, rho, np.array(sigma, dtype=np.int8), np.array(tau, dtype=np.int8))
+    sampler = _planted_sampler(n, rho, sigma, tau)
     return _sample_layers(n, T, seed, sampler)
 
 
@@ -802,7 +826,6 @@ def _sample_balanced(m: int, gen: np.random.Generator) -> Assignment:
     order = gen.permutation(m)
     labels = np.zeros(m, dtype=np.int8)
     labels[order[: m // 2]] = 1
-    del order  # freed before the label tuple is built
     return Assignment._from_array(labels)
 
 

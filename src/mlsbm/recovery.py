@@ -130,31 +130,34 @@ def _add_wedges(flat: np.ndarray, graph: MultiLayerGraph, sign: float) -> None:
         pos = pos[codes[pos + d] // n == codes[pos] // n]
 
 
-def _weighted_layer_sum(graph: MultiLayerGraph, weights: np.ndarray) -> np.ndarray:
-    """Sum over layers of weights[t] * A_t as a dense n x n matrix.
+def _weighted_layer_sum(graph: MultiLayerGraph, tau: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over layers of (1 - 2 tau[t]) A_t, or of A_t without tau, as a dense n x n matrix.
 
-    One bincount over both orientations, so only one n x n array is allocated.
+    tau holds the layers' 0/1 bits. One bincount over both orientations
+    with each edge's sign as its weight, so the only float64 arrays are
+    bincount's copy of the 2E signs and the one n x n result: nothing of
+    size T. (An unweighted count would need a second n x n array, its int64
+    counts, before the float64 result.)
     """
     n = graph.n
     e_i, e_j, e_t = _edge_arrays(graph)
     cells = np.concatenate([e_i * n + e_j, e_j * n + e_i])
-    w = weights[e_t]
-    sums = np.bincount(cells, weights=np.concatenate([w, w]), minlength=n * n)
+    signs = np.ones(len(e_t), dtype=np.int8) if tau is None else 1 - 2 * tau[e_t]
+    sums = np.bincount(cells, weights=np.concatenate([signs, signs]), minlength=n * n)
     return sums.astype(np.float64, copy=False).reshape(n, n)  # int64 from numpy when E = 0
 
 
 def aggregate_layer_sum(graph: MultiLayerGraph) -> AggregateMatrix:
     """Plain sum of adjacency matrices."""
     _check_dense_size(graph.n)
-    return AggregateMatrix(_weighted_layer_sum(graph, np.ones(graph.T)))
+    return AggregateMatrix(_weighted_layer_sum(graph))
 
 
 def aggregate_signed(graph: MultiLayerGraph, tau: Assignment) -> AggregateMatrix:
     """Type-signed sum: layers with tau_t = 1 enter with weight -1."""
     _check_dense_size(graph.n)
     _check_label_sizes(graph, tau=tau)
-    weights = 1.0 - 2.0 * tau.as_array()
-    return AggregateMatrix(_weighted_layer_sum(graph, weights))
+    return AggregateMatrix(_weighted_layer_sum(graph, tau.as_array()))
 
 
 def _power_iteration(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -298,7 +301,7 @@ def _layer_margins(graph: MultiLayerGraph, sig: np.ndarray) -> np.ndarray:
 
 
 def _tau_for_sigma(graph: MultiLayerGraph, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced tau maximizing the objective for fixed sigma, and that maximum.
+    """Balanced tau (int8 bits) maximizing the objective for fixed sigma, and that maximum.
 
     For fixed sigma the objective separates over layers, so the T/2 layers
     with the largest margins get tau_t = 0; a stable sort gives tied layers
@@ -307,7 +310,7 @@ def _tau_for_sigma(graph: MultiLayerGraph, sig: np.ndarray) -> tuple[np.ndarray,
     """
     margins = _layer_margins(graph, sig)
     order = np.argsort(-margins, axis=-1, kind="stable")
-    tau = np.ones_like(margins)
+    tau = np.ones(margins.shape, dtype=np.int8)
     np.put_along_axis(tau, order[..., : graph.T // 2], 0, axis=-1)
     return tau, (graph.total_edges + (margins * (1 - 2 * tau)).sum(axis=-1)) // 2
 
@@ -345,9 +348,9 @@ def mle_exhaustive(graph: MultiLayerGraph) -> RecoveryResult:
         if objs[k] > best:
             best, sigma_hat, tau_hat = int(objs[k]), block[k], taus[k]
     return RecoveryResult(
-        Assignment(tuple(sigma_hat.tolist())),
+        Assignment(sigma_hat),
         "mle-exhaustive",
-        tau_hat=Assignment(tuple(tau_hat.tolist())),
+        tau_hat=Assignment(tau_hat),
         objective=best,
     )
 
@@ -370,7 +373,8 @@ def default_start_battery(graph: MultiLayerGraph) -> list[Assignment]:
     seen = set()
     unique = []
     for start in starts:
-        key = min(start.labels, start.flipped().labels)
+        bits = start.as_array()
+        key = (bits ^ bits[0]).tobytes()  # the same for a start and its flip
         if key not in seen:
             seen.add(key)
             unique.append(start)
@@ -464,7 +468,7 @@ def _signed_sums(graph: MultiLayerGraph) -> Callable[[np.ndarray], np.ndarray]:
         canonical = tau ^ flip
         key = canonical.tobytes()
         if key not in built:
-            built[key] = _weighted_layer_sum(graph, 1.0 - 2.0 * canonical).astype(entries)
+            built[key] = _weighted_layer_sum(graph, canonical).astype(entries)
         return np.multiply(built[key], 2 * K if flip else -2 * K, dtype=scores)
 
     return signed_sum
@@ -530,7 +534,7 @@ def _ascent(
     return RecoveryResult(
         Assignment._from_array(sig),
         "mle-local",
-        tau_hat=Assignment._from_array(tau.astype(np.int8)),
+        tau_hat=Assignment._from_array(tau),
         objective=obj,
         objective_trace=tuple(trace),
     )

@@ -181,7 +181,7 @@ def _parity_table(name: str, n: int, T: int, slots: Optional[Sequence[Slot]] = N
     if cells > _TABLE_GUARD_CELLS:
         raise SizeGuardError(f"{name} needs {cells} table cells > {_TABLE_GUARD_CELLS}")
     if tau is not None:
-        tau = _as_bits(tau.labels if isinstance(tau, Assignment) else tau, "tau")
+        tau = tau.as_array() if isinstance(tau, Assignment) else _as_bits(tau, "tau")
         if len(tau) != T:
             raise ValidationError(f"tau has {len(tau)} entries but T={T}")
     slots = _slot_list(n, T) if slots is None else slots
@@ -189,7 +189,7 @@ def _parity_table(name: str, n: int, T: int, slots: Optional[Sequence[Slot]] = N
     sigmas = _balanced_rows(n)
     node_part = sigmas[:, i] + sigmas[:, j]
     if tau is not None:
-        table = node_part + np.asarray(tau, dtype=np.int8)[t]
+        table = node_part + tau[t]
     else:
         taus = _balanced_rows(T)
         table = (node_part[:, None, :] + taus[None, :, t]).reshape(labellings, n_slots)

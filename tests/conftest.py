@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calibrate import PROTOCOLS
@@ -85,6 +86,23 @@ def balanced_assignments(m):
         Assignment(tuple(0 if k in zeros else 1 for k in range(m)))
         for zeros in itertools.combinations(range(m), m // 2)
     ]
+
+
+def assert_as_if_validated(labelling):
+    """A labelling built without re-validation equals its validated twin, is
+    balanced, and is stored as one read-only int8 array of its labels."""
+    labels = labelling.labels
+    twin = Assignment(labels)
+    assert twin == labelling and hash(twin) == hash(labelling)
+    assert labels == twin.labels and all(type(b) is int for b in labels)
+    assert labelling.size == twin.size == len(labels) == 2 * sum(labels)
+    assert labelling.bitstring() == twin.bitstring() == "".join(str(b) for b in labels)
+    flipped = labelling.flipped()
+    assert flipped == twin.flipped() and hash(flipped) == hash(twin.flipped())
+    assert flipped.labels == tuple(1 - b for b in labels) and flipped != labelling
+    bits = labelling.as_array()
+    assert bits.dtype == np.int8 and not bits.flags.writeable
+    assert bits.tolist() == list(labels)
 
 
 def parity_even_graph(n, T, sigma_bits, tau_bits):

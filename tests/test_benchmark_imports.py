@@ -12,19 +12,25 @@ from pathlib import Path
 import numpy as np
 
 from mlsbm import (
+    Assignment,
     MlsbmParams,
     MultiLayerGraph,
+    RecoveryResult,
     aggregate_bias_adjusted,
     aggregate_layer_sum,
     aggregate_signed,
+    balanced_rounding,
     bias_adjusted_spectral,
     default_start_battery,
     derive_seed,
+    hamming_loss,
     mle_local_search,
     mle_local_search_multistart,
+    oracle_tau_spectral,
     read_results,
     sample_planted,
     shuffled_test,
+    top_two_eigenpairs,
     write_results,
 )
 from mlsbm.cli import main
@@ -79,7 +85,40 @@ def test_the_calls_traced_py_composes_run_on_one_small_graph(tmp_path, capsys):
     assert calls and outcome.decision == shared.decision
     assert outcome.shuffle_rounds_used == shared.shuffle_rounds_used >= 1
 
+    # traced.py's start battery: the same roundings, deduplicated on
+    # min(start.labels, start.flipped().labels).
+    _, v1, _, v2 = top_two_eigenpairs(aggregate_bias_adjusted(graph).matrix)
+    _, u1, _, u2 = top_two_eigenpairs(aggregate_layer_sum(graph).matrix)
+    composed = [balanced_rounding(vec) for vec in (v1, v2, v1 + v2, v1 - v2, u2, u1)]
+    half = graph.n // 2
+    composed.append(Assignment(tuple([0] * half + [1] * half)))
+    composed.append(Assignment(tuple(i % 2 for i in range(graph.n))))
+    composed.append(composed[0].flipped())  # a flip of an earlier start: dropped
+    seen, unique = set(), []
+    for start in composed:
+        key = min(start.labels, start.flipped().labels)
+        if key not in seen:
+            seen.add(key)
+            unique.append(start)
     starts = default_start_battery(graph)
+    assert starts == unique and len(unique) < len(composed)
+
+    # traced.py's spectral route, compared with the library's as (sigma_hat, degenerate).
+    for matrix, pick_smaller_mean, library in (
+        (aggregate_signed(graph, inst.tau).matrix, False, oracle_tau_spectral(graph, inst.tau)),
+        (aggregate_bias_adjusted(graph).matrix, True, bias_adjusted_spectral(graph)),
+    ):
+        lam1, w1, lam2, w2 = top_two_eigenpairs(matrix)
+        degenerate = abs(abs(lam1) - abs(lam2)) <= 1e-10 * max(1.0, abs(lam1))
+        smaller = pick_smaller_mean and abs(float(w2.mean())) < abs(float(w1.mean()))
+        sigma = balanced_rounding(np.zeros(graph.n) if degenerate else w2 if smaller else w1)
+        composed_result = RecoveryResult(sigma, "composed", degenerate=degenerate)
+        assert (composed_result.sigma_hat, composed_result.degenerate) == (
+            library.sigma_hat, library.degenerate)
+        loss = hamming_loss(library.sigma_hat, inst.sigma).value
+        assert isinstance(loss, float) and 0.0 <= loss <= 0.5
+        assert loss == hamming_loss(composed_result.sigma_hat, inst.sigma).value
+
     results = [mle_local_search(graph, init) for init in starts]
     assert all(len(result.objective_trace) >= 1 for result in results)
     best = mle_local_search_multistart(graph)

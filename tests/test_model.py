@@ -16,8 +16,11 @@ from mlsbm import (
     PlantedInstance,
     SizeGuardError,
     ValidationError,
+    aggregate_signed,
+    bias_adjusted_spectral,
     edge_probability,
     ldlr_upper_bound,
+    oracle_tau_spectral,
     read_graph,
     run_gap_demo,
     sample_conditional,
@@ -35,7 +38,7 @@ from mlsbm.seeding import (
     _joined,
 )
 
-from conftest import balanced_assignments, traced_peak
+from conftest import assert_as_if_validated, balanced_assignments, traced_peak
 
 # ---------------------------------------------------------------- parameters
 
@@ -84,18 +87,32 @@ def test_assignment_must_be_balanced():
     assert Assignment((1, 0)).labels == (1, 0)
 
 
-def test_assignment_array_is_one_read_only_int8_copy_of_the_labels():
+def test_assignment_array_is_one_read_only_int8_copy_of_the_labels(tmp_path):
     a = Assignment((1, 0, 0, 1))
     bits = a.as_array()
     assert bits.dtype == np.int8 and bits.tolist() == [1, 0, 0, 1]
     assert a.as_array() is bits and not bits.flags.writeable
-    inst = sample_planted(MlsbmParams(n=8, T=6, rho=0.1), seed=2)
-    for sampled in (inst.sigma, inst.tau):
-        # Sampled labels skip the per-item re-check; they equal validated ones.
-        assert Assignment(sampled.labels) == sampled
-        assert sampled.as_array() is sampled.as_array()
-        assert sampled.as_array().tolist() == list(sampled.labels)
-        assert not sampled.as_array().flags.writeable
+    assert list(vars(a)) == ["_bits"]  # the array is all the labelling holds
+    assert a.labels == (1, 0, 0, 1) and a.labels is not a.labels  # built on each read
+    small = sample_planted(MlsbmParams(n=8, T=6, rho=0.1), seed=2)
+    gap = model.sample_planted_empty(100, 40000, seed=2)
+    for inst in (small, gap):
+        for sampled in (inst.sigma, inst.tau):
+            # Sampled labels skip the per-item re-check; they equal validated ones.
+            assert_as_if_validated(sampled)
+            assert sampled.as_array() is sampled.as_array()
+            assert list(vars(sampled)) == ["_bits"]
+        validated = PlantedInstance(
+            inst.graph, Assignment(inst.sigma.labels), Assignment(inst.tau.labels)
+        )
+        write_graph(tmp_path / "sampled.edges", inst)
+        write_graph(tmp_path / "validated.edges", validated)
+        text = (tmp_path / "sampled.edges").read_bytes()
+        assert text == (tmp_path / "validated.edges").read_bytes()
+        footers = [f"{name} {''.join(map(str, labels.labels))}" for name, labels in
+                   (("sigma", inst.sigma), ("tau", inst.tau))]
+        assert text.decode("ascii").splitlines()[-2:] == footers
+    assert gap.tau.size == 40000
 
 
 @pytest.mark.parametrize(
@@ -918,13 +935,37 @@ def test_layers_drawn_through_numpy_make_the_reference_samplers_calls(monkeypatc
 
 
 def test_gap_cell_sample_peaks_under_its_measured_bound():
-    # The gap cell derives 40,000 layer substreams in ten state blocks. With
-    # the seeding arithmetic in place and the replay's block temporaries
-    # freed, the peak reads 1,291 KB (it was 1,801 KB); the tau labels alone
-    # hold 360 KB of it.
+    # The gap cell derives 40,000 layer substreams in ten state blocks, and
+    # the peak sits in the last block's replay. With tau held as one 40 KB
+    # int8 array (no 320 KB label tuple) and each drawn layer's id and code
+    # count kept in 32 bits or less, it reads 888 KB (it was 1,291 KB).
     params = MlsbmParams(n=100, T=40000, rho=5e-5)
     sample_planted(params, seed=1)
-    assert traced_peak(lambda: sample_planted(params, seed=2)) < 1450 * 1024
+    assert traced_peak(lambda: sample_planted(params, seed=2)) < 980 * 1024
+
+
+def test_gap_cell_labels_peak_under_their_measured_bound():
+    # Two permutations and two int8 label arrays: 353 KB (667 KB when tau was
+    # also a tuple, built through a list).
+    model.sample_planted_empty(100, 40000, seed=1)
+    assert traced_peak(lambda: model.sample_planted_empty(100, 40000, seed=2)) < 390 * 1024
+
+
+def test_gap_cell_signed_sum_and_unit_peak_under_their_measured_bounds():
+    # Each edge is signed from its layer's tau bit: no T-sized float64 weight
+    # vector. aggregate_signed reads 577 KB (940 KB with the weights) and a
+    # whole gap unit, sample then both spectral methods, 888 KB (1,526 KB).
+    params = MlsbmParams(n=100, T=40000, rho=5e-5)
+    inst = sample_planted(params, seed=2)
+    aggregate_signed(inst.graph, inst.tau)
+    assert traced_peak(lambda: aggregate_signed(inst.graph, inst.tau)) < 635 * 1024
+
+    def unit():
+        unit_inst = sample_planted(params, seed=3)
+        oracle_tau_spectral(unit_inst.graph, unit_inst.tau)
+        bias_adjusted_spectral(unit_inst.graph)
+
+    assert traced_peak(unit) < 1100 * 1024
 
 
 def test_more_than_two_to_the_32_layers_are_refused_before_allocating():

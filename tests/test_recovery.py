@@ -37,7 +37,13 @@ from mlsbm.experiments import RECOVERY_RUNNERS
 from mlsbm.model import _balanced_rows, _from_table
 from mlsbm.recovery import _edge_arrays, _tau_for_sigma, to_json_record
 
-from conftest import balanced_assignments, fresh, parity_even_graph, peak_while_refusing
+from conftest import (
+    assert_as_if_validated,
+    balanced_assignments,
+    fresh,
+    parity_even_graph,
+    peak_while_refusing,
+)
 
 
 def empty_graph(n, T):
@@ -506,18 +512,6 @@ def test_local_search_at_the_edges_of_its_score_types(n, T, scores):
         assert_matches_reference(graph, init)
 
 
-def assert_as_if_validated(labelling):
-    """A labelling built without re-validation equals its validated twin, is
-    balanced, and has a read-only int8 array of its labels."""
-    twin = Assignment(labelling.labels)
-    assert twin == labelling and hash(twin) == hash(labelling)
-    assert all(type(b) is int for b in labelling.labels)
-    assert 2 * sum(labelling.labels) == labelling.size
-    bits = labelling.as_array()
-    assert bits.dtype == np.int8 and not bits.flags.writeable
-    assert bits.tolist() == list(labelling.labels)
-
-
 @given(case=st.one_of(ascent_cases(), tie_heavy_cases()), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_labellings_built_without_revalidation_equal_their_validated_twins(case, data):
@@ -544,23 +538,23 @@ def test_multistart_builds_each_signed_sum_once_and_ascends_as_the_reference(cas
     expected = max(
         (reference_local_search(graph, init) for init in battery), key=lambda result: result[2]
     )
-    weights_seen, aggregate = [], recovery._weighted_layer_sum
+    taus_seen, aggregate = [], recovery._weighted_layer_sum
 
-    def recording(graph, weights):
-        weights_seen.append(tuple(weights))
-        return aggregate(graph, weights)
+    def recording(graph, tau=None):
+        taus_seen.append(None if tau is None else tuple(tau.tolist()))
+        return aggregate(graph, tau)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recovery, "_weighted_layer_sum", recording)
         for init in battery:
             mle_local_search(graph, init)
         # Every tau the starts reach, identified with its flip.
-        taus = {min(w, tuple(-x for x in w)) for w in weights_seen}
-        weights_seen.clear()
+        taus = {min(tau, tuple(1 - x for x in tau)) for tau in taus_seen}
+        taus_seen.clear()
         result = mle_local_search_multistart(graph)
     assert (result.sigma_hat, result.tau_hat, result.objective, result.objective_trace) == expected
     # One layer sum for the start battery, then one signed sum per tau.
-    assert len(weights_seen) == 1 + len(taus)
+    assert taus_seen.count(None) == 1 and len(taus_seen) == 1 + len(taus)
 
 
 def test_local_search_rebuilds_gains_when_tau_changes(monkeypatch):
@@ -568,16 +562,16 @@ def test_local_search_rebuilds_gains_when_tau_changes(monkeypatch):
     # gains are rebuilt mid-ascent and the rebuilt ones are used.
     graph = sample_planted(MlsbmParams(n=8, T=4, rho=0.4), seed=6).graph
     init = Assignment((1, 1, 1, 1, 0, 0, 0, 0))
-    weights_seen = []
+    taus_seen = []
     aggregate = recovery._weighted_layer_sum
 
-    def recording(graph, weights):
-        weights_seen.append(tuple(weights))
-        return aggregate(graph, weights)
+    def recording(graph, tau=None):
+        taus_seen.append(tuple(tau.tolist()))
+        return aggregate(graph, tau)
 
     monkeypatch.setattr(recovery, "_weighted_layer_sum", recording)
     assert_matches_reference(graph, init)
-    assert len(set(weights_seen)) == len(weights_seen) == 2
+    assert len(set(taus_seen)) == len(taus_seen) == 2
     assert mle_local_search(graph, init).objective_trace == (19, 21, 24, 31)
 
 
