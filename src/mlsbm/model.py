@@ -4,9 +4,10 @@ A planted instance hides one balanced node labelling sigma shared by all
 layers and one balanced layer-type labelling tau. The slot (i, j, t) with
 i < j holds an edge with probability 3*rho/2 when sigma(i) + sigma(j) + tau(t)
 is even and rho/2 when it is odd, independently across slots. The null model
-fills every slot independently with probability rho. Layers are simple
-undirected graphs with 1-based node indices. A graph stores all of them as
-one edge table sorted by (layer, i, j), plus that table's layer column.
+fills every slot independently with probability rho; it is the same layer
+sampler with one community and one layer type. Layers are simple undirected
+graphs with 1-based node indices. A graph stores all of them as one edge
+table sorted by (layer, i, j), plus that table's layer column.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ class Assignment:
         object.__setattr__(labels, "_bits", bits)
         return labels
 
+    def __reduce__(self):
+        return Assignment._from_array, (self._bits,)  # unpickled read-only, as built
+
     def __eq__(self, other):
         if not isinstance(other, Assignment):
             return NotImplemented
@@ -260,6 +264,9 @@ class MultiLayerGraph:
         if len(layers) != T:
             raise ValidationError(f"expected {T} layers, got {len(layers)}")
         _from_table(n, T, *_edge_table(n, enumerate(layers)), self)
+
+    def __reduce__(self):
+        return _from_table, (self.n, self.T, self.edges, self.layer_ids)  # unpickled read-only
 
     def __eq__(self, other):
         if not isinstance(other, MultiLayerGraph):
@@ -592,16 +599,6 @@ class _LayerSampler(NamedTuple):
     plan: _ReplayPlan | None = None
 
 
-def _dense_sampler(n: int, types: np.ndarray, slot_probs: Sequence) -> _LayerSampler:
-    """Per-slot uniforms against slot_probs[type]; a code is the index into _all_pairs(n)."""
-    pairs = _all_pairs(n)
-
-    def draw(t: int, gen: np.random.Generator, codes: array) -> None:
-        codes.extend(np.flatnonzero(gen.random(len(pairs)) < slot_probs[types[t]]).tolist())
-
-    return _LayerSampler(types, draw, lambda codes: pairs[codes])
-
-
 def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, decode):
     """Per block of counts[b] slots, a binomial number k of them, then k distinct slot ranks.
 
@@ -621,14 +618,28 @@ def _block_sampler(types: np.ndarray, counts: Sequence[int], probs: Sequence, de
     return _LayerSampler(types, draw, decode, _replay_plan(counts, probs))
 
 
-def _planted_sampler(n: int, rho: float, sigma: np.ndarray, tau: np.ndarray) -> _LayerSampler:
-    # (p_within, p_cross) for tau bit 0 (assortative) and 1 (disassortative).
-    probs = ((1.5 * rho, 0.5 * rho), (0.5 * rho, 1.5 * rho))
+def _planted_probs(rho: float) -> tuple[tuple[float, float], ...]:
+    """(p_within, p_cross) for tau bit 0 (assortative) and 1 (disassortative)."""
+    return ((1.5 * rho, 0.5 * rho), (0.5 * rho, 1.5 * rho))
+
+
+def _layer_sampler(n: int, sigma: np.ndarray, types: np.ndarray, probs: Sequence) -> _LayerSampler:
+    """Layers of type c hold slot (i, j) with probability probs[c] = (p_within, p_cross).
+
+    A slot is within when sigma(i) = sigma(j). The null model is the one
+    community, one type case: an all-zero sigma leaves the cross block no
+    slots. Below _SPARSE_MIN_NODES each slot compares a uniform with its
+    probability, and a code is the slot's index into _all_pairs(n).
+    """
     if n < _SPARSE_MIN_NODES:
         pairs = _all_pairs(n)
-        even = (sigma[pairs[:, 0] - 1] + sigma[pairs[:, 1] - 1]) % 2 == 0
-        slot_probs = tuple(np.where(even, p_within, p_cross) for p_within, p_cross in probs)
-        return _dense_sampler(n, tau, slot_probs)
+        within = sigma[pairs[:, 0] - 1] == sigma[pairs[:, 1] - 1]
+        slot_probs = tuple(np.where(within, p_within, p_cross) for p_within, p_cross in probs)
+
+        def draw(t: int, gen: np.random.Generator, codes: array) -> None:
+            codes.extend(np.flatnonzero(gen.random(len(pairs)) < slot_probs[types[t]]).tolist())
+
+        return _LayerSampler(types, draw, lambda codes: pairs[codes])
     zeros = np.flatnonzero(sigma == 0).astype(np.int64) + 1
     ones = np.flatnonzero(sigma == 1).astype(np.int64) + 1
     n0, n1 = len(zeros), len(ones)
@@ -636,6 +647,8 @@ def _planted_sampler(n: int, rho: float, sigma: np.ndarray, tau: np.ndarray) -> 
     count_within = pairs0 + n1 * (n1 - 1) // 2
 
     def decode(codes: np.ndarray) -> np.ndarray:
+        if not n0 * n1:  # one community, as in the null model: no masks, no copies
+            return _unrank_within(codes, zeros if n0 else ones)
         edges = np.empty((len(codes), 2), dtype=np.int64)
         for members, low, high in ((zeros, 0, pairs0), (ones, pairs0, count_within)):
             sel = (codes >= low) & (codes < high)
@@ -647,17 +660,7 @@ def _planted_sampler(n: int, rho: float, sigma: np.ndarray, tau: np.ndarray) -> 
             edges[sel, 0], edges[sel, 1] = np.minimum(a, b), np.maximum(a, b)
         return edges
 
-    return _block_sampler(tau, (count_within, n0 * n1), probs, decode)
-
-
-def _null_sampler(n: int, T: int, rho: float) -> _LayerSampler:
-    types = np.broadcast_to(np.int8(0), (T,))  # one layer type, no T-sized allocation
-    if n < _SPARSE_MIN_NODES:
-        return _dense_sampler(n, types, (rho,))
-    members = np.arange(1, n + 1, dtype=np.int64)
-    return _block_sampler(
-        types, (n * (n - 1) // 2,), ((rho,),), lambda codes: _unrank_within(codes, members)
-    )
+    return _block_sampler(types, (count_within, n0 * n1), probs, decode)
 
 
 def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLayerGraph:
@@ -670,7 +673,7 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
     the graph's table, which skips re-validation.
     """
     gen, blocks = _bulk_substreams(seed, _LAYER_STREAM, T)
-    drawn: list[tuple[np.ndarray, ...]] = []  # (codes, layers, their code counts), any order
+    drawn: list[tuple[np.ndarray, np.ndarray]] = []  # (codes, each code's layer), any order
     deferred = []
     unprobed = [True, True, True]  # see _replay_layers
     for start, states in blocks:
@@ -683,11 +686,12 @@ def _sample_layers(n: int, T: int, seed: int, sampler: _LayerSampler) -> MultiLa
     if deferred:
         layers, *states = (np.concatenate(column) for column in zip(*deferred))
         _replay_layers(sampler, gen, tuple(states), layers, None, drawn, unprobed)
-    codes, layers, sizes = (np.concatenate(column) for column in zip(*drawn))
+    codes, tags = (np.concatenate(column) for column in zip(*drawn))
     del drawn
     edges = sampler.decode(codes)
     del codes  # freed before the sort allocates
-    return _graph_from_edges(n, T, edges, np.repeat(layers.astype(np.int64), sizes))
+    tags = tags.astype(np.int64)  # the sort key's memory (see _graph_from_edges)
+    return _graph_from_edges(n, T, edges, tags)
 
 
 def _draw_each(
@@ -696,10 +700,10 @@ def _draw_each(
     states: tuple[np.ndarray, ...],
     layers: np.ndarray,
     picks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw layers[picks], whose generators are states[picks], through numpy.
 
-    Returns the codes, and the layers with codes beside their code counts.
+    Returns the codes and each code's layer.
     """
     codes = array("q")
     sizes = np.zeros(len(picks), dtype=np.int64)
@@ -707,17 +711,7 @@ def _draw_each(
         before = len(codes)
         sampler.draw(int(layers[k]), gen, codes)
         sizes[row] = len(codes) - before
-    return np.frombuffer(codes, dtype=np.int64), *_drawn_layers(layers[picks], sizes)
-
-
-def _drawn_layers(layers: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The layers with codes, beside their code counts in the narrowest type that holds them.
-
-    A layer can draw more than 2**32 codes at large n, so the type is
-    chosen from the counts; it is signed, so np.repeat takes it.
-    """
-    kept = sizes > 0
-    return layers[kept], sizes[kept].astype(np.min_scalar_type(-int(sizes.max(initial=0))))
+    return np.frombuffer(codes, dtype=np.int64), np.repeat(layers[picks], sizes)
 
 
 def _replay_layers(
@@ -747,9 +741,8 @@ def _replay_layers(
                 unprobed[c] = False
     if replay.to_numpy.any():
         drawn.append(_draw_each(sampler, gen, states, layers, np.flatnonzero(replay.to_numpy)))
-    replayed = replay.codes >= 0
-    replayed[~done] = False
-    drawn.append((replay.codes[replayed], *_drawn_layers(layers, replayed.sum(axis=1))))
+    replayed = (replay.codes >= 0) & done[:, None]
+    drawn.append((replay.codes[replayed], np.repeat(layers, replayed.sum(axis=1))))
     return replay.deferred
 
 
@@ -818,8 +811,7 @@ def sample_conditional(
     if (len(sigma), len(tau)) != (n, T):
         raise ValidationError(f"sigma_bits and tau_bits need lengths {n} and {T}")
     rho = _check_rho(rho)
-    sampler = _planted_sampler(n, rho, sigma, tau)
-    return _sample_layers(n, T, seed, sampler)
+    return _sample_layers(n, T, seed, _layer_sampler(n, sigma, tau, _planted_probs(rho)))
 
 
 def _sample_balanced(m: int, gen: np.random.Generator) -> Assignment:
@@ -837,7 +829,8 @@ def sample_planted(params: MlsbmParams, seed: int) -> PlantedInstance:
     sampled in parallel.
     """
     labels = sample_planted_empty(params.n, params.T, seed)
-    sampler = _planted_sampler(params.n, params.rho, labels.sigma.as_array(), labels.tau.as_array())
+    sigma, tau = labels.sigma.as_array(), labels.tau.as_array()
+    sampler = _layer_sampler(params.n, sigma, tau, _planted_probs(params.rho))
     graph = _sample_layers(params.n, params.T, seed, sampler)
     return PlantedInstance(graph=graph, sigma=labels.sigma, tau=labels.tau)
 
@@ -854,8 +847,11 @@ def sample_planted_empty(n: int, T: int, seed: int) -> PlantedInstance:
 
 def sample_null(params: MlsbmParams, seed: int) -> MultiLayerGraph:
     """Sample the null model: every slot independently Bernoulli(rho)."""
-    _check_caps(params.n, params.T)
-    return _sample_layers(params.n, params.T, seed, _null_sampler(params.n, params.T, params.rho))
+    n, T, rho = params.n, params.T, params.rho
+    _check_caps(n, T)
+    types = np.broadcast_to(np.int8(0), (T,))  # one layer type, no T-sized allocation
+    sampler = _layer_sampler(n, np.zeros(n, dtype=np.int8), types, ((rho, rho),))
+    return _sample_layers(n, T, seed, sampler)
 
 
 def _balanced_rows(m: int) -> np.ndarray:

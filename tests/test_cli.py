@@ -60,6 +60,15 @@ def test_generate_is_deterministic_and_writes_footers(tmp_path, capsys):
     assert "sigma" in text and "tau" in text  # planted footers present
 
 
+def test_generate_writes_a_layer_of_exactly_128_edges(tmp_path, capsys):
+    # Layer 2 of this null graph draws 128 edges, one more than an int8 holds.
+    out = tmp_path / "g.edges"
+    code, _, err = run(capsys, "generate", "--n", "20", "--T", "2", "--rho", "0.6",
+                       "--seed", "59", "--out", str(out))
+    assert code == 0, err
+    assert int((read_graph(out).layer_ids == 1).sum()) == 128
+
+
 def test_generate_rejects_bad_parameters(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--n", "7", "--T", "4",
                        "--rho", "0.3", "--out", str(tmp_path / "x"))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -113,6 +114,19 @@ def test_assignment_array_is_one_read_only_int8_copy_of_the_labels(tmp_path):
                    (("sigma", inst.sigma), ("tau", inst.tau))]
         assert text.decode("ascii").splitlines()[-2:] == footers
     assert gap.tau.size == 40000
+
+
+def test_pickled_labellings_and_graphs_come_back_equal_and_read_only():
+    labels = Assignment((0, 1, 1, 0))
+    inst = sample_planted(MlsbmParams(n=8, T=4, rho=0.3), seed=3)
+    sliced = inst.graph.layer_slice(1, 3)  # its table views the whole graph's
+    got_labels, got_inst, got_sliced = pickle.loads(pickle.dumps((labels, inst, sliced)))
+    assert (got_labels, got_inst, got_sliced) == (labels, inst, sliced)
+    labellings = (got_labels, got_inst.sigma, got_inst.tau)
+    assert [hash(a) for a in labellings] == [hash(a) for a in (labels, inst.sigma, inst.tau)]
+    arrays = [a.as_array() for a in labellings]
+    arrays += [array for g in (got_inst.graph, got_sliced) for array in (g.edges, g.layer_ids)]
+    assert not any(array.flags.writeable for array in arrays)
 
 
 @pytest.mark.parametrize(
@@ -559,6 +573,31 @@ def test_planted_and_null_samplers_match_per_layer_reference(sizes, seed, data):
     assert sample_null(params, seed) == reference_sample_null(params, seed)
 
 
+# Layers of exactly 128 edges: int8, the narrowest signed type that holds
+# -128, cannot hold +128, so no edge count may be narrowed that way. Each
+# case pins one such layer.
+@pytest.mark.parametrize("seed", [59, 213, 260])
+def test_null_layers_of_exactly_128_edges_match_per_layer_reference(seed):
+    params = MlsbmParams(n=20, T=2, rho=0.6)
+    got = sample_null(params, seed)
+    assert int((got.layer_ids == 1).sum()) == 128
+    assert got == reference_sample_null(params, seed)
+
+
+def test_planted_layer_of_exactly_128_edges_matches_per_layer_reference():
+    params = MlsbmParams(n=20, T=2, rho=0.6)
+    inst = sample_planted(params, seed=146)
+    assert int((inst.graph.layer_ids == 0).sum()) == 128
+    assert (inst.graph, inst.sigma, inst.tau) == reference_sample_planted(params, 146)
+
+
+def test_conditional_layer_of_exactly_128_edges_matches_per_layer_reference():
+    sigma_bits = [int(i in (8, 27, 33, 37, 38)) for i in range(43)]
+    got = sample_conditional(43, 1, 0.115234375, sigma_bits, (0,), seed=1)
+    assert got.total_edges == 128
+    assert got == reference_sample_conditional(43, 1, 0.115234375, sigma_bits, (0,), 1)
+
+
 # Expected edges per example are capped so that rho near 0.6 stays quick.
 _REGIME_EDGE_BUDGET = 150_000
 
@@ -937,8 +976,8 @@ def test_layers_drawn_through_numpy_make_the_reference_samplers_calls(monkeypatc
 def test_gap_cell_sample_peaks_under_its_measured_bound():
     # The gap cell derives 40,000 layer substreams in ten state blocks, and
     # the peak sits in the last block's replay. With tau held as one 40 KB
-    # int8 array (no 320 KB label tuple) and each drawn layer's id and code
-    # count kept in 32 bits or less, it reads 888 KB (it was 1,291 KB).
+    # int8 array (no 320 KB label tuple) and each drawn code's layer kept as
+    # a uint32 tag, it reads 883 KB (it was 1,291 KB).
     params = MlsbmParams(n=100, T=40000, rho=5e-5)
     sample_planted(params, seed=1)
     assert traced_peak(lambda: sample_planted(params, seed=2)) < 980 * 1024
@@ -966,6 +1005,18 @@ def test_gap_cell_signed_sum_and_unit_peak_under_their_measured_bounds():
         bias_adjusted_spectral(unit_inst.graph)
 
     assert traced_peak(unit) < 1100 * 1024
+
+
+def test_detect_cell_samplers_peak_under_their_measured_bounds():
+    # No layer type replays at (200, 64, 0.0075). The peak sits in decode:
+    # _unrank_within's temporaries beside the codes and each code's uint32
+    # layer tag. Over seeds 1-3, sample_planted reads 546-557 KB and
+    # sample_null 571-578 KB, about 2.5x the graph they return.
+    params = MlsbmParams(n=200, T=64, rho=0.0075)
+    for sample, bound in ((sample_planted, 615), (sample_null, 640)):
+        sample(params, seed=0)
+        for seed in (1, 2, 3):
+            assert traced_peak(lambda: sample(params, seed)) < bound * 1024
 
 
 def test_more_than_two_to_the_32_layers_are_refused_before_allocating():
