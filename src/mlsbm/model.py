@@ -76,14 +76,19 @@ def _check_rho(rho) -> float:
     return rho
 
 
+# A label is a number equal to 0 or 1 (1.0, True and numpy integers pass;
+# 0.7 does not), or one character of a bitstring such as "0110".
+_BIT_VALUES = {0: 0, 1: 1, "0": 0, "1": 1}
+
+
 def _as_bits(values, name: str) -> np.ndarray:
     """values as an int8 array of 0/1 bits; anything else is refused."""
     try:
-        bits = tuple(map(int, values))
-    except (TypeError, ValueError) as exc:
+        bits = [_BIT_VALUES[value] for value in values]
+    except TypeError as exc:
         raise ValidationError(f"{name} must be a sequence of bits") from exc
-    if not set(bits) <= {0, 1}:
-        raise ValidationError(f"{name} entries must all be 0 or 1")
+    except KeyError as exc:
+        raise ValidationError(f"{name} entries must all be 0 or 1") from exc
     return np.array(bits, dtype=np.int8)
 
 
@@ -214,6 +219,9 @@ def _check_table(n: int, edges: np.ndarray, layer_ids: np.ndarray) -> None:
             raise ValidationError(f"layer {layer + 1}: {message}")
 
 
+_NOT_WHOLE = "edges must be (i, j) pairs of whole-number node indices"
+
+
 def _edge_table(n: int, layers: Iterable[tuple[int, object]]) -> tuple[np.ndarray, np.ndarray]:
     """The checked (edges, layer_ids) table of (0-based layer, (i, j) rows) pairs in layer order.
 
@@ -229,9 +237,16 @@ def _edge_table(n: int, layers: Iterable[tuple[int, object]]) -> tuple[np.ndarra
 
     for t, layer in layers:
         try:
-            layer_rows = np.asarray(layer, dtype=np.int64)
+            source = np.asarray(layer)
+            layer_rows = source if source.dtype == np.int64 else np.asarray(layer, dtype=np.int64)
         except OverflowError as exc:
             raise fault(t, "node index outside the int64 range") from exc
+        except (TypeError, ValueError) as exc:
+            raise fault(t, _NOT_WHOLE) from exc
+        # The cast truncates 1.5 to 1 and reads "2" as 2; bools and integers cast exactly.
+        converted = layer_rows.size and source.dtype.kind not in "biu"
+        if converted and not np.array_equal(layer_rows, source):
+            raise fault(t, _NOT_WHOLE)
         if layer_rows.size and (layer_rows.ndim != 2 or layer_rows.shape[1] != 2):
             raise fault(t, "edge array must have shape (m, 2)")
         ids.append(t)

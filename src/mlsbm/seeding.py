@@ -29,15 +29,15 @@ _U32 = 0xFFFFFFFF
 # generate_state(4, uint64) reads eight uint32 words cycling over the pool,
 # each hashed with the running constant INIT_B * MULT_B**i.
 _HASH_B = [_INIT_B * pow(_MULT_B, i, 2**32) & _U32 for i in range(9)]
-_XOR_B = np.array(_HASH_B[:8], dtype=np.uint64)
-_MUL_B = np.array(_HASH_B[1:], dtype=np.uint64)
+_XOR_B = np.array(_HASH_B[:8], dtype=np.uint32)[:, None]
+_MUL_B = np.array(_HASH_B[1:], dtype=np.uint32)[:, None]
 _CYCLE = np.arange(8) % _POOL_SIZE
-_M32, _S1, _S16, _S32 = np.uint64(_U32), np.uint64(1), np.uint64(16), np.uint64(32)
+_M32, _S1, _S32 = np.uint64(_U32), np.uint64(1), np.uint64(32)
 _U64 = 2**64 - 1
 _MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _U64)
 
 # Substreams derived in one vectorised pass. A block's states take 128 KB,
-# and deriving them peaks at 354 KB under tracemalloc, whatever the layer count.
+# and deriving them peaks at 322 KB under tracemalloc, whatever the layer count.
 _STATE_BLOCK = 4096
 # The last path word t must fit one uint32 word of numpy's entropy array.
 MAX_SUBSTREAMS = 2**32
@@ -113,54 +113,43 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     return high
 
 
-def _xorshift16(words: np.ndarray, scratch: np.ndarray) -> None:
-    """words ^= words >> 16 in place, a row at a time through one row-sized scratch array."""
-    for row in np.atleast_2d(words):
-        np.right_shift(row, _S16, out=scratch)
-        row ^= scratch
-
-
 def _pcg64_states(pool: list[int], hash_a: int, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """PCG64 `state` and `inc` of SeedSequence(seed, spawn_key=(tag, t)) for a uint64 array t.
+    """PCG64 `state` and `inc` of SeedSequence(seed, spawn_key=(tag, t)) for an array t < 2**32.
 
     Returns them as uint64 halves (state_hi, state_lo, inc_hi, inc_lo), the
     rows of one (4, len(t)) array. `pool` and `hash_a` come from
-    _mixing_point. uint64 array arithmetic wraps silently, and every uint32
-    step masks to 32 bits. Each step updates its operand in place, so the
-    temporaries stay at one (4, len(t)) array and a few rows.
+    _mixing_point. The hash runs on uint32 arrays, whose products and shifts
+    wrap as SeedSequence's do. Each step updates its operand in place, so the
+    temporaries stay at one (8, len(t)) uint32 array and a shifted copy.
     """
     hashes = [hash_a * pow(_MULT_A, i, 2**32) & _U32 for i in range(_POOL_SIZE + 1)]
-    xor_a = np.array(hashes[:-1], dtype=np.uint64)[:, None]
-    mul_a = np.array(hashes[1:], dtype=np.uint64)[:, None]
-    pool_l = np.array([_MIX_MULT_L * word & _U32 for word in pool], dtype=np.uint64)[:, None]
-    scratch, high = np.empty(len(t), dtype=np.uint64), np.empty(len(t), dtype=np.uint64)
+    xor_a = np.array(hashes[:-1], dtype=np.uint32)[:, None]
+    mul_a = np.array(hashes[1:], dtype=np.uint32)[:, None]
+    pool_l = np.array([_MIX_MULT_L * word & _U32 for word in pool], dtype=np.uint32)[:, None]
     # mix_entropy's last round: hashmix(t) mixed into each of the pool words.
-    mixed = t ^ xor_a
+    mixed = t.astype(np.uint32, copy=False) ^ xor_a
     mixed *= mul_a
-    mixed &= _M32
-    _xorshift16(mixed, scratch)
-    mixed *= np.uint64(_MIX_MULT_R)
+    mixed ^= mixed >> 16
+    mixed *= np.uint32(_MIX_MULT_R)
     np.subtract(pool_l, mixed, out=mixed)
-    mixed &= _M32
-    _xorshift16(mixed, scratch)
-    # generate_state(4, uint64), read as (initstate hi, lo, initseq hi, lo):
-    # half h joins the hashed words 2h (low) and 2h + 1 (high).
-    halves = np.empty((4, len(t)), dtype=np.uint64)
-    for h, half in enumerate(halves):
-        for word, i in ((half, 2 * h), (high, 2 * h + 1)):
-            np.bitwise_xor(mixed[_CYCLE[i]], _XOR_B[i], out=word)
-            word *= _MUL_B[i]
-            word &= _M32
-            _xorshift16(word, scratch)
-        high <<= _S32
-        half |= high
+    mixed ^= mixed >> 16
+    # generate_state(4, uint64) hashes eight words cycling over the pool and
+    # reads them as (initstate hi, lo, initseq hi, lo): half h joins the
+    # hashed words 2h (low) and 2h + 1 (high).
+    words = mixed[_CYCLE]
     del mixed
+    words ^= _XOR_B
+    words *= _MUL_B
+    words ^= words >> 16
+    halves = words[1::2].astype(np.uint64)
+    halves <<= _S32
+    halves |= words[::2]
+    del words
     # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1, then one step from
     # inc + initstate, so state = (inc + initstate) * M + inc mod 2**128.
     seed_hi, seed_lo, inc_hi, inc_lo = halves
-    np.right_shift(inc_lo, np.uint64(63), out=scratch)
     inc_hi <<= _S1
-    inc_hi |= scratch
+    inc_hi |= inc_lo >> np.uint64(63)
     inc_lo <<= _S1
     inc_lo |= _S1
     seed_lo += inc_lo
@@ -232,7 +221,7 @@ def _state_blocks(gen: np.random.Generator, pool: list[int], hash_a: int, count:
     for start in range(0, count, _STATE_BLOCK):
         # t is not held while the caller reads the block
         states = _pcg64_states(
-            pool, hash_a, np.arange(start, min(start + _STATE_BLOCK, count), dtype=np.uint64)
+            pool, hash_a, np.arange(start, min(start + _STATE_BLOCK, count), dtype=np.uint32)
         )
         # Before the first yield the generator still holds numpy's t = 0 state.
         if start == 0 and gen.bit_generator.state["state"] != _joined(states, 0):

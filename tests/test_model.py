@@ -88,6 +88,26 @@ def test_assignment_must_be_balanced():
     assert Assignment((1, 0)).labels == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Assignment([0.7, 1.2]),
+        lambda: Assignment(np.array([0.9, 1.9, 0.1, 1.0])),
+        lambda: sample_conditional(4, 2, 0.3, [0.5, 1.5, 0.2, 1.0], [1.9, 0.3], seed=1),
+    ],
+    ids=["list", "array", "conditional-sampler"],
+)
+def test_fractional_labels_are_refused_not_truncated(build):
+    with pytest.raises(ValidationError, match="entries must all be 0 or 1$"):
+        build()
+
+
+def test_bitstrings_bools_numpy_integers_and_whole_floats_are_labels():
+    for labels in ("0110", (False, True, True, False), np.array([0, 1, 1, 0], dtype=np.uint8),
+                   (0.0, 1.0, 1.0, 0.0)):
+        assert Assignment(labels) == Assignment((0, 1, 1, 0))
+
+
 def test_assignment_array_is_one_read_only_int8_copy_of_the_labels(tmp_path):
     a = Assignment((1, 0, 0, 1))
     bits = a.as_array()
@@ -348,6 +368,9 @@ _LAYER_FAULTS = {
     "range": ([(1, 9)], "node indices must lie in [1, 4]"),
     "self-loop": ([(2, 1)], "edges must satisfy i < j (no self-loops)"),
     "order": ([(1, 3), (1, 2)], "edges must be sorted by (i, j) without duplicates"),
+    "fraction": ([(1.5, 2.9)], "edges must be (i, j) pairs of whole-number node indices"),
+    "text": ([("1.5", "2")], "edges must be (i, j) pairs of whole-number node indices"),
+    "none": ([(None, 1)], "edges must be (i, j) pairs of whole-number node indices"),
 }
 
 

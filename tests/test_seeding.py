@@ -75,9 +75,9 @@ def test_bulk_outputs_and_stepped_states_equal_the_generators(seed, tag, count, 
 
 
 def test_a_state_block_peaks_under_three_times_its_states():
-    # A block's states are 128 KB (four uint64 halves of 4,096 entries). In
-    # place, the derivation adds one (4, 4096) array and a few rows: 354 KB
-    # in all (it was 1,059 KB).
+    # A block's states are 128 KB (four uint64 halves of 4,096 entries). The
+    # uint32 hash adds one (8, 4096) word array and its shifted copy: 322 KB
+    # in all (it was 1,059 KB, then 354 KB).
     args = (*_mixing_point(7, 2), np.arange(_STATE_BLOCK, dtype=np.uint64))
     _pcg64_states(*args)
     assert traced_peak(lambda: _pcg64_states(*args)) < 3 * 4 * 8 * _STATE_BLOCK
