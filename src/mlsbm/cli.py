@@ -21,8 +21,11 @@ _REL_TOL_CHI2 = 1e-10
 _REL_TOL_LDLR = 1e-9
 
 
-def _rel_close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+def _rel_close(x: float, y: float, tol: float, floor: float = 0.0) -> bool:
+    """x and y agree to a relative tol or both lie within `floor` of 0; non-finite never agrees."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return False
+    return abs(x - y) <= tol * max(abs(x), abs(y)) or max(abs(x), abs(y)) <= floor
 
 
 def _finite_json(value):
@@ -155,7 +158,10 @@ def _cmd_theory_ldlr(args) -> int:
             values[name] = None
             lines.append(f"{name.replace('_', ' ')} skipped: {exc}")
     computed = [v for v in values.values() if v is not None]
-    agree = all(_rel_close(computed[0], v, _REL_TOL_LDLR) for v in computed[1:])
+    # Where the exact norm is exactly 0 (D = 1 at odd node parity), the other
+    # routes read rounding noise, which tol * kappa**2 allows.
+    floor = _REL_TOL_LDLR * exact.kappa**2 if exact.value == 0.0 else 0.0
+    agree = all(_rel_close(exact.value, v, _REL_TOL_LDLR, floor) for v in computed[1:])
     lines.append("PASS: all computed routes agree" if agree
                  else "FAIL: computed routes disagree")
     payload = dict(values)

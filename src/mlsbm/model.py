@@ -26,12 +26,10 @@ import numpy as np
 from .errors import SizeGuardError, ValidationError
 from .seeding import (
     MAX_SUBSTREAMS,
-    _M32,
     _bulk_substreams,
     _check_substream_count,
-    _joined,
-    _pcg64_outputs,
     _reseed_each,
+    _Words,
     substream,
 )
 
@@ -450,60 +448,6 @@ def _replay_plan(counts: Sequence[int], probs: Sequence) -> _ReplayPlan | None:
     )
 
 
-class _Words:
-    """numpy's PCG64 reads for many layers at once, replayed from a table of raw outputs.
-
-    Row k's generator starts at states' k-th entry. `outputs` counts the
-    outputs each row has consumed; `has_uint32` and `uinteger` are the high
-    half numpy's next_uint32 keeps buffered. Each read takes an index array
-    of the rows that read. A read past the table's depth derives a table
-    twice as deep.
-    """
-
-    def __init__(self, states: tuple[np.ndarray, ...], depth: int):
-        self.states = states
-        self.outputs = np.zeros(len(states[0]), dtype=np.intp)
-        self.has_uint32 = np.zeros(len(states[0]), dtype=bool)
-        self.uinteger = np.zeros(len(states[0]), dtype=np.uint64)
-        self._derive(depth)
-
-    def _derive(self, depth: int) -> None:
-        # One flat table, read at output * L + row: faster than 2-D fancy indexing.
-        self.depth, self.raw = depth, _pcg64_outputs(self.states, depth).reshape(-1)
-
-    def _next(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = self.outputs[rows]
-        if len(at) and at.max() >= self.depth:
-            self._derive(2 * int(at.max()) + 2)
-        return at, self.raw[at * len(self.outputs) + rows]
-
-    def double(self, rows: np.ndarray) -> np.ndarray:
-        """next_double: a fresh output's top 53 bits."""
-        at, word = self._next(rows)
-        self.outputs[rows] = at + 1
-        return (word >> np.uint64(11)) * 2.0**-53
-
-    def bounded(self, rows: np.ndarray, high, to_numpy: np.ndarray) -> np.ndarray:
-        """Lemire's draw on [0, high] (high < 2**32 - 1, scalar or per row), as numpy makes it.
-
-        The uint32 word is the low half of a fresh output, whose high half
-        stays buffered, or that buffered half. high = 0 reads no word and
-        gives 0. A rejected draw, which numpy would retry, sets to_numpy.
-        """
-        span = np.asarray(high, dtype=np.uint64) + np.uint64(1)
-        reads = span > 1
-        buffered = self.has_uint32[rows]
-        at, word = self._next(rows)
-        u32 = np.where(buffered, self.uinteger[rows], word & _M32)
-        fresh = ~buffered & reads
-        self.uinteger[rows[fresh]] = word[fresh] >> np.uint64(32)
-        self.outputs[rows[fresh]] = at[fresh] + 1
-        self.has_uint32[rows] = buffered ^ reads
-        m = u32 * span
-        to_numpy[rows[(m & _M32) < (np.uint64(2**32) - span) % span]] = True
-        return (m >> np.uint64(32)).astype(np.int64)
-
-
 class _Replayed(NamedTuple):
     """numpy's draws for each layer of a set of generators, replayed from their PCG64 outputs.
 
@@ -511,17 +455,15 @@ class _Replayed(NamedTuple):
     `deferred` set (a block of more than `most` slots) by a later replay
     without `most`. For the others,
     codes[k] holds layer k's slot codes in draw order, -1 where it draws
-    none, `largest` the most slots one of its blocks draws, and `outputs`,
-    `has_uint32` and `uinteger` the generator's state after the layer.
+    none, `largest` the most slots one of its blocks draws, and
+    `words.state(k)` the generator's state after the layer.
     """
 
     to_numpy: np.ndarray
     deferred: np.ndarray
     largest: np.ndarray
     codes: np.ndarray
-    outputs: np.ndarray
-    has_uint32: np.ndarray
-    uinteger: np.ndarray
+    words: _Words
 
 
 def _replay(
@@ -541,7 +483,9 @@ def _replay(
     of more than `most` slots is deferred.
     """
     L = len(types)
-    words = _Words(states, 2 * len(plan.counts))
+    # A layer with at most one slot per block reads a double per block and a
+    # fresh word per two one-slot blocks: a first pass (most=1) never re-derives.
+    words = _Words(states, len(plan.counts) + (len(plan.counts) + 1) // 2)
     kinds = types.astype(np.intp)
     to_numpy = ~plan.replayable[kinds]
     deferred = np.zeros(L, dtype=bool)
@@ -587,15 +531,7 @@ def _replay(
             chosen[rows, i], chosen[rows, swap] = chosen[rows, swap], chosen[rows, i]
         codes.append(np.where(chosen >= 0, chosen + offset, -1))
         del k, chosen  # freed before the next block allocates
-    return _Replayed(
-        to_numpy,
-        deferred,
-        largest,
-        np.concatenate(codes, axis=1),
-        words.outputs,
-        words.has_uint32,
-        words.uinteger,
-    )
+    return _Replayed(to_numpy, deferred, largest, np.concatenate(codes, axis=1), words)
 
 
 class _LayerSampler(NamedTuple):
@@ -771,14 +707,11 @@ def _probe(
 ) -> None:
     """Draw replayed layer layers[k] through numpy; it must match the replay."""
     codes, *_ = _draw_each(sampler, gen, states, layers, np.array([k]))
-    expected = {
-        "bit_generator": "PCG64",
-        "state": _joined(states, k, int(replay.outputs[k])),
-        "has_uint32": int(replay.has_uint32[k]),
-        "uinteger": int(replay.uinteger[k]),
-    }
     replayed = replay.codes[k]
-    if codes.tolist() != replayed[replayed >= 0].tolist() or gen.bit_generator.state != expected:
+    if (
+        codes.tolist() != replayed[replayed >= 0].tolist()
+        or gen.bit_generator.state != replay.words.state(k)
+    ):
         raise RuntimeError(f"layer {layers[k] + 1} drew differently through numpy than its replay")
 
 

@@ -250,3 +250,66 @@ def _reseed_each(gen: np.random.Generator, states: tuple[np.ndarray, ...], picks
             "uinteger": 0,
         }
         yield k
+
+
+class _Words:
+    """numpy's PCG64 reads for many generators at once, replayed from a table of raw outputs.
+
+    Row k's generator starts at states' k-th entry. `outputs` counts the
+    outputs each row has consumed; `has_uint32` and `uinteger` are the high
+    half numpy's next_uint32 keeps buffered. Each read takes an index array
+    of the rows that read, and reads an output only where numpy reads one.
+    A read past the table's depth derives a table twice as deep.
+    """
+
+    def __init__(self, states: tuple[np.ndarray, ...], depth: int):
+        self.states = states
+        self.outputs = np.zeros(len(states[0]), dtype=np.intp)
+        self.has_uint32 = np.zeros(len(states[0]), dtype=bool)
+        self.uinteger = np.zeros(len(states[0]), dtype=np.uint64)
+        self._derive(depth)
+
+    def _derive(self, depth: int) -> None:
+        # One flat table, read at output * L + row: faster than 2-D fancy indexing.
+        self.depth, self.raw = depth, _pcg64_outputs(self.states, depth).reshape(-1)
+
+    def _next(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's next raw output, which the row then has consumed."""
+        at = self.outputs[rows]
+        if len(at) and at.max() >= self.depth:
+            self._derive(2 * int(at.max()) + 2)
+        self.outputs[rows] = at + 1
+        return self.raw[at * len(self.outputs) + rows]
+
+    def double(self, rows: np.ndarray) -> np.ndarray:
+        """next_double: a fresh output's top 53 bits."""
+        return (self._next(rows) >> np.uint64(11)) * 2.0**-53
+
+    def bounded(self, rows: np.ndarray, high, to_numpy: np.ndarray) -> np.ndarray:
+        """Lemire's draw on [0, high] (high < 2**32 - 1, scalar or per row), as numpy makes it.
+
+        The uint32 word is the low half of a fresh output, whose high half
+        stays buffered, or that buffered half. high = 0 reads no word and
+        gives 0. A rejected draw, which numpy would retry, sets to_numpy.
+        """
+        span = np.asarray(high, dtype=np.uint64) + np.uint64(1)
+        reads = span > 1
+        buffered = self.has_uint32[rows]
+        u32 = self.uinteger[rows]
+        fresh = reads & ~buffered
+        word = self._next(rows[fresh])
+        u32[fresh] = word & _M32
+        self.uinteger[rows[fresh]] = word >> _S32
+        self.has_uint32[rows] = buffered ^ reads
+        m = u32 * span
+        to_numpy[rows[(m & _M32) < (np.uint64(2**32) - span) % span]] = True
+        return (m >> _S32).astype(np.int64)
+
+    def state(self, k: int) -> dict:
+        """Row k's `bit_generator.state` after its reads, as numpy's PCG64 spells it."""
+        return {
+            "bit_generator": "PCG64",
+            "state": _joined(self.states, k, int(self.outputs[k])),
+            "has_uint32": int(self.has_uint32[k]),
+            "uinteger": int(self.uinteger[k]),
+        }

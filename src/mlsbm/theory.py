@@ -129,25 +129,39 @@ def chi_square_closed_form(n: int, T: int, rho: float) -> ChiSquareReport:
     the same agreement class contribute the `same` base, pairs across classes
     the `mixed` base, with multiplicities C(n-2c,2)+C(2c,2) and 2c(n-2c) per
     layer. The result does not depend on the layer types at all.
+
+    Term c is log w_c + L_c, with weights w_c summing to 1, so the divergence
+    is sum w_c expm1(L_c). Where every exponent L_c is small that sum is
+    taken directly, since 1 + chi-square would round away a small
+    divergence; elsewhere it is expm1 of the terms' log-sum-exp.
     """
     n, T, rho = astuple(MlsbmParams(n, T, rho))
     log_same, log_mixed = (math.log(b) for b in _chi_square_bases(rho))
+    # The bases are exactly 1 +- shift, so log1p gives their logs to full precision.
+    shift = 0.25 * rho / (1.0 - rho)
+    log1p_same, log1p_mixed = math.log1p(shift), math.log1p(-shift)
     log_total = _log_comb(n, n // 2)
-    terms = []
+    terms, weighted = [], []
     for c in range(n // 2 + 1):
         agree = 2 * c  # nodes on which the two labellings agree as 1s do not matter;
         # what matters is the disagreement count d = n - 2c splitting pairs
         d = n - agree
         same_pairs = math.comb(d, 2) + math.comb(n - d, 2)
         mixed_pairs = d * (n - d)
+        log_pairs = 2.0 * _log_comb(n // 2, c)
         log_term = (
-            2.0 * _log_comb(n // 2, c)
+            log_pairs
             + T * same_pairs * log_same
             + T * mixed_pairs * log_mixed
             - log_total
         )
         terms.append((c, log_term))
-    value = _expm1_or_inf(_logsumexp(t for _, t in terms))
+        exponent = T * same_pairs * log1p_same + T * mixed_pairs * log1p_mixed
+        weighted.append((log_pairs - log_total, exponent))
+    if all(abs(exponent) <= 1.0 for _, exponent in weighted):
+        value = math.fsum(math.exp(log_w) * math.expm1(exponent) for log_w, exponent in weighted)
+    else:
+        value = _expm1_or_inf(_logsumexp(t for _, t in terms))
     return ChiSquareReport(value=max(value, 0.0), per_c_terms=tuple(terms))
 
 

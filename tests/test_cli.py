@@ -406,6 +406,35 @@ def test_theory_ldlr_skips_the_projection_past_the_table_guard(capsys):
     assert code == 0 and "projection skipped: ldlr_projection_oracle needs" in out
 
 
+@pytest.mark.parametrize(
+    "rho, D, code",
+    [
+        # exact and brute force read 1.46e-200, the projection 3.65e-127
+        ("1e-100", "2", 1),
+        # the exact norm is 0 and the projection reads rounding noise
+        ("0.1", "1", 0),
+        ("1e-20", "1", 0),
+        ("1e-20", "2", 0),
+        ("0.3", "12", 0),
+        # the projection reads nan
+        ("1e-320", "2", 1),
+    ],
+)
+def test_theory_ldlr_agreement_is_relative(capsys, rho, D, code):
+    got, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
+                      "--rho", rho, "--D", D, "--json")
+    assert got == code
+    assert json.loads(out)["agree"] is (code == 0)
+
+
+def test_theory_chi2_passes_at_a_density_below_rounding_of_one(capsys):
+    code, out, _ = run(capsys, "theory", "chi2",
+                       "--n", "4", "--T", "2", "--rho", "1e-100", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["agree"] is True
+    assert payload["closed_form"] == pytest.approx(payload["brute_force"], rel=1e-10, abs=0)
+
+
 def test_theory_lambda_partitions_and_guards(capsys):
     code, out, _ = run(capsys, "theory", "lambda",
                        "--n", "8", "--T", "4", "--a", "3")

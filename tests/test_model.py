@@ -30,13 +30,12 @@ from mlsbm import (
     substream,
     write_graph,
 )
-from mlsbm import model
+from mlsbm import model, seeding
 from mlsbm.seeding import (
     _PCG64_MULT,
     MAX_SUBSTREAMS,
     _STATE_BLOCK,
     _bulk_substreams,
-    _joined,
 )
 
 from conftest import assert_as_if_validated, balanced_assignments, traced_peak
@@ -797,9 +796,7 @@ def test_replay_makes_numpys_binomial_and_choice_draws(seed, counts, means, type
         if not reasons:
             got = replay.codes[t]
             assert got[got >= 0].tolist() == codes
-            assert _joined(states, t, int(replay.outputs[t])) == state["state"]
-            assert int(replay.has_uint32[t]) == state["has_uint32"]
-            assert int(replay.uinteger[t]) == state["uinteger"]
+            assert replay.words.state(t) == state
     if plan is None:
         return
     # The sampler's first pass replays at most one slot per block and defers
@@ -809,8 +806,9 @@ def test_replay_makes_numpys_binomial_and_choice_draws(seed, counts, means, type
     assert (replay.to_numpy | (replay.largest >= 2))[first.deferred].all()
     kept = ~first.deferred
     assert (first.largest[kept] <= 1).all()
-    for name in ("to_numpy", "outputs", "has_uint32", "uinteger"):
-        assert np.array_equal(getattr(first, name)[kept], getattr(replay, name)[kept])
+    assert np.array_equal(first.to_numpy[kept], replay.to_numpy[kept])
+    for name in ("outputs", "has_uint32", "uinteger"):
+        assert np.array_equal(getattr(first.words, name)[kept], getattr(replay.words, name)[kept])
     for row, full in zip(first.codes[kept & ~first.to_numpy], replay.codes[kept & ~first.to_numpy]):
         assert row[row >= 0].tolist() == full[full >= 0].tolist()
 
@@ -886,13 +884,44 @@ def test_at_most_ten_layers_of_the_gap_cell_reach_numpy(monkeypatch):
         assert np.sum(np.bincount(graph.layer_ids, minlength=params.T) >= 2) > 500
 
 
+def test_a_first_replay_pass_never_grows_its_table(monkeypatch):
+    depths, derive = [], seeding._Words._derive
+
+    def recording(words, depth):
+        depths.append(depth)
+        derive(words, depth)
+
+    monkeypatch.setattr(seeding._Words, "_derive", recording)
+    params = MlsbmParams(n=100, T=40_000, rho=5e-5)
+    blocks = -(-params.T // _STATE_BLOCK)
+    # A layer with at most one slot per block reads a double per block and a
+    # fresh word per two one-slot blocks: 3 outputs for the planted model's
+    # two blocks, 2 for the null model's one. Each state block's first pass
+    # derives one such table; the deferred pass starts there and grows.
+    for sample, depth in ((sample_planted, 3), (sample_null, 2)):
+        depths.clear()
+        sample(params, seed=1)
+        assert depths[:blocks] == [depth] * blocks
+        assert depths[blocks] == depth and len(depths) > blocks + 1
+
+
+def _words_changed(name, change):
+    """A corruption of the replay's generator record: its `name` array goes through change."""
+
+    def corrupt(replay):
+        setattr(replay.words, name, change(getattr(replay.words, name)))
+        return replay
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda r: r._replace(codes=np.where(r.codes >= 0, r.codes + 1, -1)),
-        lambda r: r._replace(outputs=r.outputs + 1),
-        lambda r: r._replace(has_uint32=~r.has_uint32),
-        lambda r: r._replace(uinteger=r.uinteger ^ np.uint64(1)),
+        _words_changed("outputs", lambda outputs: outputs + 1),
+        _words_changed("has_uint32", lambda has_uint32: ~has_uint32),
+        _words_changed("uinteger", lambda uinteger: uinteger ^ np.uint64(1)),
         # Only the layers with a block of two or more slots, which only the
         # call's third probe draws.
         lambda r: r._replace(

@@ -1,7 +1,10 @@
-"""Node relabelling as an oracle: a spectral runner's loss does not depend on node order.
+"""Relabelling as an oracle: recovery does not depend on how nodes or layers are numbered.
 
-Local search is left out: its ascent breaks ties by lowest node index, so its
-result depends on node order by design.
+A spectral runner's loss does not depend on node order, and spectral and
+exhaustive recovery return the same result with the layers reordered. Local
+search is left out of both: its ascent breaks ties by lowest node index, and
+its tau step breaks margin ties by layer index, so its result depends on
+both orders by design.
 """
 
 import math
@@ -61,3 +64,30 @@ def test_sum_spectral_loss_does_not_depend_on_node_order_in_the_noise_bulk():
     # 0.484 on the planted graph, 0.469 relabelled
     before, after = losses(128, 16, 8, 9005, "sum-spectral")
     assert before == after
+
+
+def reordered(instance, seed):
+    """The instance's graph and tau with layers reordered by a seeded permutation of 0..T-1."""
+    order = np.random.default_rng(seed).permutation(instance.graph.T)
+    return instance.graph.permute_layers(order), Assignment(instance.tau.as_array()[order])
+
+
+@pytest.mark.parametrize(
+    "n, T, rho, seeds, method",
+    [
+        *(
+            (n, T, c / (n * math.sqrt(T)), range(9000, 9010), method)
+            for n, T, c in ((64, 16, 6), (128, 16, 8))
+            for method in ("bias-adjusted-spectral", "sum-spectral", "oracle-tau-spectral")
+        ),
+        (16, 8, 0.4, range(9000, 9005), "mle-exhaustive"),
+    ],
+)
+def test_recovery_does_not_depend_on_layer_order(n, T, rho, seeds, method):
+    run = RECOVERY_RUNNERS[method]
+    for seed in seeds:
+        instance = sample_planted(MlsbmParams(n, T, rho), seed)
+        graph, tau = reordered(instance, seed)
+        before, after = run(instance.graph, instance.tau), run(graph, tau)
+        assert after.sigma_hat == before.sigma_hat, seed
+        assert (after.objective, after.degenerate) == (before.objective, before.degenerate), seed

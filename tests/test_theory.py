@@ -75,6 +75,14 @@ def test_chi_square_closed_matches_brute_small_grid():
             assert abs(closed - brute) <= 1e-10 * max(1.0, abs(closed), abs(brute))
 
 
+def test_chi_square_closed_form_keeps_its_precision_at_small_density():
+    # 1 + chi-square rounds to 1 below rho of about 1e-16; the closed form
+    # must not read 0 there, nor lose digits above it.
+    for rho in (1e-100, 1e-20, 1e-15, 1e-9, 1e-5):
+        brute = chi_square_bruteforce(4, 2, rho, (0, 1))
+        assert chi_square_closed_form(4, 2, rho).value == pytest.approx(brute, rel=1e-12, abs=0)
+
+
 def test_chi_square_vanishes_with_density():
     assert chi_square_closed_form(4, 2, 1e-8).value < 1e-6
 
