@@ -20,13 +20,21 @@ import json
 import math
 import os
 import pickle
-import select
 import statistics
+import tempfile
 import time
 import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
+
+try:
+    from fcntl import LOCK_EX, LOCK_UN, lockf
+except ImportError:  # Windows, which has no os.fork either: no helper shares the counter
+    LOCK_EX = LOCK_UN = 0
+
+    def lockf(fd, cmd) -> None:
+        """Nothing to lock where no other process can share the counter."""
 
 from .detection import DetectionDecision, shuffled_test, split_layer_test
 from .errors import SizeGuardError, ValidationError
@@ -309,18 +317,18 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
     """Run draw(u)() for u in 0..n_units-1 and concatenate the records in unit order.
 
     This process and resolve_worker_count(n_units) - 1 forked helpers run
-    one loop: take the index of the next unit from a pipe that holds one
-    8-byte token, write back the index after it, and run that unit. As a
-    pipe write of at most PIPE_BUF bytes is atomic, the read is also the
-    lock. This process starts at unit 0 and forks the helpers once unit 0
-    is drawn, so a bad cell or a size refusal fails here alone. A failing
-    unit makes its process write back the end instead, so no process
-    starts another. Units are taken in order, so every unit below the
-    lowest failing one has run, and that failure, the one a serial run
-    meets first, is raised here once every helper is reaped. This process
-    waits for the token and for the helpers' reports at once: a report
-    pipe closed with no report means its helper died, perhaps holding the
-    token, so the end is written in its place and the study fails.
+    one loop: take the index of the next unit and run that unit. The index
+    is the offset of one unnamed temporary file that all of them share,
+    stepped by one under a whole-file record lock. The kernel drops that
+    lock if its holder dies, so no process holds the hand-out between two
+    takes and none can strand it. This process starts at unit 0 and forks
+    the helpers once unit 0 is drawn, so a bad cell or a size refusal
+    fails here alone. A failing unit makes its process set the offset to
+    the end instead, so no process starts another. Units are taken in
+    order, so every unit below the lowest failing one has run, and that
+    failure, the one a serial run meets first, is raised here once every
+    helper is reaped. A helper that exits with no report, one killed say,
+    fails the study once the other processes run out of units.
 
     Each process keeps its units' records, its failure, if any, and each
     unit's warnings; a helper pickles them into a pipe of its own and
@@ -331,44 +339,21 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
     helper count does not change what is shown.
     """
     helpers = resolve_worker_count(n_units) - 1
-    token_r, token_w = os.pipe()
-    if helpers:  # another process may take the token between select and read
-        os.set_blocking(token_r, False)
-    os.write(token_w, (1).to_bytes(8, "little"))
-    started: list[tuple[int, list[bytes]]] = []  # (pid, report chunks) per helper
-    unread: dict[int, list[bytes]] = {}  # the caller's open report pipes -> chunks read
+    counter = tempfile.TemporaryFile(buffering=0)  # its offset is the last unit taken
+    started: list[tuple[int, int]] = []  # (pid, report pipe) per helper
     # A helper is forked before any unit is done, so it starts with these empty.
     done: dict[int, list[TrialRecord]] = {}
     failed: dict[int, Exception] = {}
     warned: list[tuple] = []  # (unit, message, category, filename, lineno)
 
     def take(stop: bool = False) -> int:
-        while True:
-            try:
-                if not helpers or token_r in wait(token_r):
-                    u = int.from_bytes(os.read(token_r, 8), "little")
-                    break
-            except BlockingIOError:  # another process took the token first
-                pass
-        os.write(token_w, (n_units if stop else u + 1).to_bytes(8, "little"))
-        return u
-
-    def wait(*fds: int) -> list[int]:
-        """The ready ones of fds, reading meanwhile what the helpers' report pipes hold.
-
-        A report pipe at EOF with no report means its helper died, perhaps
-        holding the token, so the end is written in its place.
-        """
-        ready = select.select([*fds, *unread], [], [])[0]
-        for reader in unread.keys() & ready:
-            chunk = os.read(reader, 1 << 16)
-            if chunk:
-                unread[reader].append(chunk)
-                continue
-            os.close(reader)
-            if not unread.pop(reader):
-                os.write(token_w, n_units.to_bytes(8, "little"))
-        return ready
+        lockf(counter, LOCK_EX)  # the whole file, whatever the offset
+        try:
+            if stop:
+                return os.lseek(counter.fileno(), n_units, os.SEEK_SET)
+            return os.lseek(counter.fileno(), 1, os.SEEK_CUR)
+        finally:
+            lockf(counter, LOCK_UN)
 
     def drawn(u: int) -> Callable[[], list[TrialRecord]]:
         """draw(u), and once unit 0 is drawn, the helpers forked."""
@@ -380,8 +365,7 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
                 if pid == 0:
                     helper(reader, writer)
                 os.close(writer)
-                unread[reader] = []
-                started.append((pid, unread[reader]))
+                started.append((pid, reader))
         return score
 
     def run(u: int) -> None:
@@ -402,7 +386,6 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
         code = 1
         try:
             os.close(reader)
-            unread.clear()  # the earlier helpers' reports are the caller's to read
             caught.clear()  # unit 0's, which the caller keeps
             run(take())
             report = pickle.dumps(
@@ -421,22 +404,20 @@ def _run_units(n_units: int, draw: _Draw) -> list[TrialRecord]:
             warnings.simplefilter("always", append=True)  # where no filter matches
             run(0)
     finally:
-        if started:
-            take(stop=True)  # after an interruption here, no helper starts another unit
-        while unread:  # to EOF before reaping: a helper cannot exit until its report is read
-            wait()
-        for pid, report in started:
+        take(stop=True)  # after an interruption here, no helper starts another unit
+        for pid, reader in started:
+            with open(reader, "rb") as pipe:  # to EOF: a helper cannot exit until it is read
+                report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code == 0:
-                helper_done, helper_failed, helper_warned = pickle.loads(b"".join(report))
+                helper_done, helper_failed, helper_warned = pickle.loads(report)
                 done.update(helper_done)
                 failed.update(helper_failed)
                 warned += helper_warned
             else:  # its failure ranks after every unit's
                 failed[n_units] = RuntimeError(
                     f"a study helper exited with code {code} before reporting")
-        os.close(token_r)
-        os.close(token_w)
+        counter.close()
     last = min(failed, default=n_units)
     registries: dict[str, dict] = {}  # one per file, as warnings.warn keeps one per module
     for u, message, category, filename, lineno in sorted(warned, key=lambda w: w[0]):

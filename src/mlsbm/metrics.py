@@ -45,8 +45,7 @@ def detection_risk(truths: Sequence[int], decisions: Sequence[int]) -> float:
     """
     if len(truths) != len(decisions):
         raise ValidationError(f"length mismatch: {len(truths)} vs {len(decisions)}")
-    truths = [int(t) for t in truths]
-    decisions = [int(d) for d in decisions]
+    truths, decisions = list(truths), list(decisions)
     if any(t not in (0, 1) for t in truths) or any(d not in (0, 1) for d in decisions):
         raise ValidationError("truths and decisions must be bits")
     n_null = truths.count(0)

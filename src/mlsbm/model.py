@@ -300,16 +300,17 @@ class MultiLayerGraph:
 
     def layer_slice(self, start: int, stop: int) -> "MultiLayerGraph":
         """Sub-graph keeping layers [start, stop) (0-based layer positions, start < stop)."""
-        if not (0 <= start < stop <= self.T):
+        start, stop = _check_size(start, "start", 0), _check_size(stop, "stop", 1)
+        if not start < stop <= self.T:
             raise ValidationError(f"layer slice [{start}, {stop}) out of range for T={self.T}")
         first, last = np.searchsorted(self.layer_ids, [start, stop])
         ids = self.layer_ids[first:last]
         ids = ids - start if start else ids  # a view when the slice starts at layer 0
-        return _from_table(self.n, int(stop - start), self.edges[first:last], ids)
+        return _from_table(self.n, stop - start, self.edges[first:last], ids)
 
     def permute_layers(self, order: Sequence[int]) -> "MultiLayerGraph":
         """Reorder layers; `order[k]` is the old position placed at new position k."""
-        order = np.array([int(o) for o in order], dtype=np.int64)
+        order = np.array([_check_size(o, "each order entry", 0) for o in order], dtype=np.int64)
         if not np.array_equal(np.sort(order), np.arange(self.T)):
             raise ValidationError("order must be a permutation of 0..T-1")
         starts = np.searchsorted(self.layer_ids, np.arange(self.T + 1))

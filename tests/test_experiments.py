@@ -370,21 +370,23 @@ def test_a_helper_that_dies_without_reporting_is_a_runtime_error(monkeypatch):
     assert_no_child_left()
 
 
-# A helper that dies between reading the unit token and writing it back.
-DIES_HOLDING_THE_TOKEN = """
+# A helper that dies right after it steps the unit counter, holding the lock
+# and the unit it just took.
+DIES_HOLDING_THE_LOCK = """
 import os, sys, time, types
 from conftest import assert_no_child_left
 from mlsbm import cli, experiments
 
 caller = os.getpid()
 
-def write(fd, data):
-    if os.getpid() != caller and len(data) == 8:
+def lseek(fd, pos, how):
+    offset = os.lseek(fd, pos, how)
+    if os.getpid() != caller and how == os.SEEK_CUR:
         os._exit(9)
-    return os.write(fd, data)
+    return offset
 
 experiments.os = types.SimpleNamespace(
-    **{**vars(os), "write": write, "sched_getaffinity": lambda pid: {0, 1}})
+    **{**vars(os), "lseek": lseek, "sched_getaffinity": lambda pid: {0, 1}})
 try:
     if sys.argv[1] == "units":
         experiments._run_units(6, lambda u: lambda: time.sleep(0.05) or [])
@@ -396,13 +398,13 @@ finally:
 
 
 @pytest.mark.parametrize("route", ["units", "cli"])
-def test_a_helper_that_dies_holding_the_token_fails_the_study(route):
-    # The caller writes the end token in the dead helper's place, so the
-    # study fails within seconds instead of waiting for the token forever.
+def test_a_helper_that_dies_holding_the_lock_fails_the_study(route):
+    # The kernel drops a dead holder's lock, so the other processes run the
+    # units left and the study fails within seconds instead of hanging.
     root = Path(__file__).parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(str(root / d) for d in ("src", "scripts", "tests"))}
-    child = subprocess.Popen([sys.executable, "-c", DIES_HOLDING_THE_TOKEN, route], env=env,
+    child = subprocess.Popen([sys.executable, "-c", DIES_HOLDING_THE_LOCK, route], env=env,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                              start_new_session=True)
     try:
@@ -443,13 +445,43 @@ def test_warning_filters_act_in_the_unit_and_show_once_in_the_caller(monkeypatch
     assert_no_child_left()
 
 
-def test_studies_never_load_multiprocessing():
+@pytest.mark.parametrize("fails", [False, True], ids=["passing", "failing"])
+@pytest.mark.parametrize("helpers", [0, 3])
+def test_a_study_leaves_no_file_descriptor_open(monkeypatch, helpers, fails):
+    # Neither the unit counter nor a report pipe outlives the study.
+    def draw(u):
+        def score():
+            if fails and u == 5:
+                raise ValidationError("unit 5 refused")
+            return []
+
+        return score
+
+    spare_cpus(monkeypatch, helpers)
+    before = os.listdir("/proc/self/fd")
+    if fails:
+        with pytest.raises(ValidationError, match="^unit 5 refused$"):
+            experiments._run_units(12, draw)
+    else:
+        assert experiments._run_units(12, draw) == []
+    assert os.listdir("/proc/self/fd") == before
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("code", [
     # A 2-unit study forks nothing; a 6-unit one on 4 CPUs forks 3 helpers.
-    code = ("import os, sys; from mlsbm.experiments import resolve_worker_count, run_gap_demo; "
-            "run_gap_demo(16, 64, 0.02, 2); "
-            "os.sched_getaffinity = lambda pid: set(range(4)); "
-            "assert resolve_worker_count(6) == 4; run_gap_demo(16, 64, 0.02, 6); "
-            "assert 'multiprocessing' not in sys.modules")
+    "import os, sys; from mlsbm.experiments import resolve_worker_count, run_gap_demo; "
+    "run_gap_demo(16, 64, 0.02, 2); "
+    "os.sched_getaffinity = lambda pid: set(range(4)); "
+    "assert resolve_worker_count(6) == 4; run_gap_demo(16, 64, 0.02, 6); "
+    "assert 'multiprocessing' not in sys.modules",
+    # Where fcntl and os.fork are missing (Windows), a study runs serially.
+    "import os, sys; sys.modules['fcntl'] = None; del os.fork; "
+    "from mlsbm.experiments import resolve_worker_count, run_gap_demo; "
+    "assert resolve_worker_count(6) == 1; run_gap_demo(16, 64, 0.02, 6); "
+    "assert 'multiprocessing' not in sys.modules",
+], ids=["fork", "no-fcntl-no-fork"])
+def test_studies_never_load_multiprocessing(code):
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])})
 

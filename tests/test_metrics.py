@@ -84,8 +84,9 @@ def test_recovery_loss_refuses_a_value_above_one_half():
         RecoveryLoss(0.6)
 
 
-@pytest.mark.parametrize("truths, decisions", [([0, 2], [0, 1]), ([0, 1], [0, -1])],
-                         ids=["truth", "decision"])
+@pytest.mark.parametrize("truths, decisions", [([0, 2], [0, 1]), ([0, 1], [0, -1]),
+                                               ([1, 0.7], [1, 0]), ([1, 0], [1, 0.5])],
+                         ids=["truth", "decision", "fractional-truth", "fractional-decision"])
 def test_detection_risk_refuses_non_bits(truths, decisions):
     with pytest.raises(ValidationError, match="^truths and decisions must be bits"):
         detection_risk(truths, decisions)

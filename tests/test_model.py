@@ -394,6 +394,25 @@ def test_layer_slice_and_permute():
         g.layer_slice(2, 2)
 
 
+@pytest.mark.parametrize("view, message", [
+    (lambda g: g.layer_slice(1, 2.5), "stop must be an integer >= 1, got 2.5"),
+    (lambda g: g.layer_slice(0.5, 2), "start must be an integer >= 0, got 0.5"),
+    (lambda g: g.layer_slice(1.0, 3), "start must be an integer >= 0, got 1.0"),
+    (lambda g: g.layer_slice(0, True), "stop must be an integer >= 1, got True"),
+    (lambda g: g.permute_layers([0.5, 1, 2, 3]), "each order entry must be an integer >= 0, got 0.5"),
+    (lambda g: g.permute_layers(["0", "1", "2", "3"]),
+     "each order entry must be an integer >= 0, got '0'"),
+    (lambda g: g.permute_layers([True, False, 2, 3]),
+     "each order entry must be an integer >= 0, got True"),
+], ids=["fractional-stop", "fractional-start", "float-start", "bool-stop", "fractional-order",
+        "text-order", "bool-order"])
+def test_layer_positions_must_be_integers(view, message):
+    # Truncated, these read as other layers: a slice (1, 2.5) held layers 1 and 2 at T = 1.
+    g = sample_planted(MlsbmParams(8, 4, 0.3), seed=1).graph
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        view(g)
+
+
 @given(seed=st.integers(0, 10_000), data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_layer_views_equal_validated_graphs_and_stay_read_only(seed, data):
