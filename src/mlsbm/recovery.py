@@ -427,16 +427,17 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
 
     Each round relabels layers optimally for the current sigma, then applies
     best-improvement swaps (one 0-node for one 1-node) while any swap raises
-    the objective, for at most _MAX_ROUNDS rounds. The objective never
+    the objective. A round whose tau holds from the last round ends the
+    ascent, which runs at most _MAX_ROUNDS rounds. The objective never
     decreases; the result is locally optimal under single swaps and layer
     relabelings.
 
     With x = 1 - 2 sigma in {+1, -1}^n and the signed aggregate
     W = sum_t (1 - 2 tau_t) A_t, swapping a 0-node u with a 1-node v changes
     the objective by g[v] - g[u] - 2 W[u, v], where g = W x. g and a
-    contiguous zeros x ones block of -2W are built only when tau changes
-    (O(n^2), at most once per round), and W once per tau (O(E + n^2); the
-    multistart's starts share these builds). An accepted swap updates
+    contiguous zeros x ones block of -2W are built once per round (O(n^2)),
+    and W once per tau per graph (O(E + n^2); the multistart's starts share
+    these builds). An accepted swap updates
     g += 2 (W[:, v] - W[:, u]) and the block's row and column at u's and v's
     positions in O(n), so each step costs two broadcast passes and one argmax
     over the n^2 / 4 block. Its scores K gain - (u n + v), K = n^2, break
@@ -450,11 +451,10 @@ def mle_local_search(graph: MultiLayerGraph, init: Assignment) -> RecoveryResult
 
 
 def _signed_sums(graph: MultiLayerGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """tau -> -2 K W, W = sum_t (1 - 2 tau_t) A_t and K = n^2, each W built once.
+    """tau -> -2 K W, W = sum_t (1 - 2 tau_t) A_t and K = n^2, each tau's W built once.
 
     -2 K W comes in the score type: the narrowest signed integer type that
-    holds -_score_bound(graph), which _ascent computes in throughout. A
-    flipped tau gives exactly -W, so tau and 1 - tau share one build. Each W
+    holds -_score_bound(graph), which _ascent computes in throughout. Each W
     is kept in the smallest signed integer type holding +-T, which bounds
     every entry, so a battery's few builds cost little memory.
     """
@@ -464,12 +464,10 @@ def _signed_sums(graph: MultiLayerGraph) -> Callable[[np.ndarray], np.ndarray]:
     built: dict[bytes, np.ndarray] = {}
 
     def signed_sum(tau: np.ndarray) -> np.ndarray:
-        flip = int(tau[0])
-        canonical = tau ^ flip
-        key = canonical.tobytes()
+        key = tau.tobytes()
         if key not in built:
-            built[key] = _weighted_layer_sum(graph, canonical).astype(entries)
-        return np.multiply(built[key], 2 * K if flip else -2 * K, dtype=scores)
+            built[key] = _weighted_layer_sum(graph, tau).astype(entries)
+        return np.multiply(built[key], -2 * K, dtype=scores)
 
     return signed_sum
 
@@ -478,6 +476,10 @@ def _ascent(
     graph: MultiLayerGraph, init: Assignment, signed_sums: Callable[[np.ndarray], np.ndarray]
 ) -> RecoveryResult:
     """mle_local_search's ascent from init, reading -2 K W from signed_sums(tau).
+
+    signed_sums builds each tau's W once per graph. The ascent returns at the
+    first round whose tau equals the last round's, under which the last
+    round's swaps found no gain, or after _MAX_ROUNDS rounds.
 
     Everything is computed in W's integer type, which is exact: every value
     stored (W, K W, K g, terms, the scores) is below _score_bound in
@@ -499,16 +501,16 @@ def _ascent(
 
     for _ in range(_MAX_ROUNDS):
         new_tau, new_obj = _tau_for_sigma(graph, sig)
-        changed = tau is not None and not np.array_equal(new_tau, tau)
-        if tau is None or changed:
-            tau, obj = new_tau, int(new_obj)
-            trace.append(obj)
-            W = signed_sums(tau)  # W holds -2 K W
-            kg = (W >> 1) @ (2 * sig - 1).astype(W.dtype)
-            # Swapping u for v scores W[u, v] - terms[0, u] + terms[1, v].
-            terms = kg + np.outer([n, -1], np.arange(n)).astype(W.dtype)
-            block = W[np.ix_(zeros, ones)]
-            score = np.empty_like(block)
+        if tau is not None and np.array_equal(new_tau, tau):
+            break
+        tau, obj = new_tau, int(new_obj)
+        trace.append(obj)
+        W = signed_sums(tau)  # W holds -2 K W
+        kg = (W >> 1) @ (2 * sig - 1).astype(W.dtype)
+        # Swapping u for v scores W[u, v] - terms[0, u] + terms[1, v].
+        terms = kg + np.outer([n, -1], np.arange(n)).astype(W.dtype)
+        block = W[np.ix_(zeros, ones)]
+        score = np.empty_like(block)
         while True:  # best-improvement swaps at fixed tau
             np.subtract(block, terms[0, zeros][:, None], out=score)
             np.add(score, terms[1, ones], out=score)
@@ -528,9 +530,6 @@ def _ascent(
             sig[u], sig[v] = 1, 0
             obj += (best + u * n + v) // K
             trace.append(obj)
-            changed = True
-        if not changed:
-            break
     return RecoveryResult(
         Assignment._from_array(sig),
         "mle-local",

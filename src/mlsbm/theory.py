@@ -492,8 +492,11 @@ def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
     for bits, log_p1, log_p0 in _tensor_chunks(parity, rho):
         weight = np.exp(log_p0) * np.exp(log_p1 - log_p0)  # P0 times the likelihood ratio
         std = (bits - rho) / math.sqrt(rho * (1.0 - rho))
-        for idx, combo in enumerate(combos):
-            coeffs[idx] += np.sum(weight * std[:, combo].prod(axis=1))
+        # At a subnormal rho a product overflows to inf where the weight is 0:
+        # the nan is returned, and the CLI's agreement check reports a FAIL.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, combo in enumerate(combos):
+                coeffs[idx] += np.sum(weight * std[:, combo].prod(axis=1))
     return math.fsum((coeffs * coeffs).tolist())
 
 

@@ -416,15 +416,16 @@ def test_theory_ldlr_skips_the_projection_past_the_table_guard(capsys):
         ("1e-20", "1", 0),
         ("1e-20", "2", 0),
         ("0.3", "12", 0),
-        # the projection reads nan
+        # the projection reads nan, without a floating-point warning
         ("1e-320", "2", 1),
     ],
 )
 def test_theory_ldlr_agreement_is_relative(capsys, rho, D, code):
-    got, out, _ = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
-                      "--rho", rho, "--D", D, "--json")
+    got, out, err = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
+                        "--rho", rho, "--D", D, "--json")
     assert got == code
     assert json.loads(out)["agree"] is (code == 0)
+    assert err == ""
 
 
 def test_theory_chi2_passes_at_a_density_below_rounding_of_one(capsys):

@@ -548,8 +548,8 @@ def test_multistart_builds_each_signed_sum_once_and_ascends_as_the_reference(cas
         patch.setattr(recovery, "_weighted_layer_sum", recording)
         for init in battery:
             mle_local_search(graph, init)
-        # Every tau the starts reach, identified with its flip.
-        taus = {min(tau, tuple(1 - x for x in tau)) for tau in taus_seen}
+        # Every distinct tau the starts reach.
+        taus = set(taus_seen)
         taus_seen.clear()
         result = mle_local_search_multistart(graph)
     assert (result.sigma_hat, result.tau_hat, result.objective, result.objective_trace) == expected
@@ -808,6 +808,21 @@ def test_dense_materialization_cap():
 def test_dense_cap_refuses_before_allocating(call):
     # one 4098 x 4098 float64 matrix would take 134 MB
     assert peak_while_refusing(call, empty_graph(4098, 2)) < 2**20
+
+
+@pytest.mark.parametrize(
+    "method, call, T",
+    [
+        ("bias_adjusted_spectral", bias_adjusted_spectral, 3),
+        ("aggregate_sum_spectral", aggregate_sum_spectral, 3),
+        # an Assignment has even length, so no tau fits an odd T
+        ("oracle_tau_spectral", lambda graph: oracle_tau_spectral(graph, Assignment((0, 1))), 2),
+    ],
+    ids=["bias-adjusted", "layer-sum", "oracle-tau"],
+)
+def test_spectral_methods_refuse_odd_n(method, call, T):
+    with pytest.raises(ValidationError, match=f"^{method} needs even n >= 2, got n=5$"):
+        call(empty_graph(5, T))
 
 
 @pytest.mark.parametrize("n, T", [(5, 2), (4, 3)], ids=["odd-n", "odd-T"])

@@ -114,6 +114,8 @@ def test_chi_square_brute_force_guard_and_validation():
         chi_square_bruteforce(4, 5, 0.1, (0,) * 5)  # 30 slots > 24
     with pytest.raises(ValidationError):
         chi_square_bruteforce(4, 2, 0.1, (0, 2))
+    with pytest.raises(ValidationError, match="^tau has 1 entries but T=2$"):
+        chi_square_bruteforce(2, 2, 0.1, (0,))
     with pytest.raises(ValidationError):
         chi_square_closed_form(5, 2, 0.1)
     with pytest.raises(ValidationError):
