@@ -20,9 +20,10 @@ and one guard that refuses oversized tables before allocating them. The
 exact routes (closed forms, and `_lambda_table`'s parity-class counts) stay
 independent of that core.
 
-All heavy weights are computed in log-space with log-sum-exp accumulation;
-the only signed quantity (the per-subset expectation) handles its sign
-separately from its magnitude.
+The oracles build each tensor's L - 1 from per-slot likelihood ratios, and
+the chi-square closed form sums its overlap terms in log-space; the only
+signed quantity (the per-subset expectation) handles its sign separately
+from its magnitude.
 """
 
 from __future__ import annotations
@@ -65,15 +66,10 @@ Slot = tuple[int, int, int]
 
 
 def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return -math.inf
     return math.log(math.comb(n, k))
 
 
-def _logsumexp(values) -> float:
-    values = [v for v in values if v != -math.inf]
-    if not values:
-        return -math.inf
+def _logsumexp(values: list[float]) -> float:
     top = max(values)
     return top + math.log(math.fsum(math.exp(v - top) for v in values))
 
@@ -109,59 +105,40 @@ class ChiSquareReport:
             raise ValidationError(f"chi-square value must be >= 0, got {self.value}")
 
 
-def _chi_square_bases(rho: float) -> tuple[float, float]:
-    """Per-slot factors of the squared-likelihood sum.
-
-    A slot whose parity agrees under the two community labellings contributes
-    (1 - 3*rho/4)/(1 - rho); a slot whose parity differs contributes
-    (1 - 5*rho/4)/(1 - rho). Both are positive for rho < 2/3.
-    """
-    same = (1.0 - 0.75 * rho) / (1.0 - rho)
-    mixed = (1.0 - 1.25 * rho) / (1.0 - rho)
-    return same, mixed
-
-
 def chi_square_closed_form(n: int, T: int, rho: float) -> ChiSquareReport:
     """Exact chi-square divergence via the overlap sum; layer-type free.
 
     Averaging the squared likelihood over two independent balanced labellings
-    reduces to a sum over the overlap c of their 1-classes: pairs of nodes in
-    the same agreement class contribute the `same` base, pairs across classes
-    the `mixed` base, with multiplicities C(n-2c,2)+C(2c,2) and 2c(n-2c) per
-    layer. The result does not depend on the layer types at all.
+    reduces to a sum over the overlap c of their 1-classes: a slot whose
+    parity agrees under the two labellings contributes the factor 1 + shift,
+    one whose parity differs 1 - shift, with shift = (rho/4)/(1 - rho) and
+    multiplicities C(n-2c,2)+C(2c,2) and 2c(n-2c) node pairs per layer. The
+    result does not depend on the layer types at all.
 
-    Term c is log w_c + L_c, with weights w_c summing to 1, so the divergence
-    is sum w_c expm1(L_c). Where every exponent L_c is small that sum is
-    taken directly, since 1 + chi-square would round away a small
-    divergence; elsewhere it is expm1 of the terms' log-sum-exp.
+    Term c is log w_c + L_c, with weights w_c summing to 1 and L_c taken from
+    log1p(+-shift), so the divergence is sum w_c expm1(L_c). Where every
+    exponent L_c is small that sum is taken directly, since 1 + chi-square
+    would round away a small divergence; elsewhere it is expm1 of the terms'
+    log-sum-exp.
     """
     n, T, rho = astuple(MlsbmParams(n, T, rho))
-    log_same, log_mixed = (math.log(b) for b in _chi_square_bases(rho))
-    # The bases are exactly 1 +- shift, so log1p gives their logs to full precision.
     shift = 0.25 * rho / (1.0 - rho)
-    log1p_same, log1p_mixed = math.log1p(shift), math.log1p(-shift)
+    log_same, log_mixed = math.log1p(shift), math.log1p(-shift)
     log_total = _log_comb(n, n // 2)
     terms, weighted = [], []
     for c in range(n // 2 + 1):
-        agree = 2 * c  # nodes on which the two labellings agree as 1s do not matter;
         # what matters is the disagreement count d = n - 2c splitting pairs
-        d = n - agree
+        d = n - 2 * c
         same_pairs = math.comb(d, 2) + math.comb(n - d, 2)
         mixed_pairs = d * (n - d)
-        log_pairs = 2.0 * _log_comb(n // 2, c)
-        log_term = (
-            log_pairs
-            + T * same_pairs * log_same
-            + T * mixed_pairs * log_mixed
-            - log_total
-        )
-        terms.append((c, log_term))
-        exponent = T * same_pairs * log1p_same + T * mixed_pairs * log1p_mixed
-        weighted.append((log_pairs - log_total, exponent))
+        log_w = 2.0 * _log_comb(n // 2, c) - log_total
+        exponent = T * same_pairs * log_same + T * mixed_pairs * log_mixed
+        terms.append((c, log_w + exponent))
+        weighted.append((log_w, exponent))
     if all(abs(exponent) <= 1.0 for _, exponent in weighted):
         value = math.fsum(math.exp(log_w) * math.expm1(exponent) for log_w, exponent in weighted)
     else:
-        value = _expm1_or_inf(_logsumexp(t for _, t in terms))
+        value = _expm1_or_inf(_logsumexp([t for _, t in terms]))
     return ChiSquareReport(value=max(value, 0.0), per_c_terms=tuple(terms))
 
 
@@ -214,15 +191,19 @@ def _parity_table(name: str, n: int, T: int, slots: Optional[Sequence[Slot]] = N
 def _tensor_chunks(parity: np.ndarray, rho: float):
     """Every adjacency tensor over the parity table's slots, in code order.
 
-    Yields (bits, log P1, log P0) per chunk: the tensors' 0/1 entries, their
-    log-likelihood averaged over the table's labellings (3*rho/2 on even
-    parity, rho/2 on odd) and under the null model. `bits` is a view of one
-    buffer that the next chunk overwrites.
+    Yields (bits, P0, L - 1) per chunk: the tensors' 0/1 entries, their
+    null-model probability, and their likelihood ratio minus one, averaged
+    over the table's labellings. Each labelling's L is the product of
+    per-slot ratios: 3/2 or 1/2 on an edge (even or odd parity), and
+    1 -+ rho/(2(1 - rho)) on a non-edge, so expm1 of their summed logs keeps
+    the digits of a small L - 1 that a difference of log-likelihoods loses.
+    `bits` is a view of one buffer that the next chunk overwrites.
     """
     labellings, n_slots = parity.shape
-    probs = np.where(parity == 0, 1.5 * rho, 0.5 * rho)
-    log_p = np.log(probs)
-    log_q = np.log1p(-probs)
+    even = parity == 0
+    shift = 0.5 * rho / (1.0 - rho)
+    log_edge = np.where(even, math.log(1.5), math.log(0.5))
+    log_gap = np.where(even, math.log1p(-shift), math.log1p(shift))
     chunk = max(1, min(_CHUNK_TENSORS, _CHUNK_CELLS // labellings, 1 << n_slots))
     exponents = np.arange(n_slots, dtype=np.uint32)
     buffer = np.empty((chunk, n_slots))
@@ -230,11 +211,10 @@ def _tensor_chunks(parity: np.ndarray, rho: float):
         codes = np.arange(start, min(start + chunk, 1 << n_slots), dtype=np.uint32)
         bits = buffer[: len(codes)]
         np.copyto(bits, (codes[:, None] >> exponents[None, :]) & 1)
-        log_like = bits @ log_p.T + (1.0 - bits) @ log_q.T
-        top = log_like.max(axis=1)
-        log_p1 = top + np.log(np.exp(log_like - top[:, None]).sum(axis=1)) - math.log(labellings)
+        log_ratio = bits @ log_edge.T + (1.0 - bits) @ log_gap.T
         edges = bits.sum(axis=1)
-        yield bits, log_p1, edges * math.log(rho) + (n_slots - edges) * math.log1p(-rho)
+        p0 = np.exp(edges * math.log(rho) + (n_slots - edges) * math.log1p(-rho))
+        yield bits, p0, np.expm1(log_ratio).mean(axis=1)
 
 
 def chi_square_bruteforce(n: int, T: int, rho: float, tau) -> float:
@@ -246,11 +226,10 @@ def chi_square_bruteforce(n: int, T: int, rho: float, tau) -> float:
     """
     n, T, rho = _check_even(n, "n", 2), _check_size(T, "T", 1), _check_rho(rho)
     parity = _parity_table("chi_square_bruteforce", n, T, tau=tau, tensors=True)
-    # (P1 - P0)^2 / P0 = P0 * expm1(log P1 - log P0)^2: every term is
-    # non-negative, so no cancellation enters the sum
+    # (P1 - P0)^2 / P0 = P0 * (L - 1)^2: every term is non-negative, so no
+    # cancellation enters the sum
     return math.fsum(
-        float(np.sum(np.exp(log_p0) * np.expm1(log_p1 - log_p0) ** 2))
-        for _, log_p1, log_p0 in _tensor_chunks(parity, rho)
+        float(np.sum(p0 * l_minus_1 ** 2)) for _, p0, l_minus_1 in _tensor_chunks(parity, rho)
     )
 
 
@@ -397,6 +376,7 @@ def lambda_count_bound(
     on overflow. The bound is asymptotic in (n, T); at tiny sizes it can in
     principle be crossed, which callers log rather than fail.
     """
+    n, T = _check_even(n, "n", 2), _check_even(T, "T", 2)
     a, r, k = _check_size(a, "a", 1), _check_size(r, "r", 0), _check_size(k, "k", 0)
     if 2 * r > n or 2 * k > T:
         return 0.0
@@ -481,16 +461,18 @@ def ldlr_projection_oracle(n: int, T: int, rho: float, D: int) -> float:
 
     Builds the likelihood ratio L = P1/P0 on all 2^slots tensors chunk by
     chunk, adds up each basis coefficient (the P0-expectation of L times the
-    standardized edge product) across chunks, and sums the squares.
-    Validates that the standardized products behave as an orthonormal basis.
+    standardized edge product) across chunks, and sums the squares. Each
+    tensor is weighted by P0 * (L - 1), which leaves every coefficient
+    unchanged since a standardized product over a non-empty subset has
+    P0-mean 0, and keeps the coefficients' digits at small rho.
     """
     n, T, rho = astuple(MlsbmParams(n, T, rho))
     sizes = _subset_sizes(n, T, _check_size(D, "D", 1))
     parity = _parity_table("ldlr_projection_oracle", n, T, tensors=True)
     combos = [c for a in sizes for c in itertools.combinations(range(parity.shape[1]), a)]
     coeffs = np.zeros(len(combos))
-    for bits, log_p1, log_p0 in _tensor_chunks(parity, rho):
-        weight = np.exp(log_p0) * np.exp(log_p1 - log_p0)  # P0 times the likelihood ratio
+    for bits, p0, l_minus_1 in _tensor_chunks(parity, rho):
+        weight = p0 * l_minus_1
         std = (bits - rho) / math.sqrt(rho * (1.0 - rho))
         # At a subnormal rho a product overflows to inf where the weight is 0:
         # the nan is returned, and the CLI's agreement check reports a FAIL.
@@ -548,16 +530,18 @@ def signed_vandermonde_closed_form(m: int, k: int) -> int:
 
 
 def hypergeometric_cdf(N: int, K: int, m: int, x_max: int) -> Fraction:
-    """Exact P(X <= x_max) for X ~ Hypergeometric(N, K, m), as a Fraction."""
+    """Exact P(X <= x_max) for X ~ Hypergeometric(N, K, m) and any integer x_max, as a Fraction."""
     N, K, m = _check_size(N, "N", 0), _check_size(K, "K", 0), _check_size(m, "m", 0)
     if K > N or m > N:
         raise ValidationError("need K <= N and m <= N")
+    if not isinstance(x_max, (int, np.integer)) or isinstance(x_max, bool):
+        raise ValidationError(f"x_max must be an integer, got {x_max!r}")
     lo = max(0, m - (N - K))
     hi = min(m, K)
     if x_max < lo:
         return Fraction(0)
     numerator = sum(
-        math.comb(K, x) * math.comb(N - K, m - x) for x in range(lo, min(int(x_max), hi) + 1)
+        math.comb(K, x) * math.comb(N - K, m - x) for x in range(lo, min(x_max, hi) + 1)
     )
     return Fraction(numerator, math.comb(N, m))
 
@@ -565,7 +549,7 @@ def hypergeometric_cdf(N: int, K: int, m: int, x_max: int) -> Fraction:
 def hypergeometric_tail_check(N: int, K: int, m: int, t: float) -> tuple[float, float]:
     """Exact lower-tail probability P(X <= (K/N - t) m) next to exp(-2 t^2 m)."""
     N, K, m = _check_size(N, "N", 1), _check_size(K, "K", 0), _check_size(m, "m", 0)
-    t = float(t)
+    t = _check_real(t, "t")
     if not (0.0 < t < m * K / N):
         raise ValidationError(f"t must satisfy 0 < t < m*K/N = {m * K / N:.6g}, got {t}")
     threshold = (K / N - t) * m

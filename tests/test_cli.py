@@ -12,7 +12,7 @@ import pytest
 
 from conftest import assert_no_child_left, parity_even_graph, sample_in_caller_only, spare_cpus
 from mlsbm import Assignment, MlsbmParams, ValidationError, hamming_loss, sample_planted
-from mlsbm import experiments
+from mlsbm import experiments, theory
 from mlsbm.cli import main
 from mlsbm.detection import to_json_record as detection_record
 from mlsbm.errors import SizeGuardError
@@ -409,8 +409,8 @@ def test_theory_ldlr_skips_the_projection_past_the_table_guard(capsys):
 @pytest.mark.parametrize(
     "rho, D, code",
     [
-        # exact and brute force read 1.46e-200, the projection 3.65e-127
-        ("1e-100", "2", 1),
+        # all three routes read 1.46e-200
+        ("1e-100", "2", 0),
         # the exact norm is 0 and the projection reads rounding noise
         ("0.1", "1", 0),
         ("1e-20", "1", 0),
@@ -425,6 +425,17 @@ def test_theory_ldlr_agreement_is_relative(capsys, rho, D, code):
                         "--rho", rho, "--D", D, "--json")
     assert got == code
     assert json.loads(out)["agree"] is (code == 0)
+    assert err == ""
+
+
+def test_theory_ldlr_fails_a_projection_orders_of_magnitude_off(capsys, monkeypatch):
+    # both differences are far below 1e-9 in absolute terms; only a
+    # relative check sees 3.65e-127 against the exact 1.46e-200
+    monkeypatch.setattr(theory, "ldlr_projection_oracle", lambda n, T, rho, D: 3.65e-127)
+    got, out, err = run(capsys, "theory", "ldlr", "--n", "4", "--T", "2",
+                        "--rho", "1e-100", "--D", "2", "--json")
+    assert got == 1
+    assert json.loads(out)["agree"] is False
     assert err == ""
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mlsbm import (
     Assignment,
+    DetectionDecision,
     MlsbmParams,
     MultiLayerGraph,
     SizeGuardError,
@@ -305,6 +306,17 @@ def test_decision_json_record():
     assert record["method"] == "split-test"
     assert record["rho_hat"] == 0.5
     assert record["n"] == 4 and record["T"] == 4
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("decision", 2, "^decision must be 0 or 1, got 2$"),
+    ("rho_hat", -0.1, "^rho_hat must be >= 0, got -0.1$"),
+])
+def test_decision_refuses_an_out_of_range_field(field, value, message):
+    good = dict(decision=1, rho_hat=0.5, cross_block_mean=0.5, shuffle_rounds_used=1)
+    DetectionDecision(**good)
+    with pytest.raises(ValidationError, match=message):
+        DetectionDecision(**{**good, field: value})
 
 
 # ----------------------------------------------------- calibrated pilot facts

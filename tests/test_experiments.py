@@ -147,11 +147,14 @@ def test_from_exponents_rounds_layer_count_to_even():
     assert cfg.cells == ((2, 2, 0.5),)  # floor at T = 2
 
 
+GOOD_RECORD = dict(
+    cell="c", n=8, T=4, rho=0.1, method="sum-spectral", trial=0, seed=1,
+    loss=0.25, decision=None, objective=None, wall_time_ms=None, degenerate=False,
+)
+
+
 def test_trial_record_validates_ranges():
-    good = dict(
-        cell="c", n=8, T=4, rho=0.1, method="sum-spectral", trial=0, seed=1,
-        loss=0.25, decision=None, objective=None, wall_time_ms=None, degenerate=False,
-    )
+    good = GOOD_RECORD
     TrialRecord(**good)
     with pytest.raises(ValidationError):
         TrialRecord(**{**good, "loss": 0.6})
@@ -160,6 +163,16 @@ def test_trial_record_validates_ranges():
     for text in ({"cell": "a\rb"}, {"method": "\r"}):
         with pytest.raises(ValidationError, match="must not contain"):
             TrialRecord(**{**good, **text})
+
+
+def test_unique_seed_check_refuses_a_unit_with_two_seeds_and_a_shared_seed():
+    good = GOOD_RECORD
+    first = TrialRecord(**good)
+    experiments._assert_unique_seeds([first, TrialRecord(**{**good, "method": "oracle-tau-spectral"})])
+    with pytest.raises(AssertionError, match=r"^unit \('c', 0\) saw two different seeds$"):
+        experiments._assert_unique_seeds([first, TrialRecord(**{**good, "seed": 2})])
+    with pytest.raises(AssertionError, match="^derived seeds collide across"):
+        experiments._assert_unique_seeds([first, TrialRecord(**{**good, "trial": 1})])
 
 
 def test_csv_schema_is_pinned():

@@ -104,6 +104,13 @@ def test_chi_square_report_internal_consistency():
     assert [c for c, _ in report.per_c_terms] == list(range(0, 4))
 
 
+def test_theory_reports_refuse_a_negative_value():
+    with pytest.raises(ValidationError, match="^chi-square value must be >= 0, got -0.1$"):
+        theory.ChiSquareReport(value=-0.1, per_c_terms=())
+    with pytest.raises(ValidationError, match="^norm must be >= 0, got -0.1$"):
+        theory.LdlrReport(degree=1, value=-0.1, per_a_terms=(), kappa=0.1)
+
+
 def test_chi_square_overflow_is_inf_not_an_error():
     for n, T, rho in ((200, 10**6, 0.01), (2, 10**10, 0.1)):
         assert chi_square_closed_form(n, T, rho).value == math.inf
@@ -310,6 +317,16 @@ def test_lambda_bound_empty_classes():
     assert class_count(4, 2, 2, 3, 0) == 0
 
 
+@pytest.mark.parametrize("n, T", [(0, 2), (-4, 2), (4, -2), (True, 2), (4, True), (5, 2), (4, 3)])
+def test_lambda_bound_refuses_a_size_that_is_not_an_even_integer(n, T):
+    with pytest.raises(ValidationError, match="^[nT] must be an (even )?integer"):
+        lambda_count_bound(n, T, 2, 0, 0)
+
+
+def test_lambda_bound_overflows_to_inf():
+    assert lambda_count_bound(8, 4, 400, 0, 0) == math.inf
+
+
 # ---------------------------------------------------------------- LDLR norm
 
 
@@ -346,6 +363,16 @@ def test_ldlr_oracles_track_the_exact_route_to_rounding(n, T):
             except SizeGuardError:  # 2^slots tensors past the guard: (4, 4) and (6, 2)
                 continue
             assert projected == pytest.approx(exact, rel=1e-13, abs=1e-20)
+
+
+@pytest.mark.parametrize("rho", [1e-20, 1e-50, 1e-100])
+@pytest.mark.parametrize("n, T, D", [(2, 2, 2), (4, 2, 2), (2, 4, 3)])
+def test_ldlr_projection_oracle_keeps_its_digits_at_small_rho(n, T, D, rho):
+    # each tensor's weight P0 * (L - 1) is built from per-slot ratios, so the
+    # coefficients keep their digits where a difference of log-likelihoods
+    # of size ~10^2 would round L - 1 away
+    exact = ldlr_norm_exact(n, T, rho, D).value
+    assert ldlr_projection_oracle(n, T, rho, D) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_ldlr_monotone_in_degree_and_density():
@@ -507,6 +534,9 @@ def test_hypergeometric_tail_validation():
         hypergeometric_tail_check(20, 10, 10, 5.0)  # t == mK/N upper limit
     with pytest.raises(ValidationError):
         hypergeometric_tail_check(0, 0, 0, 0.1)  # no population to draw from
+    for t in ("0.1", True):
+        with pytest.raises(ValidationError, match="^t must be a real number, got "):
+            hypergeometric_tail_check(20, 10, 10, t)
 
 
 @given(
@@ -525,6 +555,14 @@ def test_hypergeometric_cdf_refuses_k_above_n_and_is_zero_below_the_support():
     # 5 draws from 10 items of which 8 succeed hold at least 3 successes
     assert hypergeometric_cdf(10, 8, 5, 2) == Fraction(0)
     assert hypergeometric_cdf(10, 8, 5, 3) > 0
+
+
+def test_hypergeometric_cdf_refuses_an_x_max_that_is_not_an_integer():
+    for x_max in (2.7, "3", True):
+        with pytest.raises(ValidationError, match="^x_max must be an integer, got "):
+            hypergeometric_cdf(10, 8, 5, x_max)
+    assert hypergeometric_cdf(10, 8, 5, -1) == Fraction(0)
+    assert hypergeometric_cdf(10, 8, 5, np.int64(5)) == Fraction(1)
 
 
 @pytest.mark.parametrize("rho", [-0.1, math.nan])
